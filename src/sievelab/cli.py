@@ -173,6 +173,8 @@ _SIEVE_COLS = [
 
 
 def cmd_sieve(ns) -> tuple[list[dict], list[str]]:
+    if ns.n < 0:
+        raise DomainError(f"--n must be >= 0, got {ns.n}")
     if ns.d > SIEVE_D_GUARD:
         raise GuardError(f"d={ns.d} exceeds the dimension guard {SIEVE_D_GUARD}")
     if ns.n > SIEVE_N_GUARD:
@@ -184,15 +186,19 @@ def cmd_sieve(ns) -> tuple[list[dict], list[str]]:
     alpha = ns.alpha if ns.alpha is not None else math.cos(theta)
     beta = ns.beta if ns.beta is not None else math.cos(theta)
 
+    # t = ceil(3 / W) covers a close pair with probability about 1 - e^-3
     if ns.t is not None:
         t, wedge_est = ns.t, None
     else:
-        est = geometry.wedge_volume_mc(
-            ns.d, alpha, beta, theta, ns.wedge_samples, derive_seed(ns.seed, 2)
-        )
-        if est.estimate <= 0.0:
+        if ns.wedge_samples is None:
+            wedge_est = geometry.wedge_volume_quad(ns.d, alpha, beta, theta)
+        else:
+            wedge_est = geometry.wedge_volume_mc(
+                ns.d, alpha, beta, theta, ns.wedge_samples, derive_seed(ns.seed, 2)
+            ).estimate
+        if wedge_est <= 0.0:
             raise GuardError("wedge estimate vanished; pass --t explicitly")
-        t, wedge_est = math.ceil(3.0 / est.estimate), est.estimate
+        t = math.ceil(3.0 / wedge_est)
     if t > FAMILY_GUARD:
         raise GuardError(f"filter count {t} exceeds the family guard {FAMILY_GUARD}")
 
@@ -201,17 +207,18 @@ def cmd_sieve(ns) -> tuple[list[dict], list[str]]:
     ledger = sieve.QueryLedger()
     if ns.method == "query":
         buckets = sieve.preprocess(instance, family, beta, ledger)
-        pairs = sieve.query_method(instance, family, alpha, buckets, ledger)
+        pairs = sieve.query_keys(instance, family, alpha, buckets, ledger)
     else:
-        pairs = sieve.fas_method(instance, family, alpha, beta, ledger)
-    brute = sieve.brute_force_pairs(instance)
-    recall = len(pairs & brute) / len(brute) if brute else 1.0
+        pairs = sieve.fas_keys(instance, family, alpha, beta, ledger)
+    brute = sieve.brute_force_keys(instance)
+    found = np.intersect1d(pairs, brute, assume_unique=True).size
+    recall = found / brute.size if brute.size else 1.0
     expected = sieve.expected_ledger(ns.n, t, alpha, beta, ns.d)
 
     row = {
         "d": ns.d, "n": ns.n, "method": ns.method, "theta": theta,
         "alpha": alpha, "beta": beta, "t": t, "wedge_estimate": wedge_est,
-        "pairs_found": len(pairs), "pairs_brute": len(brute), "recall": recall,
+        "pairs_found": pairs.size, "pairs_brute": brute.size, "recall": recall,
         "filter_queries": ledger.filter_queries,
         "inner_product_queries": ledger.inner_product_queries,
         "insertions": ledger.insertions,
@@ -403,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--t", type=int, default=None)
-    p.add_argument("--wedge-samples", type=int, default=10**6)
+    p.add_argument("--wedge-samples", type=int, default=None)
     p.set_defaults(func=cmd_sieve)
     _add_common(p)
 

@@ -234,6 +234,58 @@ def _cross_section_volume(d2: int, h: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_wedge(name: str, d: int, alpha: float, beta: float, theta: float) -> tuple[float, float]:
+    """Validate wedge arguments; return (alpha, beta) with alpha >= beta.
+
+    Conditioning on the smaller cap is free because the wedge is
+    symmetric under the swap, and it makes both evaluators exactly
+    symmetric in their arguments.
+    """
+    if not 0.0 < theta < math.pi:
+        raise DomainError(f"{name} needs theta in (0, pi), got {theta}")
+    if d < 2:
+        raise DomainError(f"{name} needs d >= 2, got {d}")
+    if not (-1.0 <= alpha <= 1.0 and -1.0 <= beta <= 1.0):
+        raise DomainError(f"{name} needs alpha, beta in [-1, 1]")
+    return (beta, alpha) if alpha < beta else (alpha, beta)
+
+
+def wedge_volume_quad(d: int, alpha: float, beta: float, theta: float) -> float:
+    """Wedge volume W(alpha, beta, theta) by 1-D quadrature.
+
+    With phi the angle to the alpha-cap axis, the cosine marginal is
+    sin^{d-2}(phi) / B((d-1)/2, 1/2) on [0, pi], and the points at
+    angle phi that also lie in the beta-cap form a cap of S^{d-2} with
+    threshold h(phi) = (beta - cos phi cos theta) / (sin phi sin theta).
+    So W = int_0^{acos alpha} sin^{d-2}(phi) C_{d-1}(h(phi)) dphi / B.
+    The integrand vanishes where h >= 1, i.e. outside theta -+ acos
+    beta, and the cross-section is the whole sphere where h <= -1,
+    i.e. below acos beta - theta; splitting there keeps quad on smooth
+    pieces (for d = 2 the cross-section is a step).
+    """
+    from scipy.integrate import quad
+
+    alpha, beta = _check_wedge("wedge_volume_quad", d, alpha, beta, theta)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    a, b = math.acos(alpha), math.acos(beta)
+    lo, hi = max(0.0, theta - b), min(a, theta + b)
+    if hi <= lo:
+        return 0.0
+    log_norm = math.lgamma(d / 2.0) - math.lgamma((d - 1) / 2.0) - math.lgamma(0.5)
+
+    def integrand(phi: float) -> float:
+        s = math.sin(phi)
+        h = (beta - math.cos(phi) * cos_t) / (s * sin_t)
+        return s ** (d - 2) * float(_cross_section_volume(d - 1, np.array([h]))[0])
+
+    full = b - theta  # below this angle the cross-section is all of S^{d-2}
+    pieces = [(lo, full), (full, hi)] if lo < full < hi else [(lo, hi)]
+    total = sum(
+        quad(integrand, x, y, epsabs=0.0, epsrel=1e-11, limit=200)[0] for x, y in pieces
+    )
+    return math.exp(log_norm) * total
+
+
 def wedge_volume_mc(
     d: int, alpha: float, beta: float, theta: float, samples: int, seed: int
 ) -> MCEstimate:
@@ -247,17 +299,9 @@ def wedge_volume_mc(
     remains workable even when the wedge itself is far below
     1/samples, which is the regime the rate checks need.
     """
-    if not 0.0 < theta < math.pi:
-        raise DomainError(f"wedge_volume_mc needs theta in (0, pi), got {theta}")
-    if d < 2:
-        raise DomainError(f"wedge_volume_mc needs d >= 2, got {d}")
+    alpha, beta = _check_wedge("wedge_volume_mc", d, alpha, beta, theta)
     if samples < 1:
         raise DomainError("wedge_volume_mc needs samples >= 1")
-    if not (-1.0 <= alpha <= 1.0 and -1.0 <= beta <= 1.0):
-        raise DomainError("wedge_volume_mc needs alpha, beta in [-1, 1]")
-    # condition on the smaller cap; the wedge is symmetric under swap
-    if alpha < beta:
-        alpha, beta = beta, alpha
     if alpha == 1.0:
         return MCEstimate(0.0, 0.0)
     scale = cap_volume_exact(d, alpha)

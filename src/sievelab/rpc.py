@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .binfile import BinaryReader
 from .errors import DomainError
 from .rng import make_rng
 
@@ -73,6 +74,20 @@ def _digits(i: int, m: int, B: int) -> list[int]:
     return out
 
 
+def _check_counts(
+    kind: str, d: int, *, t: int | None = None, m: int | None = None, B: int | None = None
+) -> None:
+    if d < 1:
+        raise DomainError(f"filter families need d >= 1, got {d}")
+    if kind == "explicit" and (t is None or t < 1):
+        raise DomainError("explicit family needs t >= 1")
+    if kind == "rpc":
+        if m is None or B is None or m < 1 or B < 1:
+            raise DomainError("rpc family needs m >= 1 and B >= 1")
+        if d % B != 0:
+            raise DomainError(f"block count B={B} must divide d={d}")
+
+
 def build_family(
     kind: str,
     d: int,
@@ -88,21 +103,14 @@ def build_family(
     Gaussian draws scaled to norm 1/sqrt(B), which makes every codeword
     a unit vector by construction.
     """
-    if d < 1:
-        raise DomainError(f"build_family needs d >= 1, got {d}")
+    _check_counts(kind, d, t=t, m=m, B=B)
     rng = make_rng(seed)
     if kind == "explicit":
-        if t is None or t < 1:
-            raise DomainError("explicit family needs t >= 1")
         from .geometry import sample_sphere
 
         centers = sample_sphere(d, rng, size=t)
         return FilterFamily(kind, d, t, seed, centers=centers)
     if kind == "rpc":
-        if m is None or B is None or m < 1 or B < 1:
-            raise DomainError("rpc family needs m >= 1 and B >= 1")
-        if d % B != 0:
-            raise DomainError(f"block count B={B} must divide d={d}")
         from .geometry import sample_sphere
 
         scale = 1.0 / math.sqrt(B)
@@ -125,6 +133,16 @@ def _check_query(family: FilterFamily, v: np.ndarray, alpha: float) -> np.ndarra
     if not -1.0 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [-1, 1), got {alpha}")
     return v
+
+
+def check_queries(family: FilterFamily, V: np.ndarray, alpha: float) -> None:
+    """The relevant_filters argument checks for a batch of query rows."""
+    if V.ndim != 2 or V.shape[1] != family.d:
+        raise DomainError(f"queries must have shape (n, {family.d})")
+    if np.any(np.abs(np.linalg.norm(V, axis=1) - 1.0) > 1e-6):
+        raise DomainError("v must be a unit vector")
+    if not -1.0 <= alpha < 1.0:
+        raise DomainError(f"alpha must lie in [-1, 1), got {alpha}")
 
 
 def relevant_filters(family: FilterFamily, v: np.ndarray, alpha: float) -> list[int]:
@@ -321,20 +339,19 @@ def save_family(family: FilterFamily, path: str) -> None:
 
 
 def load_family(path: str) -> FilterFamily:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise DomainError(f"{path} is not a filter-family file")
-        code, d, seed = struct.unpack("<BIQ", fh.read(13))
-        if code == _KIND_CODES["explicit"]:
-            (t,) = struct.unpack("<I", fh.read(4))
-            centers = np.frombuffer(fh.read(8 * t * d), dtype="<f8").reshape(t, d)
-            return FilterFamily("explicit", d, t, seed, centers=centers.copy())
-        if code == _KIND_CODES["rpc"]:
-            m, B = struct.unpack("<II", fh.read(8))
-            w = d // B
-            blocks = tuple(
-                np.frombuffer(fh.read(8 * m * w), dtype="<f8").reshape(m, w).copy()
-                for _ in range(B)
-            )
-            return FilterFamily("rpc", d, m**B, seed, blocks=blocks, m=m, B=B)
-        raise DomainError(f"unknown family kind code {code}")
+    """Read a save_family file, with build_family's checks on its counts."""
+    reader = BinaryReader(path, _MAGIC, "filter-family")
+    code, d, seed = reader.unpack("<BIQ")
+    if code == _KIND_CODES["explicit"]:
+        (t,) = reader.unpack("<I")
+        _check_counts("explicit", d, t=t)
+        centers = reader.floats(t, d)
+        reader.finish()
+        return FilterFamily("explicit", d, t, seed, centers=centers)
+    if code == _KIND_CODES["rpc"]:
+        m, B = reader.unpack("<II")
+        _check_counts("rpc", d, m=m, B=B)
+        blocks = tuple(reader.floats(m, d // B) for _ in range(B))
+        reader.finish()
+        return FilterFamily("rpc", d, m**B, seed, blocks=blocks, m=m, B=B)
+    raise DomainError(f"unknown family kind code {code}")

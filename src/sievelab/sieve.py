@@ -6,7 +6,9 @@ buckets and then, per query vector, tests the contents of its
 alpha-close buckets.  fas_method materializes both bucket sides first
 and tests every A_i x B_i product.  Both return the same ordered pair
 set: (x, y) with x alpha-covered and y beta-covered by a shared filter
-and <x, y> >= cos theta.
+and <x, y> >= cos theta.  query_keys, fas_keys and brute_force_keys
+give the same pairs as ascending int64 keys x * n + y, which is what
+the set-returning functions wrap.
 
 Every probe is charged to a QueryLedger: filter enumerations cost
 1 + |result|, each inner-product test costs 1, insertions are counted
@@ -18,15 +20,16 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
+from .binfile import BinaryReader
 from .errors import DomainError, GuardError
 from .geometry import cap_volume_exact
 from .rng import make_rng
-from .rpc import FilterFamily, relevant_filters
+from .rpc import FilterFamily, check_queries, relevant_filters
 
 BRUTE_FORCE_GUARD = 10**5
 
@@ -66,6 +69,10 @@ def make_instance(
     if vectors.ndim != 2:
         raise DomainError("vectors must be a 2-d array")
     n, d = vectors.shape
+    if d < 1:
+        raise DomainError("vectors need at least one coordinate")
+    if not np.isfinite(vectors).all():
+        raise DomainError("vectors must be finite")
     if mode not in _MODE_CODES:
         raise DomainError(f"mode must be unit or norm, got {mode!r}")
     if not 0.0 < theta <= math.pi:
@@ -79,7 +86,7 @@ def make_instance(
         if n and np.abs(norms - 1.0).max() > 1e-9:
             raise DomainError("unit mode needs all norms within 1e-9 of 1")
     else:
-        if radius <= 0.0:
+        if not radius > 0.0:
             raise DomainError(f"radius must be positive, got {radius}")
         if n and norms.max() > radius + 1e-9:
             raise DomainError("norm mode needs all norms <= radius")
@@ -133,20 +140,143 @@ def _check_family(instance: SieveInstance, family: FilterFamily) -> None:
         raise DomainError(f"family dimension {family.d} != instance dimension {instance.d}")
 
 
+# --- bucket engine -------------------------------------------------------------
+#
+# Bucket membership is an (n, t) boolean CSR mask: row x lists the
+# filters close to x.  Its CSC columns are the buckets.  Pairs are int64
+# keys x * n + y, ascending, so (x, y) order is key order.  Score and
+# Gram blocks are built a row chunk at a time and hold at most
+# _BLOCK_FLOATS doubles (2 MB), which keeps the peak memory of a run
+# flat in n and t.
+
+_BLOCK_FLOATS = 1 << 18
+
+
+def _row_step(width: int) -> int:
+    return max(1, _BLOCK_FLOATS // max(1, width))
+
+
+def _mask(keys: np.ndarray, n: int, t: int) -> sparse.csr_array:
+    """The (n, t) mask whose entries are the ascending keys x * t + j."""
+    rows, cols = np.divmod(keys, t)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sparse.csr_array((np.ones(keys.size, dtype=bool), cols, indptr), shape=(n, t))
+
+
+def _close_masks(
+    instance: SieveInstance, family: FilterFamily, thresholds: tuple[float, ...]
+) -> list[sparse.csr_array]:
+    """Per threshold, the mask of <x, c_j> >= threshold over the list.
+
+    Explicit families score a row chunk against every center at once,
+    and one score block serves all thresholds.  Product codes keep their
+    per-vector branch-and-bound, one threshold after the other.
+    """
+    dirs = instance.directions()
+    n, t = instance.n, family.t
+    keys: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in thresholds]
+    if family.kind == "explicit":
+        if n:
+            for thr in thresholds:
+                check_queries(family, dirs, thr)
+        step = _row_step(t)
+        for lo in range(0, n, step):
+            scores = dirs[lo : lo + step] @ family.centers.T
+            for k, thr in enumerate(thresholds):
+                keys[k].append(np.flatnonzero(scores >= thr) + lo * t)
+    else:
+        for k, thr in enumerate(thresholds):
+            flat = [
+                x * t + j for x, v in enumerate(dirs) for j in relevant_filters(family, v, thr)
+            ]
+            keys[k].append(np.array(flat, dtype=np.int64))
+    return [_mask(np.concatenate(parts), n, t) for parts in keys]
+
+
+def _charge_filters(ledger: QueryLedger, mask: sparse.csr_array, insert: bool) -> None:
+    """One enumeration per list vector, 1 + |result| each."""
+    ledger.filter_queries += mask.shape[0] + mask.nnz
+    if insert:
+        ledger.insertions += mask.nnz
+
+
+def _bucket_matrix(buckets: tuple[np.ndarray, ...], n: int) -> sparse.csc_array:
+    sizes = np.array([b.size for b in buckets], dtype=np.int64)
+    indptr = np.zeros(len(buckets) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    rows = np.concatenate(buckets) if buckets else np.empty(0, dtype=np.int64)
+    return sparse.csc_array(
+        (np.ones(rows.size, dtype=bool), rows, indptr), shape=(n, len(buckets))
+    )
+
+
+def _covered_close_keys(
+    instance: SieveInstance,
+    query_mask: sparse.csr_array,
+    bucket_mask: sparse.csc_array,
+    ledger: QueryLedger,
+) -> np.ndarray:
+    """Keys of (x, y), x != y, sharing a filter and at angle <= theta.
+
+    Each x is charged one inner product per entry of each of its
+    buckets, duplicates included.  Candidates come from the sparse
+    product of a row chunk of the query mask with the bucket mask, and
+    are tested against the Gram block of the same chunk.
+    """
+    dirs = instance.directions()
+    n = instance.n
+    sizes = np.diff(bucket_mask.indptr)
+    ledger.inner_product_queries += int(sizes[query_mask.indices].sum())
+    cos_theta = math.cos(instance.theta)
+    members = bucket_mask.T  # (t, n) CSR view of the same arrays
+    out = [np.empty(0, dtype=np.int64)]
+    step = _row_step(n)
+    for lo in range(0, n, step):
+        cand = query_mask[lo : lo + step] @ members
+        rows = np.repeat(np.arange(cand.shape[0]), np.diff(cand.indptr))
+        cols = cand.indices.astype(np.int64)
+        gram = dirs[lo : lo + step] @ dirs.T
+        keep = (gram[rows, cols] >= cos_theta) & (rows + lo != cols)
+        out.append(np.sort((rows[keep] + lo) * n + cols[keep]))
+    return np.concatenate(out)
+
+
+def keys_to_pairs(keys: np.ndarray, n: int) -> set[tuple[int, int]]:
+    """The ordered pair set {(x, y)} of int64 keys x * n + y."""
+    x, y = np.divmod(keys, n)
+    return set(zip(x.tolist(), y.tolist()))
+
+
+def _buckets(mask: sparse.csr_array) -> tuple[np.ndarray, ...]:
+    csc = mask.tocsc()  # row indices come out ascending within each column
+    return tuple(np.split(csc.indices.astype(np.int64), csc.indptr[1:-1]))
+
+
 def preprocess(
     instance: SieveInstance, family: FilterFamily, beta: float, ledger: QueryLedger
 ) -> Buckets:
     """Insert every vector into the buckets of its beta-close filters."""
     _check_family(instance, family)
-    dirs = instance.directions()
-    lists: list[list[int]] = [[] for _ in range(family.t)]
-    for i in range(instance.n):
-        close = relevant_filters(family, dirs[i], beta)
-        ledger.filter_queries += 1 + len(close)
-        ledger.insertions += len(close)
-        for j in close:
-            lists[j].append(i)
-    return Buckets(B=tuple(np.asarray(b, dtype=np.int64) for b in lists))
+    (mask,) = _close_masks(instance, family, (beta,))
+    _charge_filters(ledger, mask, insert=True)
+    return Buckets(B=_buckets(mask))
+
+
+def query_keys(
+    instance: SieveInstance,
+    family: FilterFamily,
+    alpha: float,
+    buckets: Buckets,
+    ledger: QueryLedger,
+) -> np.ndarray:
+    """query_method as ascending int64 keys x * n + y."""
+    _check_family(instance, family)
+    if len(buckets.B) != family.t:
+        raise DomainError("buckets were built for a different family")
+    (mask,) = _close_masks(instance, family, (alpha,))
+    _charge_filters(ledger, mask, insert=False)
+    return _covered_close_keys(instance, mask, _bucket_matrix(buckets.B, instance.n), ledger)
 
 
 def query_method(
@@ -162,24 +292,22 @@ def query_method(
     and pass <x, y> >= cos theta.  Duplicate coverage is de-duplicated
     in the output but every individual test is still charged.
     """
+    return keys_to_pairs(query_keys(instance, family, alpha, buckets, ledger), instance.n)
+
+
+def fas_keys(
+    instance: SieveInstance,
+    family: FilterFamily,
+    alpha: float,
+    beta: float,
+    ledger: QueryLedger,
+) -> np.ndarray:
+    """fas_method as ascending int64 keys x * n + y."""
     _check_family(instance, family)
-    if len(buckets.B) != family.t:
-        raise DomainError("buckets were built for a different family")
-    dirs = instance.directions()
-    cos_theta = math.cos(instance.theta)
-    pairs: set[tuple[int, int]] = set()
-    for q in range(instance.n):
-        close = relevant_filters(family, dirs[q], alpha)
-        ledger.filter_queries += 1 + len(close)
-        if not close:
-            continue
-        cand = np.concatenate([buckets.B[i] for i in close])
-        ledger.inner_product_queries += int(cand.size)
-        if not cand.size:
-            continue
-        hits = cand[dirs[cand] @ dirs[q] >= cos_theta]
-        pairs.update((q, int(y)) for y in hits if int(y) != q)
-    return pairs
+    insert_mask, query_mask = _close_masks(instance, family, (beta, alpha))
+    _charge_filters(ledger, insert_mask, insert=True)
+    _charge_filters(ledger, query_mask, insert=True)
+    return _covered_close_keys(instance, query_mask, insert_mask.tocsc(), ledger)
 
 
 def fas_method(
@@ -195,49 +323,31 @@ def fas_method(
     the two-sided loop structure instead (both preparations, then
     sum_i |A_i| * |B_i| inner products).
     """
-    _check_family(instance, family)
-    bk = preprocess(instance, family, beta, ledger)
+    return keys_to_pairs(fas_keys(instance, family, alpha, beta, ledger), instance.n)
+
+
+def brute_force_keys(instance: SieveInstance, theta: float | None = None) -> np.ndarray:
+    """brute_force_pairs as ascending int64 keys x * n + y."""
+    if instance.n > BRUTE_FORCE_GUARD:
+        raise GuardError(f"brute force refuses n > {BRUTE_FORCE_GUARD}")
+    cos_theta = math.cos(instance.theta if theta is None else theta)
     dirs = instance.directions()
-    a_lists: list[list[int]] = [[] for _ in range(family.t)]
-    for i in range(instance.n):
-        close = relevant_filters(family, dirs[i], alpha)
-        ledger.filter_queries += 1 + len(close)
-        ledger.insertions += len(close)
-        for j in close:
-            a_lists[j].append(i)
-    cos_theta = math.cos(instance.theta)
-    pairs: set[tuple[int, int]] = set()
-    for i in range(family.t):
-        a = np.asarray(a_lists[i], dtype=np.int64)
-        b = bk.B[i]
-        ledger.inner_product_queries += int(a.size * b.size)
-        if not a.size or not b.size:
-            continue
-        dots = dirs[a] @ dirs[b].T
-        for ai, bi in zip(*np.nonzero(dots >= cos_theta)):
-            x, y = int(a[ai]), int(b[bi])
-            if x != y:
-                pairs.add((x, y))
-    return pairs
+    n = instance.n
+    out = [np.empty(0, dtype=np.int64)]
+    step = _row_step(n)
+    for lo in range(0, n, step):
+        gram = dirs[lo : lo + step] @ dirs.T
+        own = np.arange(gram.shape[0])
+        gram[own, own + lo] = -np.inf  # a vector is never its own pair
+        out.append(np.flatnonzero(gram >= cos_theta) + lo * n)
+    return np.concatenate(out)
 
 
 def brute_force_pairs(
     instance: SieveInstance, theta: float | None = None
 ) -> set[tuple[int, int]]:
     """Exact ordered close-pair set by full scan over normalized vectors."""
-    if instance.n > BRUTE_FORCE_GUARD:
-        raise GuardError(f"brute force refuses n > {BRUTE_FORCE_GUARD}")
-    cos_theta = math.cos(instance.theta if theta is None else theta)
-    dirs = instance.directions()
-    pairs: set[tuple[int, int]] = set()
-    for start in range(0, instance.n, 512):
-        block = dirs[start : start + 512]
-        dots = block @ dirs.T
-        for bi, y in zip(*np.nonzero(dots >= cos_theta)):
-            x = start + int(bi)
-            if x != int(y):
-                pairs.add((x, int(y)))
-    return pairs
+    return keys_to_pairs(brute_force_keys(instance, theta), instance.n)
 
 
 def sieve_step(
@@ -262,10 +372,10 @@ def sieve_step(
     if ledger is None:
         ledger = QueryLedger()
     buckets = preprocess(instance, family, beta, ledger)
-    pairs = query_method(instance, family, alpha, buckets, ledger)
+    keys = query_keys(instance, family, alpha, buckets, ledger)
     bound = shrink * instance.radius
     out = []
-    for x, y in sorted(pairs):
+    for x, y in zip(*np.divmod(keys, instance.n)):
         diff = instance.vectors[x] - instance.vectors[y]
         norm = float(np.linalg.norm(diff))
         if 1e-12 < norm <= bound + 1e-9:
@@ -314,12 +424,12 @@ def save_instance(instance: SieveInstance, path: str) -> None:
 
 
 def load_instance(path: str) -> SieveInstance:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise DomainError(f"{path} is not a sieve-instance file")
-        code, d, n, radius, theta, shrink = struct.unpack("<BIIddd", fh.read(33))
-        mode = {v: k for k, v in _MODE_CODES.items()}.get(code)
-        if mode is None:
-            raise DomainError(f"unknown mode code {code}")
-        vectors = np.frombuffer(fh.read(8 * n * d), dtype="<f8").reshape(n, d)
-    return SieveInstance(d, vectors.copy(), mode, radius, theta, shrink)
+    """Read a save_instance file; the result passes make_instance's checks."""
+    reader = BinaryReader(path, _MAGIC, "sieve-instance")
+    code, d, n, radius, theta, shrink = reader.unpack("<BIIddd")
+    mode = {v: k for k, v in _MODE_CODES.items()}.get(code)
+    if mode is None:
+        raise DomainError(f"unknown mode code {code}")
+    vectors = reader.floats(n, d)
+    reader.finish()
+    return make_instance(vectors, mode, radius, theta, shrink)

@@ -133,6 +133,42 @@ def test_sieve_methods_agree(capsys):
     assert counts[0] == counts[1] > 0
 
 
+def test_sieve_t_defaults_to_the_wedge_quadrature(capsys):
+    from sievelab.geometry import wedge_volume_quad
+
+    args = ["sieve", "--d", "12", "--n", "100", "--seed", "2", "--alpha", "0.45",
+            "--beta", "0.55", "--theta", "1.1"]
+    assert main(args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    (rep,) = doc["results"]
+    w = wedge_volume_quad(12, 0.45, 0.55, 1.1)
+    assert rep["wedge_estimate"] == w
+    assert rep["t"] == math.ceil(3.0 / w)
+    assert doc["config"]["wedge_samples"] is None
+
+
+def test_sieve_wedge_samples_opts_into_monte_carlo(capsys):
+    from sievelab.geometry import wedge_volume_mc
+    from sievelab.rng import derive_seed
+
+    assert main(["sieve", "--d", "12", "--n", "100", "--seed", "2",
+                 "--wedge-samples", "5000"]) == 0
+    (rep,) = json.loads(capsys.readouterr().out)["results"]
+    cos = math.cos(math.pi / 3)  # the default alpha and beta
+    est = wedge_volume_mc(12, cos, cos, math.pi / 3, 5000, derive_seed(2, 2))
+    assert rep["wedge_estimate"] == est.estimate
+    assert rep["t"] == math.ceil(3.0 / est.estimate)
+
+
+def test_sieve_input_errors_exit_2(capsys):
+    assert main(["sieve", "--d", "24", "--n", "-3"]) == 2
+    assert "--n" in capsys.readouterr().err
+    assert main(["sieve", "--d", "1", "--n", "10"]) == 2
+    assert main(["sieve", "--d", "12", "--n", "10", "--theta", "0"]) == 2
+    assert main(["sieve", "--d", "12", "--n", "10", "--wedge-samples", "0"]) == 2
+    capsys.readouterr()
+
+
 def test_sieve_empty_and_guards(capsys):
     assert main(["sieve", "--d", "24", "--n", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["results"] == []

@@ -240,3 +240,68 @@ def test_wedge_volume_mc_deterministic():
     a = G.wedge_volume_mc(6, 0.4, 0.4, math.pi / 3, samples=50_000, seed=9)
     b = G.wedge_volume_mc(6, 0.4, 0.4, math.pi / 3, samples=50_000, seed=9)
     assert a == b
+
+
+# --- wedge quadrature -------------------------------------------------------
+
+
+def test_wedge_volume_quad_matches_quadrature_oracle():
+    for d, exact in WEDGE_HALF_PI3.items():
+        assert abs(G.wedge_volume_quad(d, 0.5, 0.5, math.pi / 3) - exact) <= 1e-6 * exact
+
+
+def test_wedge_volume_quad_arc_oracle():
+    cases = [
+        (0.5, 0.5, math.pi / 3),
+        (0.3, 0.6, math.pi / 3),
+        (0.2, 0.2, math.pi / 2),
+        (-0.5, 0.9, 2.5),
+        (0.9, -0.3, 0.4),
+        (0.99, 0.99, 3.0),  # caps too far apart: empty wedge
+    ]
+    for alpha, beta, theta in cases:
+        exact = arc_wedge(alpha, beta, theta)
+        assert G.wedge_volume_quad(2, alpha, beta, theta) == pytest.approx(exact, abs=1e-12)
+
+
+def test_wedge_volume_quad_is_exactly_symmetric():
+    for d, a, b, theta in ((10, 0.5, 0.3, math.pi / 3), (24, 0.45, 0.55, 1.1), (3, -0.2, 0.7, 2.0)):
+        assert G.wedge_volume_quad(d, a, b, theta) == G.wedge_volume_quad(d, b, a, theta)
+
+
+def test_wedge_volume_quad_agrees_with_monte_carlo():
+    for d, a, b, theta in ((3, 0.2, 0.4, 1.0), (8, 0.4, 0.5, math.pi / 3), (16, 0.1, 0.3, 2.0)):
+        est = G.wedge_volume_mc(d, a, b, theta, samples=200_000, seed=DEFAULT_SEED)
+        assert abs(G.wedge_volume_quad(d, a, b, theta) - est.estimate) <= 4 * est.stderr + 1e-9
+
+
+def test_wedge_volume_quad_degenerate_caps():
+    # two hemispheres at angle theta overlap in a lune of (pi - theta) / (2 pi)
+    for d, theta in ((3, 0.7), (40, 1e-6), (64, 2.5)):
+        assert G.wedge_volume_quad(d, 0.0, 0.0, theta) == pytest.approx(
+            (math.pi - theta) / (2 * math.pi), rel=1e-10
+        )
+    assert G.wedge_volume_quad(12, 1.0, 0.3, 1.0) == 0.0
+    assert G.wedge_volume_quad(12, -1.0, -1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert G.wedge_volume_quad(12, -1.0, 0.5, 1.0) == pytest.approx(
+        G.cap_volume_exact(12, 0.5), rel=1e-10
+    )
+
+
+@pytest.mark.parametrize(
+    "d, alpha, beta, theta",
+    [
+        (1, 0.5, 0.5, 1.0),
+        (0, 0.5, 0.5, 1.0),
+        (8, 0.5, 0.5, 0.0),
+        (8, 0.5, 0.5, math.pi),
+        (8, 0.5, 0.5, -1.0),
+        (8, 1.5, 0.5, 1.0),
+        (8, 0.5, -1.01, 1.0),
+    ],
+)
+def test_wedge_volume_quad_rejects_what_monte_carlo_rejects(d, alpha, beta, theta):
+    with pytest.raises(DomainError):
+        G.wedge_volume_mc(d, alpha, beta, theta, samples=100, seed=1)
+    with pytest.raises(DomainError):
+        G.wedge_volume_quad(d, alpha, beta, theta)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 from collections import Counter
 
 import numpy as np
@@ -235,5 +236,43 @@ def test_family_roundtrip(tmp_path):
 def test_load_rejects_foreign_file(tmp_path):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"NOPE" + b"\x00" * 32)
+    with pytest.raises(DomainError):
+        rpc.load_family(os.fspath(p))
+
+
+def test_load_family_rejects_truncated_and_padded_files(tmp_path):
+    p = tmp_path / "fam.bin"
+    for fam in (rpc.build_family("rpc", 4, 7, m=2, B=2), rpc.build_family("explicit", 3, 3, t=2)):
+        rpc.save_family(fam, os.fspath(p))
+        raw = p.read_bytes()
+        for bad in [raw[:k] for k in range(len(raw))] + [raw + b"\x00"]:
+            p.write_bytes(bad)
+            with pytest.raises(DomainError):
+                rpc.load_family(os.fspath(p))
+
+
+@pytest.mark.parametrize(
+    "kind, d, counts",
+    [
+        ("rpc", 6, (3, 0)),  # B = 0
+        ("rpc", 6, (0, 2)),  # m = 0
+        ("rpc", 6, (3, 4)),  # B does not divide d
+        ("explicit", 6, (0,)),  # t = 0
+        ("explicit", 0, (2,)),  # d = 0
+    ],
+)
+def test_load_family_rejects_bad_counts(tmp_path, kind, d, counts):
+    p = tmp_path / "fam.bin"
+    code = {"explicit": 0, "rpc": 1}[kind]
+    header = b"SLF1" + struct.pack("<BIQ", code, d, 5)
+    header += struct.pack("<" + "I" * len(counts), *counts)
+    p.write_bytes(header + b"\x00" * 8 * 12)
+    with pytest.raises(DomainError):
+        rpc.load_family(os.fspath(p))
+
+
+def test_load_family_rejects_unknown_kind(tmp_path):
+    p = tmp_path / "fam.bin"
+    p.write_bytes(b"SLF1" + struct.pack("<BIQ", 9, 4, 5))
     with pytest.raises(DomainError):
         rpc.load_family(os.fspath(p))

@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -282,3 +283,45 @@ def test_load_instance_rejects_foreign_file(tmp_path):
     p.write_bytes(b"WHAT" + b"\x00" * 64)
     with pytest.raises(DomainError):
         sieve.load_instance(os.fspath(p))
+
+
+def _corruptions(raw):
+    """Every proper prefix, plus the file with one trailing byte."""
+    yield from (raw[:k] for k in range(len(raw)))
+    yield raw + b"\x00"
+
+
+def test_load_instance_rejects_truncated_and_padded_files(tmp_path):
+    p = tmp_path / "inst.bin"
+    sieve.save_instance(sieve.random_instance(3, 4, seed=2), os.fspath(p))
+    raw = p.read_bytes()
+    for bad in _corruptions(raw):
+        p.write_bytes(bad)
+        with pytest.raises(DomainError):
+            sieve.load_instance(os.fspath(p))
+
+
+def test_load_instance_applies_make_instance_checks(tmp_path):
+    p = tmp_path / "inst.bin"
+    long = sieve.random_instance(6, 5, seed=3, mode="norm", radius=14.0)
+    sieve.save_instance(long, os.fspath(p))
+    raw = bytearray(p.read_bytes())
+    for code, tail in ((0, None), (7, None), (1, float("nan"))):
+        # 0: the norm-14 vectors relabelled as a unit-mode list; 7: no such mode
+        raw[4] = code
+        if tail is not None:
+            raw[-8:] = struct.pack("<d", tail)
+        p.write_bytes(raw)
+        with pytest.raises(DomainError):
+            sieve.load_instance(os.fspath(p))
+    unit = sieve.random_instance(6, 5, seed=3)
+    sieve.save_instance(sieve.SieveInstance(6, unit.vectors, "unit", theta=0.0), os.fspath(p))
+    with pytest.raises(DomainError):
+        sieve.load_instance(os.fspath(p))
+
+
+def test_empty_instance_roundtrip(tmp_path):
+    p = os.fspath(tmp_path / "empty.bin")
+    sieve.save_instance(sieve.make_instance(np.empty((0, 5))), p)
+    back = sieve.load_instance(p)
+    assert (back.n, back.d) == (0, 5)
