@@ -60,6 +60,8 @@ def build_circuit(buckets: Sequence[np.ndarray], d: int | None = None) -> Compar
     """
     if len(buckets) < 1:
         raise DomainError("build_circuit needs at least one bucket")
+    if d is not None and d < 1:
+        raise DomainError(f"build_circuit needs d >= 1, got {d}")
     chains = []
     for b in buckets:
         arr = np.asarray(b, dtype=float)

@@ -3,9 +3,7 @@
 Each subcommand accepts --seed, --out and --format.  CSV output is
 comma-separated with a header row, 12 significant digits and LF line
 endings; JSON output is one object {"config": ..., "results": ...}.
-Identical configurations produce byte-identical files.  SIEVELAB_THREADS
-caps the worker pool used for independent grid points; results are
-assembled in input order either way.
+Identical configurations produce byte-identical files.
 
 Exit codes: 0 success, 2 usage or parameter error, 3 size guard,
 4 internal failure.
@@ -16,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,22 +28,6 @@ FAMILY_GUARD = 10**6
 
 _SIEVE_MODELS = list(exponents.MODELS)
 _EXTRA_MODELS = ["lower", "bkz", "symkey-collision", "symkey-mtps"]
-
-
-def worker_count() -> int:
-    raw = os.environ.get("SIEVELAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    if worker_count() <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return list(pool.map(fn, items))
 
 
 # --- output ------------------------------------------------------------------
@@ -116,27 +96,24 @@ def cmd_tradeoff(ns) -> tuple[list[dict], list[str]]:
 
     if model == "lower":
         svals = np.linspace(ns.s_min, ns.s_max, _steps(ns))
-        rows = _map_ordered(
-            lambda s: {"model": model, "s_rate": float(s),
-                       "time_rate": exponents.lower_bound_rate(float(s)), "seed": seed},
-            svals,
-        )
+        rows = [{"model": model, "s_rate": float(s),
+                 "time_rate": exponents.lower_bound_rate(float(s)), "seed": seed}
+                for s in svals]
         return rows, ["model", "s_rate", "time_rate", "seed"]
 
     if model == "bkz":
         ks = np.linspace(ns.k_min, ns.k_max, _steps(ns))
-        recs = _map_ordered(lambda k: exponents.bkz_curves([float(k)])[0], ks)
-        rows = [{"model": model, "k": r[0], "enum_rate": r[1],
-                 "sieve_rate_noqram": r[2], "sieve_rate_fullqram": r[3], "seed": seed}
-                for r in recs]
+        rows = [{"model": model, "k": k, "enum_rate": enum,
+                 "sieve_rate_noqram": noqram, "sieve_rate_fullqram": fullqram, "seed": seed}
+                for k, enum, noqram, fullqram in exponents.bkz_curves(ks)]
         return rows, ["model", "k", "enum_rate",
                       "sieve_rate_noqram", "sieve_rate_fullqram", "seed"]
 
     if model == "noqram":
         taus = np.linspace(ns.t_min, ns.t_max, _steps(ns))
-        pts = _map_ordered(lambda tau: exponents.noqram_point(float(tau)), taus)
         rows = [{"model": model, "t_rate": p.t_rate, "alpha": p.alpha, "beta": p.beta,
-                 "time_rate": p.time_rate, "seed": seed} for p in pts]
+                 "time_rate": p.time_rate, "seed": seed}
+                for p in exponents.noqram_curve(taus)]
         return rows, ["model", "t_rate", "alpha", "beta", "time_rate", "seed"]
 
     # remaining models sweep the linear memory parameter gamma >= 1
@@ -150,7 +127,7 @@ def cmd_tradeoff(ns) -> tuple[list[dict], list[str]]:
     if gmin < 1.0:
         raise DomainError(f"gamma is a linear memory factor and starts at 1, got {gmin}")
     gammas = np.linspace(gmin, gmax, _steps(ns))
-    pts = _map_ordered(lambda g: exponents.optimize(model, math.log2(float(g))), gammas)
+    pts = exponents.tradeoff_curve(model, (math.log2(float(g)) for g in gammas))
     rows = [
         {"model": model, "gamma": float(g), "gamma_rate": p.gamma_rate,
          "alpha": p.alpha, "beta": p.beta, "t_rate": p.t_rate,
@@ -236,9 +213,12 @@ def cmd_sieve(ns) -> tuple[list[dict], list[str]]:
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise DomainError(f"{flag} wants a comma-separated integer list, got {text!r}") from None
+        values = []
+    if not values:
+        raise DomainError(f"{flag} wants a nonempty comma-separated integer list, got {text!r}")
+    return values
 
 
 def cmd_qsearch(ns) -> tuple[list[dict], list[str]]:
@@ -247,7 +227,8 @@ def cmd_qsearch(ns) -> tuple[list[dict], list[str]]:
 
     if ns.experiment == "blocked":
         s_values = _parse_int_list(ns.S, "--S")
-        p = ns.p if ns.p is not None else 6.0 / ns.M
+        # about six marks; blocked_search_scaling refuses M < 1 and p outside (0, 1]
+        p = ns.p if ns.p is not None else min(1.0, 6.0 / max(ns.M, 1))
         scaling = qsearch.blocked_search_scaling(ns.M, s_values, p, ns.trials, ns.seed)
         rows = [
             {"experiment": "blocked", "M": r.M, "S": r.S, "p": r.p, "trials": r.trials,
@@ -278,6 +259,8 @@ def cmd_qsearch(ns) -> tuple[list[dict], list[str]]:
                       "mean_evals", "mean_solutions", "min_solutions", "seed"]
 
     # minfind
+    if ns.size < 1:
+        raise DomainError(f"--size must be >= 1, got {ns.size}")
     hits, evals = 0, []
     for i in range(ns.trials):
         values = make_rng(derive_seed(ns.seed, 900_000 + i)).standard_normal(ns.size)
@@ -295,10 +278,10 @@ def cmd_qsearch(ns) -> tuple[list[dict], list[str]]:
 
 def cmd_circuit(ns) -> tuple[list[dict], list[str]]:
     sizes = _parse_int_list(ns.buckets, "--buckets")
-    if not sizes:
-        raise DomainError("--buckets wants at least one bucket size")
     if any(k < 0 for k in sizes):
         raise DomainError("bucket sizes must be nonnegative")
+    if ns.d < 1:  # before the zero buckets are shaped; build_circuit checks d too
+        raise DomainError(f"--d must be >= 1, got {ns.d}")
     circ = circuit.build_circuit([np.zeros((k, ns.d)) for k in sizes], d=ns.d)
     report = circuit.cost_report(circ)
     row = {

@@ -27,6 +27,7 @@ trade-off curves saturate and go flat.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -64,26 +65,50 @@ class TradeoffPoint:
     term_rates: tuple[float, ...]
 
 
-def _check_model(model: str) -> None:
+def _check_budget(model: str, gamma_rate: float) -> None:
     if model not in MODELS:
         raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
+    if gamma_rate < 0.0:
+        raise DomainError(f"gamma_rate must be >= 0, got {gamma_rate}")
+    if model not in _GAMMA_MODELS and gamma_rate != 0.0:
+        raise RangeError(
+            f"model {model!r} takes no memory budget; gamma_rate must be 0", bound=0.0
+        )
 
 
-def _gamma_bound(model: str, t: float, ca: float, cb: float) -> float:
-    """Largest useful memory rate for the model at this (alpha, beta)."""
+def _select(cond, a, b):
+    return a if cond else b
+
+
+def _ops(x):
+    """(max, select) for the term table: builtins on floats, so the
+    Nelder-Mead objective stays cheap and returns Python floats, and
+    numpy ufuncs on the seeding grid's arrays."""
+    if isinstance(x, np.ndarray):
+        return np.maximum, np.where
+    return max, _select
+
+
+def _gamma_bound(model: str, t, ca, cb):
+    """Largest useful memory rate for the model at this (alpha, beta);
+    0 for the models that take no budget."""
     space = N_RATE + t + ca + cb
+    mx = _ops(t)[0]
     if model == "t2":
-        return max(space, 0.0)
+        return mx(space, 0.0)
     if model == "t3":
-        return max(space / 2.0, 0.0)
+        return mx(space / 2.0, 0.0)
     if model == "t5":
-        return max(max(t + ca, space), 0.0)
+        return mx(mx(t + ca, space), 0.0)
     return 0.0
 
 
-def _terms(model: str, t: float, ca: float, cb: float, sigma: float) -> tuple[float, ...]:
+def _terms(model: str, t, ca, cb, sigma) -> tuple:
+    """Term rates at filter rate t, cap rates ca, cb and used budget sigma
+    (floats, or arrays of one shape)."""
     n = N_RATE
     space = n + t + ca + cb
+    mx, select = _ops(t)
     if model == "classical":
         return (n + t + cb, n + t + ca, n + space)
     if model == "t1":
@@ -91,15 +116,14 @@ def _terms(model: str, t: float, ca: float, cb: float, sigma: float) -> tuple[fl
     if model == "t2":
         return (n + t + cb, n + t + ca, n + space - sigma / 2.0)
     if model == "t3":
-        if sigma <= space / 2.0:
-            return (n + t + cb, n + t + ca, n + space - sigma)
-        return (n + t + cb, n + t + ca, n + space / 2.0)
+        third = select(sigma <= space / 2.0, n + space - sigma, n + space / 2.0)
+        return (n + t + cb, n + t + ca, third)
     if model == "t4":
         return (n + t + cb, n + (t + ca) / 2.0, n + space / 2.0)
     if model == "t5":
         return (n + t + cb, n + t + ca - sigma / 2.0, n + space - sigma / 2.0)
     if model == "noqram":
-        return (n + t + cb, n + (t + ca) / 2.0 + max(0.0, n + cb))
+        return (n + t + cb, n + (t + ca) / 2.0 + mx(0.0, n + cb))
     raise DomainError(f"unknown model {model!r}")
 
 
@@ -112,25 +136,18 @@ def model_terms(
     gamma_rate exceeds what the model can address at this point; the
     error carries the admissible bound.
     """
-    _check_model(model)
-    if gamma_rate < 0.0:
-        raise DomainError(f"gamma_rate must be >= 0, got {gamma_rate}")
+    _check_budget(model, gamma_rate)
     t = t_rate(alpha, beta)
     if math.isinf(t):
         raise DomainError(f"no admissible filters at alpha={alpha}, beta={beta}")
     ca, cb = cap_rate(alpha), cap_rate(beta)
-    if model in _GAMMA_MODELS:
-        bound = _gamma_bound(model, t, ca, cb)
-        if model != "t3" and gamma_rate > bound + 1e-12:
-            raise RangeError(
-                f"gamma_rate {gamma_rate} exceeds admissible bound {bound} "
-                f"for model {model!r} at alpha={alpha}, beta={beta}",
-                bound=bound,
-            )
-    elif gamma_rate != 0.0:
+    bound = _gamma_bound(model, t, ca, cb)
+    # t3 falls back to the square-root form once memory saturates
+    if model in ("t2", "t5") and gamma_rate > bound + 1e-12:
         raise RangeError(
-            f"model {model!r} takes no memory budget; gamma_rate must be 0",
-            bound=0.0,
+            f"gamma_rate {gamma_rate} exceeds admissible bound {bound} "
+            f"for model {model!r} at alpha={alpha}, beta={beta}",
+            bound=bound,
         )
     return _terms(model, t, ca, cb, gamma_rate)
 
@@ -145,8 +162,7 @@ def _objective(model: str, sigma: float) -> Callable[[float, float], float]:
         t = -0.5 * math.log2(u)
         ca = 0.5 * math.log2(1.0 - a * a)
         cb = 0.5 * math.log2(1.0 - b * b)
-        s_eff = min(sigma, _gamma_bound(model, t, ca, cb)) if model in _GAMMA_MODELS else 0.0
-        return max(_terms(model, t, ca, cb, s_eff))
+        return max(_terms(model, t, ca, cb, min(sigma, _gamma_bound(model, t, ca, cb))))
 
     return f
 
@@ -160,35 +176,8 @@ def _grid_seed(model: str, sigma: float) -> tuple[float, float]:
     T[ok] = -0.5 * np.log2(U[ok])
     CA = 0.5 * np.log2(1.0 - A * A)
     CB = 0.5 * np.log2(1.0 - B * B)
-    n = N_RATE
-    space = n + T + CA + CB
-    if model in _GAMMA_MODELS:
-        if model == "t2":
-            bound = np.maximum(space, 0.0)
-        elif model == "t3":
-            bound = np.maximum(space / 2.0, 0.0)
-        else:
-            bound = np.maximum(np.maximum(T + CA, space), 0.0)
-        S = np.minimum(sigma, bound)
-    else:
-        S = np.zeros_like(A)
-    if model == "classical":
-        val = np.maximum(n + T + CB, np.maximum(n + T + CA, n + space))
-    elif model == "t1":
-        val = np.maximum(n + T + CB, np.maximum(n + T + CA, n + space / 2.0))
-    elif model == "t2":
-        val = np.maximum(n + T + CB, np.maximum(n + T + CA, n + space - S / 2.0))
-    elif model == "t3":
-        third = np.where(S <= space / 2.0, n + space - S, n + space / 2.0)
-        val = np.maximum(n + T + CB, np.maximum(n + T + CA, third))
-    elif model == "t4":
-        val = np.maximum(n + T + CB, np.maximum(n + (T + CA) / 2.0, n + space / 2.0))
-    elif model == "t5":
-        val = np.maximum(
-            n + T + CB, np.maximum(n + T + CA - S / 2.0, n + space - S / 2.0)
-        )
-    else:  # noqram
-        val = np.maximum(n + T + CB, n + (T + CA) / 2.0 + np.maximum(0.0, n + CB))
+    S = np.minimum(sigma, _gamma_bound(model, T, CA, CB))
+    val = functools.reduce(np.maximum, _terms(model, T, CA, CB, S))
     val[~ok] = np.inf
     i, j = np.unravel_index(int(np.argmin(val)), val.shape)
     return float(A[i, j]), float(B[i, j])
@@ -202,13 +191,7 @@ def optimize(model: str, gamma_rate: float = 0.0) -> TradeoffPoint:
     what the model can address at a point is simply left unused, so the
     returned qram_rate never exceeds the admissible bound.
     """
-    _check_model(model)
-    if gamma_rate < 0.0:
-        raise DomainError(f"gamma_rate must be >= 0, got {gamma_rate}")
-    if model not in _GAMMA_MODELS and gamma_rate != 0.0:
-        raise RangeError(
-            f"model {model!r} takes no memory budget; gamma_rate must be 0", bound=0.0
-        )
+    _check_budget(model, gamma_rate)
     f = _objective(model, gamma_rate)
     x0 = _grid_seed(model, gamma_rate)
     best = x0
@@ -223,10 +206,7 @@ def optimize(model: str, gamma_rate: float = 0.0) -> TradeoffPoint:
     a, b = best
     t = t_rate(a, b)
     ca, cb = cap_rate(a), cap_rate(b)
-    if model in _GAMMA_MODELS:
-        s_eff = min(gamma_rate, _gamma_bound(model, t, ca, cb))
-    else:
-        s_eff = 0.0
+    s_eff = min(gamma_rate, _gamma_bound(model, t, ca, cb))
     terms = _terms(model, t, ca, cb, s_eff)
     if model == "t1":
         qram = N_RATE + t + ca + cb
@@ -347,8 +327,7 @@ def noqram_point(tau: float) -> NoQRAMPoint:
 
 
 def noqram_curve(t_rates: Iterable[float]) -> list[NoQRAMPoint]:
-    pts = [noqram_point(float(tau)) for tau in t_rates]
-    return pts
+    return [noqram_point(float(tau)) for tau in t_rates]
 
 
 def fit_noqram_curve(points: Sequence[NoQRAMPoint]) -> tuple[float, float]:

@@ -107,12 +107,11 @@ def bbht_search(
     return _bbht_flags(flags, rng, cap)
 
 
-def _bbht_flags(
-    flags: np.ndarray, rng: np.random.Generator, cap: int
-) -> tuple[int | None, int]:
-    S = flags.size
-    k = int(np.count_nonzero(flags))
-    marked_idx = np.flatnonzero(flags)
+def _bbht_two_class(
+    S: int, k: int, rng: np.random.Generator, cap: int
+) -> tuple[bool | None, int]:
+    """bbht_search over a space summarized by (size, marked count);
+    returns (True on a verified hit, None on cap exhaustion)."""
     m = 1.0
     m_max = math.sqrt(S)
     evals = 0
@@ -124,10 +123,22 @@ def _bbht_flags(
             break
         evals += cost
         if rng.random() < _qaa_success_prob(S, k, j):
-            return int(marked_idx[rng.integers(0, k)]), evals
+            return True, evals
         # measured an unmarked element; grow the iteration range
         m = min(m * 1.2, m_max)
     return None, evals
+
+
+def _bbht_flags(
+    flags: np.ndarray, rng: np.random.Generator, cap: int
+) -> tuple[int | None, int]:
+    """_bbht_two_class on an explicit flag vector; a hit then names one
+    marked index, drawn uniformly."""
+    k = int(np.count_nonzero(flags))
+    hit, evals = _bbht_two_class(flags.size, k, rng, cap)
+    if hit is None:
+        return None, evals
+    return int(np.flatnonzero(flags)[rng.integers(0, k)]), evals
 
 
 def blocked_search(
@@ -237,27 +248,6 @@ def blocked_pair_search(
     )
 
 
-def _bbht_two_class(
-    S: int, k: int, rng: np.random.Generator, cap: int
-) -> tuple[bool | None, int]:
-    """bbht_search over a space summarized by (size, marked count);
-    returns (True on a verified hit, None on cap exhaustion)."""
-    m = 1.0
-    m_max = math.sqrt(S)
-    evals = 0
-    while evals < cap:
-        j = int(rng.integers(0, math.ceil(m)))
-        cost = max(1, j)
-        if evals + cost > cap:
-            evals = cap
-            break
-        evals += cost
-        if rng.random() < _qaa_success_prob(S, k, j):
-            return True, evals
-        m = min(m * 1.2, m_max)
-    return None, evals
-
-
 def min_find(values: Sequence[float], seed: int) -> int:
     """Index of the minimum by quantum threshold descent.
 
@@ -314,6 +304,10 @@ class ScalingRow:
 
 def planted_instance(M: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Bernoulli(p) marks conditioned on at least one solution."""
+    if M < 1:
+        raise DomainError(f"M must be >= 1, got {M}")
+    if not 0.0 < p <= 1.0:
+        raise DomainError(f"p must lie in (0, 1], got {p}")
     while True:
         flags = rng.random(M) < p
         if flags.any():
@@ -324,6 +318,8 @@ def blocked_search_scaling(
     M: int, S_values: Sequence[int], p: float, trials: int, seed: int
 ) -> list[ScalingRow]:
     """Mean cost of blocked_search across S on a shared instance set."""
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
     instances = [planted_instance(M, p, make_rng(seed, t)) for t in range(trials)]
     rows = []
     for S in S_values:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
@@ -116,17 +116,9 @@ class QueryLedger:
     filter_queries: int = 0
     inner_product_queries: int = 0
     insertions: int = 0
-    oracle_evals: int = 0
-    qram_reloads: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "filter_queries": self.filter_queries,
-            "inner_product_queries": self.inner_product_queries,
-            "insertions": self.insertions,
-            "oracle_evals": self.oracle_evals,
-            "qram_reloads": self.qram_reloads,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -84,6 +84,9 @@ def test_build_requires_a_bucket_and_consistent_dim():
         ccirc.build_circuit([np.empty((0, 4)), []])  # no dimension anywhere
     circ = ccirc.build_circuit([[], []], d=6)
     assert circ.d == 6 and all(c.shape == (0, 6) for c in circ.chains)
+    for d in (0, -3):
+        with pytest.raises(DomainError):
+            ccirc.build_circuit([[], []], d=d)
 
 
 def test_rebuild_is_identical():

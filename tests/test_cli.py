@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sievelab
 from sievelab.cli import main
 
 
@@ -211,6 +216,34 @@ def test_qsearch_pair_and_minfind(capsys):
 def test_qsearch_bad_list(capsys):
     assert main(["qsearch", "--experiment", "blocked", "--S", "1,x"]) == 2
     capsys.readouterr()
+
+
+BAD_INPUTS = [
+    "qsearch --experiment blocked --trials 2 --p 0",  # hung: no instance gets a mark
+    "qsearch --experiment blocked --trials 2 --p -0.5",
+    "qsearch --experiment blocked --trials 2 --p nan",
+    "qsearch --experiment blocked --trials 2 --p 1.5",
+    "qsearch --experiment blocked --trials 2 --M 0",
+    "qsearch --experiment blocked --trials 2 --S ,,",
+    "qsearch --experiment pair --trials 2 --S ,,",
+    "qsearch --experiment minfind --trials 2 --size -1",
+    "circuit --buckets 1,2 --d 0",
+    "circuit --buckets 1,2 --d -3",
+]
+
+
+@pytest.mark.parametrize("command", BAD_INPUTS)
+def test_invalid_input_exits_2(command):
+    # a subprocess with a timeout, so an input that hangs fails the test
+    # instead of stalling the suite
+    src = Path(sievelab.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from sievelab.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *command.split()],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(b"error: ")
 
 
 def test_circuit_cost_row(capsys):

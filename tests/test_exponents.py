@@ -115,6 +115,25 @@ def test_optimize_qram_rate_capped():
     assert p.qram_rate <= math.log2(13.0 / 12.0) + 1e-6
 
 
+def test_term_table_agrees_on_floats_and_arrays():
+    # one table serves the Nelder-Mead objective (floats) and the seeding
+    # grid (arrays); the float path must return Python floats
+    a = np.array([0.2, 0.35, 0.5, 0.6])
+    b = np.array([0.3, 0.5, 0.45, 0.7])
+    ts = np.array([t_rate(x, y) for x, y in zip(a, b)])
+    ca, cb = 0.5 * np.log2(1.0 - a * a), 0.5 * np.log2(1.0 - b * b)
+    for model in E.MODELS:
+        for sigma in ((0.0, 0.03, 0.2) if model in ("t2", "t3", "t5") else (0.0,)):
+            s_arr = np.minimum(sigma, E._gamma_bound(model, ts, ca, cb))
+            grid = E._terms(model, ts, ca, cb, s_arr)
+            for i in range(a.size):
+                args = (float(ts[i]), float(ca[i]), float(cb[i]))
+                s_eff = min(sigma, E._gamma_bound(model, *args))
+                terms = E._terms(model, *args, s_eff)
+                assert all(type(x) is float for x in terms)
+                assert terms == tuple(float(g[i]) for g in grid)
+
+
 # --- closed forms ----------------------------------------------------------
 
 

@@ -36,10 +36,40 @@ GOLDEN = [
      "tradeoff --model t2 --steps 5"),
     ("7bb5b8ef1cf9a0c2c08bb3524a759490b0c732b58ed38f7c9e6557ef7d37c31d",
      "geom --wedge --mc --d 8 --alpha 0.4 --beta 0.5 --samples 20000"),
+    ("07ad0011c545adf0d0c83696bc433b0e5a49b3707c15d8913f845bcd551ace7c",
+     "tradeoff --model t3 --steps 5"),
+    ("75fdcbee9dd13ecb7b9ba89f89cd812dd65d13f752b817c5107817f553ad3ff5",
+     "tradeoff --model t5 --steps 5"),
+    ("a9d7439951f0d9a782c48d1a172bbc4a0c7ccb640a20ad909e5ea2a744a3387b",
+     "tradeoff --model noqram --steps 5"),
+    ("a35671a9ae1920a4e0c6a0f65b7d1254928febd7af5b651c3ba65f6528314ce3",
+     "tradeoff --model classical --steps 2"),
+    ("87af168c5b556c3cf70fe659a949f7e1adcd1d60d618a71f2297366956965bfa",
+     "tradeoff --model t1 --steps 2"),
+    ("82c784c00e960a8369588d1ec6cc6512630bb90c078b050263ea586a14b3a339",
+     "tradeoff --model t4 --steps 2"),
+    ("6a724f466b02a4cd8db1374d61bda4bea35980585b66ec72583938aabb081286",
+     "qsearch --experiment pair --M1 32 --M2 32 --K 8 --S 16,4 --trials 20 --seed 7"),
+    ("86eecd061d4a1cab5be03ec6ab09b8c6f2dc01c6544bab995f9af0f9842de957",
+     "qsearch --experiment minfind --size 64 --trials 30 --seed 7"),
 ]
 
 
-@pytest.mark.parametrize("digest, command", GOLDEN, ids=[c.split(" --")[0] for _, c in GOLDEN])
+def _golden_ids(rows):
+    """Test ids: the subcommand, plus its --model or --experiment value
+    after the first row of that subcommand (pytest numbers any repeats)."""
+    seen, ids = set(), []
+    for _, command in rows:
+        words = command.split()
+        name = words[0]
+        if name in seen and words[1] in ("--model", "--experiment"):
+            name += "-" + words[2]
+        seen.add(words[0])
+        ids.append(name)
+    return ids
+
+
+@pytest.mark.parametrize("digest, command", GOLDEN, ids=_golden_ids(GOLDEN))
 def test_golden_bytes(tmp_path, digest, command):
     out = tmp_path / "out"
     assert main(command.split() + ["--out", str(out)]) == 0

@@ -172,6 +172,19 @@ def test_blocked_search_scaling_structure():
         assert by_s[s].mean_evals >= 0.1 * 256 / math.sqrt(s)
 
 
+def test_planted_instance_domain():
+    # p <= 0, NaN p and M = 0 used to loop forever; tests/test_cli.py runs
+    # those through the CLI in a subprocess with a timeout
+    rng = make_rng(1)
+    with pytest.raises(DomainError):
+        Q.planted_instance(16, 1.5, rng)
+    with pytest.raises(DomainError):
+        Q.planted_instance(-1, 0.5, rng)
+    assert Q.planted_instance(8, 1.0, rng).all()
+    with pytest.raises(DomainError):
+        Q.blocked_search_scaling(16, [4], 0.5, 0, DEFAULT_SEED)
+
+
 # --- blocked pair search ------------------------------------------------------
 
 

@@ -34,7 +34,7 @@ def test_preprocess_empty_instance():
     led = sieve.QueryLedger()
     bk = sieve.preprocess(inst, fam, 0.5, led)
     assert all(b.size == 0 for b in bk.B)
-    assert led.as_dict() == {k: 0 for k in led.as_dict()}
+    assert led.as_dict() == {"filter_queries": 0, "inner_product_queries": 0, "insertions": 0}
 
 
 def test_preprocess_bucket_membership_is_exact():
