@@ -12,6 +12,12 @@ not compared), and the multiplexer is a balanced binary tree over t
 lanes with t - 1 selector nodes.  The circuit itself is evaluated
 classically here; quantum behavior enters only through the minimum-
 finding emulator driving it.
+
+The pipeline evaluates each qualifying filter of a query once, in leaf
+rank order, into a per-filter table.  A coin string indexes that table
+through the rank it selects, so up to PIPELINE_COIN_GUARD coin strings
+form the search space; beyond the guard the search space switches to
+the leaves themselves.
 """
 
 from __future__ import annotations
@@ -22,14 +28,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, GuardError
-from .qsearch import MINFIND_BUDGET_FACTOR, min_find_with_cost
+from .errors import DomainError
+from .qsearch import min_find_with_cost
 from .rng import DEFAULT_SEED, derive_seed
-from .rpc import FilterFamily, SampleTree, build_sample_tree, leaf_index
+from .rpc import FilterFamily, SampleTree, build_sample_tree, leaf_index, sample_alpha_close
 from .sieve import QueryLedger, SieveInstance, preprocess
 
-# largest coin space the pipeline enumerates per query; beyond this it
-# walks the qualifying leaves directly (there are at most 2^R / 16)
+# largest coin space the pipeline searches per query; beyond this the
+# qualifying leaves are the search space (there are at most 2^R / 16)
 PIPELINE_COIN_GUARD = 2**14
 
 
@@ -141,8 +147,6 @@ def oracle_prime(
         raise DomainError(f"w must have shape ({circuit.d},)")
     if not np.array_equal(tree.v, w):
         raise DomainError("tree was built for a different query vector")
-    from .rpc import sample_alpha_close
-
     return circuit_eval(circuit, sample_alpha_close(tree, coins), w)
 
 
@@ -172,34 +176,30 @@ def _query_values(
     vectors: np.ndarray,
     q: int,
 ) -> tuple[np.ndarray, list[tuple[int, int] | None]]:
-    """Distance seen by each coin outcome, with the pair it would report.
+    """Distance seen by each point of the search space, with the pair it
+    would report.
 
+    Every qualifying leaf is unranked and evaluated once; below the coin
+    guard each coin string then reads the entry of the rank it selects.
     Self-hits and empty chains are lifted to +inf: the oracle returned
     nothing usable for reduction there.
     """
-    R = tree.coin_count
-    if 2**R <= PIPELINE_COIN_GUARD:
-        ranks = [(x * tree.root_count) >> R for x in range(2**R)]
-    else:
-        ranks = list(range(tree.root_count))  # walk the leaves directly
-    cache: dict[int, tuple[float, tuple[int, int] | None]] = {}
-    values = np.empty(len(ranks))
-    hits: list[tuple[int, int] | None] = [None] * len(ranks)
-    for pos, rank in enumerate(ranks):
+    w = vectors[q]
+    values = np.full(tree.root_count, math.inf)
+    hits: list[tuple[int, int] | None] = [None] * tree.root_count
+    for rank in range(tree.root_count):
         j = leaf_index(tree, rank)
-        if j not in cache:
-            chain_pos = circuit_eval_index(circuit, j, vectors[q])
-            if chain_pos is None:
-                cache[j] = (math.inf, None)
-            else:
-                u_idx = int(bucket_indices[j][chain_pos])
-                dist = float(np.linalg.norm(vectors[u_idx] - vectors[q]))
-                if u_idx == q or dist <= 1e-12:
-                    cache[j] = (math.inf, None)
-                else:
-                    cache[j] = (dist, (q, u_idx))
-        values[pos], hits[pos] = cache[j]
-    return values, hits
+        chain_pos = circuit_eval_index(circuit, j, w)
+        if chain_pos is None:
+            continue
+        u_idx = int(bucket_indices[j][chain_pos])
+        dist = float(np.linalg.norm(vectors[u_idx] - w))
+        if u_idx != q and dist > 1e-12:
+            values[rank], hits[rank] = dist, (q, u_idx)
+    if 2**tree.coin_count > PIPELINE_COIN_GUARD:
+        return values, hits
+    ranks = tree.coin_rank(np.arange(2**tree.coin_count, dtype=np.int64))
+    return values[ranks], [hits[r] for r in ranks.tolist()]
 
 
 def pipeline_step(

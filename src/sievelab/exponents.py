@@ -281,9 +281,7 @@ class NoQRAMPoint:
 
 
 def _noqram_time(a: float, b: float, tau: float) -> float:
-    n = N_RATE
-    ca, cb = cap_rate(a), cap_rate(b)
-    return max(n + tau + cb, n + (tau + ca) / 2.0 + max(0.0, n + cb))
+    return max(_terms("noqram", tau, cap_rate(a), cap_rate(b), 0.0))
 
 
 def _noqram_branch(beta: float, c: float, tau: float, sign: float) -> float:

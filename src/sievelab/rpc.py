@@ -218,6 +218,15 @@ class SampleTree:
     root_count: int
     coin_count: int
 
+    def coin_rank(self, x):
+        """Leaf rank that coin integer x selects: [0, 2^R) scaled onto
+        [0, root_count), rounded down.
+
+        x is a Python int or an int64 array; the array form is exact
+        while x * root_count stays below 2^63.
+        """
+        return (x * self.root_count) >> self.coin_count
+
 
 def _tail_lookup(tail: np.ndarray, need: int) -> int:
     if need <= 0:
@@ -280,8 +289,8 @@ def build_sample_tree(
 def sample_alpha_close(tree: SampleTree, coins: str | Sequence[int]) -> int:
     """Map a coin string of length tree.coin_count to a qualifying center.
 
-    The coins form an integer x; rank u = floor(x * root_count / 2^R)
-    selects a leaf, which the DP tables unrank to a codeword index.
+    The coins form an integer x; rank u = tree.coin_rank(x) selects a
+    leaf, which the DP tables unrank to a codeword index.
     Every leaf receives an equal share of coin strings up to one, so
     the worst-case hit-count ratio between leaves is 2 and shrinks as
     COIN_MARGIN adds headroom.
@@ -297,7 +306,7 @@ def sample_alpha_close(tree: SampleTree, coins: str | Sequence[int]) -> int:
     x = 0
     for b in bits:
         x = (x << 1) | b
-    return leaf_index(tree, (x * tree.root_count) >> tree.coin_count)
+    return leaf_index(tree, tree.coin_rank(x))
 
 
 def leaf_index(tree: SampleTree, rank: int) -> int:

@@ -124,7 +124,6 @@ class QueryLedger:
 @dataclass(frozen=True, eq=False)
 class Buckets:
     B: tuple[np.ndarray, ...]  # insert side, beta threshold
-    A: tuple[np.ndarray, ...] | None = None  # query side, alpha (two-sided prep)
 
 
 def _check_family(instance: SieveInstance, family: FilterFamily) -> None:
@@ -347,25 +346,21 @@ def sieve_step(
     family: FilterFamily,
     alpha: float,
     beta: float,
-    shrink_factor: float | None = None,
     ledger: QueryLedger | None = None,
 ) -> np.ndarray:
     """One list-sieve round: emit differences of found reducing pairs.
 
     Pairs come from query_method at the instance angle; a pair counts
-    as reducing when ||v - w|| <= shrink_factor * radius exactly.  Zero
+    as reducing when ||v - w|| <= instance.shrink_factor * radius.  Zero
     differences are dropped, so identical inputs produce nothing.
     """
     if instance.mode != "norm":
         raise DomainError("sieve_step needs a norm-mode instance")
-    shrink = instance.shrink_factor if shrink_factor is None else shrink_factor
-    if not 0.0 < shrink <= 1.0:
-        raise DomainError(f"shrink_factor must lie in (0, 1], got {shrink}")
     if ledger is None:
         ledger = QueryLedger()
     buckets = preprocess(instance, family, beta, ledger)
     keys = query_keys(instance, family, alpha, buckets, ledger)
-    bound = shrink * instance.radius
+    bound = instance.shrink_factor * instance.radius
     out = []
     for x, y in zip(*np.divmod(keys, instance.n)):
         diff = instance.vectors[x] - instance.vectors[y]

@@ -1,5 +1,7 @@
 """Comparator circuits: exact costs, argmin semantics, pipeline recovery."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -211,6 +213,24 @@ def test_oracle_prime_rejects_mismatched_query(oracle_setup):
         ccirc.oracle_prime(circ, tree, other, "0" * tree.coin_count)
 
 
+def test_query_values_match_the_coin_oracle(oracle_setup):
+    _, inst, buckets, circ, w, tree = oracle_setup
+    q = inst.n  # w joins the list as its last vector
+    values, hits = ccirc._query_values(circ, tree, buckets.B, np.vstack([inst.vectors, w]), q)
+    R = tree.coin_count
+    assert values.size == len(hits) == 2**R
+    assert any(hit is not None for hit in hits)
+    for x in range(2**R):
+        j = rpc.sample_alpha_close(tree, format(x, f"0{R}b"))
+        pos = ccirc.circuit_eval_index(circ, j, w)
+        if pos is None:
+            assert values[x] == math.inf and hits[x] is None
+        else:
+            u = int(buckets.B[j][pos])
+            assert values[x] == float(np.linalg.norm(inst.vectors[u] - w))
+            assert hits[x] == (q, u)
+
+
 # --- pipeline ----------------------------------------------------------------------
 
 
@@ -269,6 +289,50 @@ def test_pipeline_deterministic(pipeline_runs):
     again = ccirc.pipeline_step(inst, fam, 0.40, 0.55, mode="minfind", seed=1)
     assert again.pairs == mf1.pairs
     assert again.oracle_calls == mf1.oracle_calls
+
+
+def _digest(report):
+    return hashlib.sha256(json.dumps(report.as_dict(), sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of each report's sorted-key JSON: how _query_values lays out
+# the search space must not move the pairs or the call counts
+def test_pipeline_golden_reports(pipeline_runs):
+    _, _, exh, mf1, mf3 = pipeline_runs
+    assert [_digest(rep) for rep in (exh, mf1, mf3)] == [
+        "a73db500eeef467149a01fb031b604fe2e1d664c83deac89c6ba4612b631f397",
+        "017fd60525f5e5068782dd4a981e4b8fc5fad2e09410d9681547ff781ccf8e12",
+        "ca9ea718d87ed0a4a457cf01ce919c0538e58de3bee7520374d0b6589fdee0e5",
+    ]
+
+
+@pytest.fixture(scope="module")
+def guard_family():
+    fam = rpc.build_family("rpc", 8, 21, m=48, B=2)
+    inst = sieve.random_instance(8, 8, seed=22, mode="norm", radius=1.0)
+    return fam, inst
+
+
+# at alpha = -0.3 every tree has more than 2^10 leaves, so 2^R exceeds the
+# coin guard and the leaves are the search space; at alpha = 0.1 half of
+# the trees have exactly PIPELINE_COIN_GUARD coin strings and search them
+@pytest.mark.parametrize("alpha, mode, digest", [
+    (-0.3, "exhaustive", "976439e53b487cddee1325aeac068a1512e4b0bf04dd904caabd866daabedef2"),
+    (-0.3, "minfind", "b3e2bc49a1de917edaacc10c1bd3205620c8979ad1da3ac361f2c835b93a6668"),
+    (0.1, "exhaustive", "60ed825983c49eb21176426801a79dd7913abd16eefbd51e0a3eb4fec8ffa512"),
+    (0.1, "minfind", "66a934ac289dd1794bdb9aa561d408ea567378150ecb9e9ef08de85b69229367"),
+])
+def test_pipeline_golden_around_the_guard(guard_family, alpha, mode, digest):
+    fam, inst = guard_family
+    coin_spaces = {
+        2 ** rpc.build_sample_tree(fam, v, alpha).coin_count for v in inst.directions()
+    }
+    if alpha < 0:
+        assert min(coin_spaces) > ccirc.PIPELINE_COIN_GUARD
+    else:
+        assert coin_spaces == {ccirc.PIPELINE_COIN_GUARD, 2 * ccirc.PIPELINE_COIN_GUARD}
+    rep = ccirc.pipeline_step(inst, fam, alpha, 0.3, mode=mode, seed=5)
+    assert _digest(rep) == digest
 
 
 def test_pipeline_validation():
