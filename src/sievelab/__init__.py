@@ -9,7 +9,9 @@ Everything is deterministic under a 64-bit master seed; see rng.py for
 the seed-derivation scheme.
 """
 
-from . import circuit, cli, exponents, geometry, qsearch, rng, rpc, sieve, symkey
+import importlib
+
+from . import circuit, exponents, geometry, qsearch, rng, rpc, sieve, symkey
 
 __all__ = [
     "circuit",
@@ -24,3 +26,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # cli loads on first use, so ``python -m sievelab.cli`` finds it
+    # absent from sys.modules when runpy executes it
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .errors import DomainError, RangeError
 from .geometry import LIST_SIZE_RATE, cap_rate, t_rate
@@ -167,7 +166,9 @@ def _objective(model: str, sigma: float) -> Callable[[float, float], float]:
     return f
 
 
-def _grid_seed(model: str, sigma: float) -> tuple[float, float]:
+def _seed_grid() -> tuple[np.ndarray, ...]:
+    """The 0.01 seeding grid over [0.05, 0.95]^2 with its filter and cap
+    rates (T is inf where no filter fits); read-only, built once."""
     a = np.arange(0.05, 0.9501, 0.01)
     A, B = np.meshgrid(a, a, indexing="ij")
     U = 1.0 - (4.0 / 3.0) * (A * A - A * B + B * B)
@@ -176,33 +177,232 @@ def _grid_seed(model: str, sigma: float) -> tuple[float, float]:
     T[ok] = -0.5 * np.log2(U[ok])
     CA = 0.5 * np.log2(1.0 - A * A)
     CB = 0.5 * np.log2(1.0 - B * B)
-    S = np.minimum(sigma, _gamma_bound(model, T, CA, CB))
-    val = functools.reduce(np.maximum, _terms(model, T, CA, CB, S))
-    val[~ok] = np.inf
+    grid = (A, B, ok, T, CA, CB)
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
+
+
+_SEED_A, _SEED_B, _SEED_OK, _SEED_T, _SEED_CA, _SEED_CB = _seed_grid()
+
+
+def _grid_seed(model: str, sigma: float) -> tuple[float, float]:
+    S = np.minimum(sigma, _gamma_bound(model, _SEED_T, _SEED_CA, _SEED_CB))
+    val = functools.reduce(np.maximum, _terms(model, _SEED_T, _SEED_CA, _SEED_CB, S))
+    val[~_SEED_OK] = np.inf
     i, j = np.unravel_index(int(np.argmin(val)), val.shape)
-    return float(A[i, j]), float(B[i, j])
+    return float(_SEED_A[i, j]), float(_SEED_B[i, j])
+
+
+# ---------------------------------------------------------------------------
+# Scalar ports of the two scipy 1.17 minimisers the rate calculus uses:
+# minimize(method="Nelder-Mead") for N = 2 (non-adaptive, unbounded) and
+# minimize_scalar(method="bounded").  They run the same float operations
+# in the same order, so they return the same bits, without scipy's
+# per-iteration numpy bookkeeping on 3x2 arrays.
+
+_NM_XATOL = 1e-10
+_NM_FATOL = 1e-12
+_NM_MAXITER = 4000
+_NM_MAXFEV = 8000
+
+
+class _MaxFevReached(Exception):
+    """The next objective call would exceed maxfev (scipy aborts the
+    iteration in progress and keeps what it had already assigned)."""
+
+
+def _before(u: float, v: float) -> bool:
+    """u sorts strictly before v in np.argsort's order: ascending, NaN last."""
+    return u < v or (v != v and u == u)
+
+
+def _sort3(p: list, q: list, r: list) -> tuple[list, list, list]:
+    """Stable sort of three [x, y, f] vertices by f, as np.argsort orders
+    them (ties, inf ties included, keep their positions; NaN goes last)."""
+    if _before(q[2], p[2]):
+        p, q = q, p
+    if _before(r[2], q[2]):
+        return (r, p, q) if _before(r[2], p[2]) else (p, r, q)
+    return p, q, r
+
+
+def _nelder_mead_2d(
+    f: Callable[[float, float], float],
+    x0: tuple[float, float],
+    xatol: float = _NM_XATOL,
+    fatol: float = _NM_FATOL,
+    maxiter: int = _NM_MAXITER,
+    maxfev: int = _NM_MAXFEV,
+) -> tuple[tuple[float, float], float, int, int]:
+    """Minimise f(x, y) from x0 by scipy's Nelder-Mead; returns
+    ((x, y), fun, nfev, nit) equal to scipy's res.x, fun, nfev and nit.
+
+    Coefficients rho, chi, psi, sigma = 1, 2, 1/2, 1/2, written out in
+    scipy's operand order; the initial simplex moves each nonzero
+    coordinate by 5 % and each zero one to 0.00025.
+    """
+    nfev = 0
+
+    def call(x: float, y: float) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFevReached
+        nfev += 1
+        return f(x, y)
+
+    a, b = x0
+    v0 = [a, b, math.inf]
+    v1 = [(1 + 0.05) * a if a != 0 else 0.00025, b, math.inf]
+    v2 = [a, (1 + 0.05) * b if b != 0 else 0.00025, math.inf]
+    try:
+        for v in (v0, v1, v2):
+            v[2] = call(v[0], v[1])
+    except _MaxFevReached:
+        pass
+    v0, v1, v2 = _sort3(v0, v1, v2)
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        bx, by, bf = v0
+        # a NaN anywhere (inf - inf included) fails the test, as in
+        # scipy's np.max(...) <= tol
+        if (abs(v1[0] - bx) <= xatol and abs(v1[1] - by) <= xatol
+                and abs(v2[0] - bx) <= xatol and abs(v2[1] - by) <= xatol
+                and abs(bf - v1[2]) <= fatol and abs(bf - v2[2]) <= fatol):
+            break
+        try:
+            mx, my = (bx + v1[0]) / 2, (by + v1[1]) / 2
+            wx, wy, wf = v2
+            xr, yr = 2 * mx - wx, 2 * my - wy  # reflect
+            fxr = call(xr, yr)
+            if fxr < bf:
+                xe, ye = 3 * mx - 2 * wx, 3 * my - 2 * wy  # expand
+                fxe = call(xe, ye)
+                v2 = [xe, ye, fxe] if fxe < fxr else [xr, yr, fxr]
+            elif fxr < v1[2]:
+                v2 = [xr, yr, fxr]
+            else:
+                if fxr < wf:
+                    xc, yc = 1.5 * mx - 0.5 * wx, 1.5 * my - 0.5 * wy  # contract
+                    fxc = call(xc, yc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc, yc = 0.5 * mx + 0.5 * wx, 0.5 * my + 0.5 * wy  # contract inside
+                    fxc = call(xc, yc)
+                    shrink = not fxc < wf
+                if not shrink:
+                    v2 = [xc, yc, fxc]
+                else:
+                    for v in (v1, v2):  # shrink towards the best vertex
+                        v[0] = bx + 0.5 * (v[0] - bx)
+                        v[1] = by + 0.5 * (v[1] - by)
+                        v[2] = call(v[0], v[1])
+            nit += 1
+        except _MaxFevReached:
+            pass
+        v0, v1, v2 = _sort3(v0, v1, v2)
+    # scipy reports np.min(fsim), which is NaN when any vertex is, and a
+    # NaN vertex sorts last
+    fun = v2[2] if v2[2] != v2[2] else v0[2]
+    return (v0[0], v0[1]), fun, nfev, nit
+
+
+def _sign_up(v: float) -> float:
+    """np.sign(v) + (v == 0): -1 below zero, +1 at or above it, NaN for NaN."""
+    return -1.0 if v < 0.0 else 1.0 if v >= 0.0 else v
+
+
+def _brent_bounded(
+    f: Callable[[float], float], lo: float, hi: float,
+    xatol: float = 1e-12, maxiter: int = 500,
+) -> tuple[float, float, int]:
+    """Minimise f on [lo, hi] by scipy's bounded Brent method; returns
+    (x, fun, nfev) equal to scipy's res.x, fun and nfev.  A line-for-line
+    port of _minimize_scalar_bounded (no NaN status flag)."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = f(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # check for a parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            # is the parabola acceptable?
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign_up(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        # scipy takes np.maximum; max() agrees as neither side is NaN
+        # between finite bounds
+        x = xf + _sign_up(rat) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf, fx, num
 
 
 def optimize(model: str, gamma_rate: float = 0.0) -> TradeoffPoint:
     """Minimise the running-time rate over (alpha, beta).
 
     Coarse 0.01 grid over (0.05, 0.95)^2 seeds a Nelder-Mead refinement
-    of the max-of-terms objective down to 1e-8 in rate.  Budget beyond
-    what the model can address at a point is simply left unused, so the
-    returned qram_rate never exceeds the admissible bound.
+    of the max-of-terms objective down to 1e-8 in rate.  The refinement
+    is _nelder_mead_2d, an in-package port of scipy 1.17's Nelder-Mead
+    that returns the same bits.  Budget beyond what the model can
+    address at a point is simply left unused, so the returned qram_rate
+    never exceeds the admissible bound.
     """
     _check_budget(model, gamma_rate)
     f = _objective(model, gamma_rate)
-    x0 = _grid_seed(model, gamma_rate)
-    best = x0
+    best = _grid_seed(model, gamma_rate)
     for _ in range(2):  # restart once; max() objectives can stall a simplex
-        res = minimize(
-            lambda x: f(x[0], x[1]),
-            np.asarray(best),
-            method="Nelder-Mead",
-            options=dict(xatol=1e-10, fatol=1e-12, maxiter=4000, maxfev=8000),
-        )
-        best = (float(res.x[0]), float(res.x[1]))
+        best = _nelder_mead_2d(f, best)[0]
     a, b = best
     t = t_rate(a, b)
     ca, cb = cap_rate(a), cap_rate(b)
@@ -295,7 +495,12 @@ def _noqram_branch(beta: float, c: float, tau: float, sign: float) -> float:
 
 
 def noqram_point(tau: float) -> NoQRAMPoint:
-    """Best (alpha, beta) for the noqram model at filter rate tau."""
+    """Best (alpha, beta) for the noqram model at filter rate tau.
+
+    On each branch of the tau constraint a 600-point grid in beta
+    brackets the minimum, and _brent_bounded, an in-package port of
+    scipy 1.17's bounded Brent method, refines it to 1e-12.
+    """
     if not 0.0 <= tau <= N_RATE + 1e-12:
         raise DomainError(f"t_rate must lie in [0, {N_RATE:.6f}], got {tau}")
     if tau == 0.0:
@@ -304,19 +509,14 @@ def noqram_point(tau: float) -> NoQRAMPoint:
     c = 0.75 * (1.0 - 2.0 ** (-2.0 * tau))
     bmax = math.sqrt(4.0 * c / 3.0)
     best: tuple[float, float, float] | None = None
-    grid = np.linspace(1e-6, bmax - 1e-12, 600)
+    grid = np.linspace(1e-6, bmax - 1e-12, 600).tolist()
     for sign in (1.0, -1.0):
         vals = [_noqram_branch(b, c, tau, sign) for b in grid]
         k = int(np.argmin(vals))
         lo = grid[max(0, k - 1)]
         hi = grid[min(len(grid) - 1, k + 1)]
-        res = minimize_scalar(
-            lambda b: _noqram_branch(b, c, tau, sign),
-            bounds=(lo, hi),
-            method="bounded",
-            options=dict(xatol=1e-12),
-        )
-        cand = (float(res.fun), float(res.x), sign)
+        x, fun, _ = _brent_bounded(lambda b: _noqram_branch(b, c, tau, sign), lo, hi)
+        cand = (fun, x, sign)
         if best is None or cand[0] < best[0]:
             best = cand
     val, b, sign = best

@@ -19,6 +19,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.special import betainc, betaincinv
 
 from .errors import DomainError
 from .rng import make_rng
@@ -209,8 +211,6 @@ def _truncated_cap_cosines(
     collapse onto a handful of representable values once the cap drops
     below ~1e-13.
     """
-    from scipy.special import betaincinv
-
     a = (d - 1) / 2.0
     v = q0 * rng.random(m)
     y = betaincinv(a, a, v)
@@ -219,8 +219,6 @@ def _truncated_cap_cosines(
 
 def _cross_section_volume(d2: int, h: np.ndarray) -> np.ndarray:
     """Cap fractions C_{d2}(h) for an array of thresholds, h in [-inf, inf]."""
-    from scipy.special import betainc
-
     out = np.empty_like(h)
     out[h <= -1.0] = 1.0
     out[h >= 1.0] = 0.0
@@ -263,8 +261,6 @@ def wedge_volume_quad(d: int, alpha: float, beta: float, theta: float) -> float:
     i.e. below acos beta - theta; splitting there keeps quad on smooth
     pieces (for d = 2 the cross-section is a step).
     """
-    from scipy.integrate import quad
-
     alpha, beta = _check_wedge("wedge_volume_quad", d, alpha, beta, theta)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     a, b = math.acos(alpha), math.acos(beta)

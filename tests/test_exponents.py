@@ -2,13 +2,17 @@
 
 Reference values are either closed forms evaluated independently here
 (log identities) or small brute-force grid optimizations that bound the
-claimed optima from below.
+claimed optima from below.  The scalar minimisers are checked against
+scipy.optimize, which they port, for bit-equal results.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import minimize, minimize_scalar
 
 from sievelab import exponents as E
 from sievelab.errors import DomainError, RangeError
@@ -383,3 +387,132 @@ def test_mtps_guards():
         E.mtps_cost(30.0, 10.0, 6.0, 5.0)  # gamma > t - r
     with pytest.raises(DomainError):
         E.mtps_cost(30.0, 10.0, 12.0, 0.0)  # r > t
+
+
+# --- scalar minimisers against scipy.optimize --------------------------------
+#
+# _nelder_mead_2d and _brent_bounded are ports of scipy 1.17's
+# Nelder-Mead and bounded Brent methods; scipy is the oracle here, and
+# every result must agree bit for bit (==, NaN matching NaN).
+
+_NM_CAPS = dict(xatol=E._NM_XATOL, fatol=E._NM_FATOL, maxiter=E._NM_MAXITER, maxfev=E._NM_MAXFEV)
+
+
+def _same(u, v):
+    return u == v or (u != u and v != v)
+
+
+def _scipy_nelder_mead(f, x0, **caps):
+    with np.errstate(invalid="ignore"):  # inf - inf in scipy's stopping test
+        res = minimize(lambda x: f(x[0], x[1]), np.asarray(x0, dtype=float),
+                       method="Nelder-Mead", options={**_NM_CAPS, **caps})
+    return (float(res.x[0]), float(res.x[1])), float(res.fun), res.nfev, res.nit
+
+
+def _assert_nelder_mead_matches(f, x0, **caps):
+    got = E._nelder_mead_2d(f, x0, **caps)
+    want = _scipy_nelder_mead(f, x0, **caps)
+    assert got[0] == want[0] and _same(got[1], want[1]) and got[2:] == want[2:], (got, want)
+    return got
+
+
+_BUDGETS = [("classical", 0.0), ("t1", 0.0), ("t4", 0.0), ("noqram", 0.0)] + [
+    (m, s) for m in ("t2", "t3", "t5") for s in (0.0, 0.02, 0.05)
+]
+
+
+@pytest.mark.parametrize("model, sigma", _BUDGETS)
+def test_nelder_mead_matches_scipy_on_model_objectives(model, sigma):
+    # both runs of optimize(): from the grid seed, then the restart
+    f = E._objective(model, sigma)
+    x = E._grid_seed(model, sigma)
+    for _ in range(2):
+        x = _assert_nelder_mead_matches(f, x)[0]
+    p = E.optimize(model, sigma)
+    assert (p.alpha, p.beta) == x
+
+
+def _half_plane_nan(a, b):
+    return (a - 0.3) ** 2 + (b + 0.2) ** 2 if a < 0.5 else math.nan
+
+
+@pytest.mark.parametrize("f, x0", [
+    (lambda a, b: 1.0, (0.3, 0.4)),  # ties everywhere: only shrinks
+    (lambda a, b: 1.0, (0.0, 0.0)),  # zero start coordinates step by 0.00025
+    (E._objective("t2", 0.0), (0.95, 0.1)),  # every vertex inf; inf - inf never stops
+    (E._objective("t3", 0.0), (0.8, 0.65)),  # start inf, neighbours finite
+    (_half_plane_nan, (0.49, 0.1)),  # a NaN vertex in the first simplex
+    (_half_plane_nan, (0.6, 0.1)),  # every vertex NaN
+], ids=["constant", "constant-at-zero", "inf-region", "inf-start", "nan-edge", "nan-region"])
+def test_nelder_mead_matches_scipy_on_awkward_objectives(f, x0):
+    _assert_nelder_mead_matches(f, x0)
+
+
+@pytest.mark.parametrize("caps", [dict(maxfev=k) for k in range(1, 12)] + [
+    dict(maxiter=k) for k in (1, 2, 3, 5)
+], ids=lambda caps: "-".join(f"{k}{v}" for k, v in caps.items()))
+@pytest.mark.parametrize("f, x0", [
+    (E._objective("t5", 0.03), (0.45, 0.5)),
+    (lambda a, b: 1.0, (0.3, 0.4)),
+    (_half_plane_nan, (0.49, 0.1)),  # stops with a NaN vertex: fun is NaN
+], ids=["t5", "constant", "nan-edge"])
+def test_nelder_mead_matches_scipy_under_small_caps(f, x0, caps):
+    # maxfev aborts the initial simplex, a contraction or a shrink midway
+    _assert_nelder_mead_matches(f, x0, **caps)
+
+
+def _max_of_affine_plus_quadratic(planes, q):
+    def f(a, b):
+        return max(c0 + c1 * a + c2 * b for c0, c1, c2 in planes) + q * (a * a + b * b)
+
+    return f
+
+
+_coef = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@given(
+    planes=st.lists(st.tuples(_coef, _coef, _coef), min_size=1, max_size=4),
+    q=st.floats(0.01, 1.0),  # bounded below, so no run diverges to overflow
+    x0=st.tuples(_coef, _coef),
+)
+def test_nelder_mead_matches_scipy_on_random_objectives(planes, q, x0):
+    _assert_nelder_mead_matches(_max_of_affine_plus_quadratic(planes, q), x0)
+
+
+def _scipy_bounded(f, lo, hi, **opts):
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12, **opts})
+    return float(res.x), float(res.fun), res.nfev
+
+
+def _noqram_brackets():
+    """(branch, lo, hi) as noqram_point brackets each branch's grid argmin."""
+    out = []
+    for tau in (0.01, 0.05, 0.1, 0.15, 0.2):
+        c = 0.75 * (1.0 - 2.0 ** (-2.0 * tau))
+        grid = np.linspace(1e-6, math.sqrt(4.0 * c / 3.0) - 1e-12, 600)
+        for sign in (1.0, -1.0):
+            def g(b, c=c, tau=tau, sign=sign):
+                return E._noqram_branch(b, c, tau, sign)
+            k = int(np.argmin([g(b) for b in grid]))
+            out.append((g, float(grid[max(0, k - 1)]), float(grid[min(len(grid) - 1, k + 1)])))
+    return out
+
+
+@pytest.mark.parametrize("g, lo, hi", _noqram_brackets())
+def test_brent_matches_scipy_on_noqram_branches(g, lo, hi):
+    assert E._brent_bounded(g, lo, hi) == _scipy_bounded(g, lo, hi)
+
+
+@pytest.mark.parametrize("g, lo, hi, opts", [
+    (lambda x: 2.0, 0.0, 1.0, {}),  # flat
+    (lambda x: x, 0.2, 0.7, {}),  # minimum at the lower bound
+    (lambda x: -x * x, -0.3, 0.9, {}),  # minimum at the upper bound
+    (lambda x: math.sin(40.0 * x) + 0.1 * x, 0.0, 1.0, {"maxiter": 6}),  # hits maxiter
+], ids=["flat", "lower-bound", "upper-bound", "maxiter"])
+def test_brent_matches_scipy_on_awkward_functions(g, lo, hi, opts):
+    got = E._brent_bounded(g, lo, hi, **opts)
+    assert got == _scipy_bounded(g, lo, hi, **opts)
+    if "maxiter" in opts:
+        assert got[2] == opts["maxiter"]

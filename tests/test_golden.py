@@ -55,6 +55,18 @@ GOLDEN = [
 ]
 
 
+# longer rate-calculus curves, which run optimize() and noqram_point()
+# over many budgets; their ids name the model and the flags
+GOLDEN_CURVES = [
+    ("3231e63c03dc47fe246268ae55014759595e4beca23c76b940ddbd543cce8e62",
+     "tradeoff --model t2 --steps 20 --gamma-min 1.02"),
+    ("56344fd15b35b13adfc26bce6621f8c4f19c9871b971e31db6131f11ed4af32f",
+     "tradeoff --model noqram --steps 40"),
+    ("4406b388ed9c712eb549087919b1c621a8b64a42e6c511bc7b9e4c132e04e001",
+     "tradeoff --model t5 --steps 100"),
+]
+
+
 def _golden_ids(rows):
     """Test ids: the subcommand, plus its --model or --experiment value
     after the first row of that subcommand (pytest numbers any repeats)."""
@@ -74,6 +86,12 @@ def test_golden_bytes(tmp_path, digest, command):
     out = tmp_path / "out"
     assert main(command.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("digest, command", GOLDEN_CURVES,
+                         ids=["t2-gamma-min-1.02", "noqram-40", "t5-100"])
+def test_golden_curve_bytes(tmp_path, digest, command):
+    test_golden_bytes(tmp_path, digest, command)
 
 
 def test_sieve_bytes_do_not_depend_on_blas_threads():
