@@ -9,9 +9,16 @@ Everything is deterministic under a 64-bit master seed; see rng.py for
 the seed-derivation scheme.
 """
 
-import importlib
+import sys
 
 from . import circuit, exponents, geometry, qsearch, rng, rpc, sieve, symkey
+
+# ``python -m sievelab.cli`` imports this package while sys.argv[0] is
+# still "-m".  Importing cli then would make runpy warn that it found
+# sievelab.cli in sys.modules before running it as __main__; every other
+# import of the package loads cli with the rest.
+if getattr(sys, "argv", [])[:1] != ["-m"]:
+    from . import cli
 
 __all__ = [
     "circuit",
@@ -26,11 +33,3 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    # cli loads on first use, so ``python -m sievelab.cli`` finds it
-    # absent from sys.modules when runpy executes it
-    if name == "cli":
-        return importlib.import_module(f"{__name__}.cli")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

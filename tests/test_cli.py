@@ -258,6 +258,17 @@ def test_python_dash_m_runs_without_warnings():
     assert proc.stdout.startswith(b"model,gamma,")
 
 
+def test_import_loads_cli():
+    # code that looks sievelab.cli up in sys.modules after a plain
+    # ``import sievelab`` (bench/tracer.py does) finds it there
+    src = Path(sievelab.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sievelab; sys.exit('sievelab.cli' not in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_circuit_cost_row(capsys):
     assert main(["circuit", "--buckets", "3,5,2,0"]) == 0
     out = capsys.readouterr().out.splitlines()
