@@ -9,16 +9,7 @@ Everything is deterministic under a 64-bit master seed; see rng.py for
 the seed-derivation scheme.
 """
 
-import sys
-
-from . import circuit, exponents, geometry, qsearch, rng, rpc, sieve, symkey
-
-# ``python -m sievelab.cli`` imports this package while sys.argv[0] is
-# still "-m".  Importing cli then would make runpy warn that it found
-# sievelab.cli in sys.modules before running it as __main__; every other
-# import of the package loads cli with the rest.
-if getattr(sys, "argv", [])[:1] != ["-m"]:
-    from . import cli
+from . import circuit, cli, exponents, geometry, qsearch, rng, rpc, sieve, symkey
 
 __all__ = [
     "circuit",

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, RangeError
 from .geometry import LIST_SIZE_RATE, cap_rate, t_rate
@@ -195,11 +196,10 @@ def _grid_seed(model: str, sigma: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Scalar ports of the two scipy 1.17 minimisers the rate calculus uses:
-# minimize(method="Nelder-Mead") for N = 2 (non-adaptive, unbounded) and
-# minimize_scalar(method="bounded").  They run the same float operations
-# in the same order, so they return the same bits, without scipy's
-# per-iteration numpy bookkeeping on 3x2 arrays.
+# Scalar port of scipy 1.17's minimize(method="Nelder-Mead") for N = 2
+# (non-adaptive, unbounded).  It runs the same float operations in the
+# same order, so it returns the same bits, without scipy's per-iteration
+# numpy bookkeeping on 3x2 arrays.
 
 _NM_XATOL = 1e-10
 _NM_FATOL = 1e-12
@@ -230,8 +230,6 @@ def _sort3(p: list, q: list, r: list) -> tuple[list, list, list]:
 def _nelder_mead_2d(
     f: Callable[[float, float], float],
     x0: tuple[float, float],
-    xatol: float = _NM_XATOL,
-    fatol: float = _NM_FATOL,
     maxiter: int = _NM_MAXITER,
     maxfev: int = _NM_MAXFEV,
 ) -> tuple[tuple[float, float], float, int, int]:
@@ -266,9 +264,9 @@ def _nelder_mead_2d(
         bx, by, bf = v0
         # a NaN anywhere (inf - inf included) fails the test, as in
         # scipy's np.max(...) <= tol
-        if (abs(v1[0] - bx) <= xatol and abs(v1[1] - by) <= xatol
-                and abs(v2[0] - bx) <= xatol and abs(v2[1] - by) <= xatol
-                and abs(bf - v1[2]) <= fatol and abs(bf - v2[2]) <= fatol):
+        if (abs(v1[0] - bx) <= _NM_XATOL and abs(v1[1] - by) <= _NM_XATOL
+                and abs(v2[0] - bx) <= _NM_XATOL and abs(v2[1] - by) <= _NM_XATOL
+                and abs(bf - v1[2]) <= _NM_FATOL and abs(bf - v2[2]) <= _NM_FATOL):
             break
         try:
             mx, my = (bx + v1[0]) / 2, (by + v1[1]) / 2
@@ -305,87 +303,6 @@ def _nelder_mead_2d(
     # NaN vertex sorts last
     fun = v2[2] if v2[2] != v2[2] else v0[2]
     return (v0[0], v0[1]), fun, nfev, nit
-
-
-def _sign_up(v: float) -> float:
-    """np.sign(v) + (v == 0): -1 below zero, +1 at or above it, NaN for NaN."""
-    return -1.0 if v < 0.0 else 1.0 if v >= 0.0 else v
-
-
-def _brent_bounded(
-    f: Callable[[float], float], lo: float, hi: float,
-    xatol: float = 1e-12, maxiter: int = 500,
-) -> tuple[float, float, int]:
-    """Minimise f on [lo, hi] by scipy's bounded Brent method; returns
-    (x, fun, nfev) equal to scipy's res.x, fun and nfev.  A line-for-line
-    port of _minimize_scalar_bounded (no NaN status flag)."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = f(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # check for a parabolic fit
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            # is the parabola acceptable?
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign_up(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        # scipy takes np.maximum; max() agrees as neither side is NaN
-        # between finite bounds
-        x = xf + _sign_up(rat) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            break
-    return xf, fx, num
 
 
 def optimize(model: str, gamma_rate: float = 0.0) -> TradeoffPoint:
@@ -495,12 +412,7 @@ def _noqram_branch(beta: float, c: float, tau: float, sign: float) -> float:
 
 
 def noqram_point(tau: float) -> NoQRAMPoint:
-    """Best (alpha, beta) for the noqram model at filter rate tau.
-
-    On each branch of the tau constraint a 600-point grid in beta
-    brackets the minimum, and _brent_bounded, an in-package port of
-    scipy 1.17's bounded Brent method, refines it to 1e-12.
-    """
+    """Best (alpha, beta) for the noqram model at filter rate tau."""
     if not 0.0 <= tau <= N_RATE + 1e-12:
         raise DomainError(f"t_rate must lie in [0, {N_RATE:.6f}], got {tau}")
     if tau == 0.0:
@@ -509,14 +421,19 @@ def noqram_point(tau: float) -> NoQRAMPoint:
     c = 0.75 * (1.0 - 2.0 ** (-2.0 * tau))
     bmax = math.sqrt(4.0 * c / 3.0)
     best: tuple[float, float, float] | None = None
-    grid = np.linspace(1e-6, bmax - 1e-12, 600).tolist()
+    grid = np.linspace(1e-6, bmax - 1e-12, 600)
     for sign in (1.0, -1.0):
         vals = [_noqram_branch(b, c, tau, sign) for b in grid]
         k = int(np.argmin(vals))
         lo = grid[max(0, k - 1)]
         hi = grid[min(len(grid) - 1, k + 1)]
-        x, fun, _ = _brent_bounded(lambda b: _noqram_branch(b, c, tau, sign), lo, hi)
-        cand = (fun, x, sign)
+        res = minimize_scalar(
+            lambda b: _noqram_branch(b, c, tau, sign),
+            bounds=(lo, hi),
+            method="bounded",
+            options=dict(xatol=1e-12),
+        )
+        cand = (float(res.fun), float(res.x), sign)
         if best is None or cand[0] < best[0]:
             best = cand
     val, b, sign = best

@@ -246,18 +246,6 @@ def test_invalid_input_exits_2(command):
     assert proc.stderr.startswith(b"error: ")
 
 
-def test_python_dash_m_runs_without_warnings():
-    # cli is not imported by the package, so runpy does not warn that it
-    # found sievelab.cli in sys.modules before executing it
-    src = Path(sievelab.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "sievelab.cli", "tradeoff", "--model", "t2", "--steps", "2"],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, timeout=60,
-    )
-    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
-    assert proc.stdout.startswith(b"model,gamma,")
-
-
 def test_import_loads_cli():
     # code that looks sievelab.cli up in sys.modules after a plain
     # ``import sievelab`` (bench/tracer.py does) finds it there

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from sievelab import exponents as E
 from sievelab.errors import DomainError, RangeError
@@ -389,11 +389,11 @@ def test_mtps_guards():
         E.mtps_cost(30.0, 10.0, 12.0, 0.0)  # r > t
 
 
-# --- scalar minimisers against scipy.optimize --------------------------------
+# --- the Nelder-Mead port against scipy.optimize -----------------------------
 #
-# _nelder_mead_2d and _brent_bounded are ports of scipy 1.17's
-# Nelder-Mead and bounded Brent methods; scipy is the oracle here, and
-# every result must agree bit for bit (==, NaN matching NaN).
+# _nelder_mead_2d is a port of scipy 1.17's Nelder-Mead method; scipy is
+# the oracle here, and every result must agree bit for bit (==, NaN
+# matching NaN).
 
 _NM_CAPS = dict(xatol=E._NM_XATOL, fatol=E._NM_FATOL, maxiter=E._NM_MAXITER, maxfev=E._NM_MAXFEV)
 
@@ -478,41 +478,3 @@ _coef = st.floats(-2.0, 2.0, allow_nan=False)
 )
 def test_nelder_mead_matches_scipy_on_random_objectives(planes, q, x0):
     _assert_nelder_mead_matches(_max_of_affine_plus_quadratic(planes, q), x0)
-
-
-def _scipy_bounded(f, lo, hi, **opts):
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12, **opts})
-    return float(res.x), float(res.fun), res.nfev
-
-
-def _noqram_brackets():
-    """(branch, lo, hi) as noqram_point brackets each branch's grid argmin."""
-    out = []
-    for tau in (0.01, 0.05, 0.1, 0.15, 0.2):
-        c = 0.75 * (1.0 - 2.0 ** (-2.0 * tau))
-        grid = np.linspace(1e-6, math.sqrt(4.0 * c / 3.0) - 1e-12, 600)
-        for sign in (1.0, -1.0):
-            def g(b, c=c, tau=tau, sign=sign):
-                return E._noqram_branch(b, c, tau, sign)
-            k = int(np.argmin([g(b) for b in grid]))
-            out.append((g, float(grid[max(0, k - 1)]), float(grid[min(len(grid) - 1, k + 1)])))
-    return out
-
-
-@pytest.mark.parametrize("g, lo, hi", _noqram_brackets())
-def test_brent_matches_scipy_on_noqram_branches(g, lo, hi):
-    assert E._brent_bounded(g, lo, hi) == _scipy_bounded(g, lo, hi)
-
-
-@pytest.mark.parametrize("g, lo, hi, opts", [
-    (lambda x: 2.0, 0.0, 1.0, {}),  # flat
-    (lambda x: x, 0.2, 0.7, {}),  # minimum at the lower bound
-    (lambda x: -x * x, -0.3, 0.9, {}),  # minimum at the upper bound
-    (lambda x: math.sin(40.0 * x) + 0.1 * x, 0.0, 1.0, {"maxiter": 6}),  # hits maxiter
-], ids=["flat", "lower-bound", "upper-bound", "maxiter"])
-def test_brent_matches_scipy_on_awkward_functions(g, lo, hi, opts):
-    got = E._brent_bounded(g, lo, hi, **opts)
-    assert got == _scipy_bounded(g, lo, hi, **opts)
-    if "maxiter" in opts:
-        assert got[2] == opts["maxiter"]
