@@ -70,6 +70,13 @@ def _steps(ns) -> int:
     return ns.steps
 
 
+def _sweep(lo: float, hi: float, ns) -> np.ndarray:
+    """--steps evenly spaced points from lo to hi, both finite."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"sweep bounds must be finite, got {lo} and {hi}")
+    return np.linspace(lo, hi, _steps(ns))
+
+
 # --- tradeoff ----------------------------------------------------------------
 
 
@@ -80,7 +87,7 @@ def cmd_tradeoff(ns) -> tuple[list[dict], list[str]]:
         n = ns.n if ns.n is not None else (16.0 if model == "symkey-collision" else 21.0)
         gmin = ns.gamma_min if ns.gamma_min is not None else 0.0
         gmax = ns.gamma_max if ns.gamma_max is not None else n / 3.0
-        gammas = np.linspace(gmin, gmax, _steps(ns))
+        gammas = _sweep(gmin, gmax, ns)
         if model == "symkey-collision":
             table = symkey.collision_table(n, gammas, trials=ns.trials, seed=seed)
             cols = ["model", "n", "gamma", "l", "r",
@@ -95,14 +102,14 @@ def cmd_tradeoff(ns) -> tuple[list[dict], list[str]]:
         return rows, cols
 
     if model == "lower":
-        svals = np.linspace(ns.s_min, ns.s_max, _steps(ns))
+        svals = _sweep(ns.s_min, ns.s_max, ns)
         rows = [{"model": model, "s_rate": float(s),
                  "time_rate": exponents.lower_bound_rate(float(s)), "seed": seed}
                 for s in svals]
         return rows, ["model", "s_rate", "time_rate", "seed"]
 
     if model == "bkz":
-        ks = np.linspace(ns.k_min, ns.k_max, _steps(ns))
+        ks = _sweep(ns.k_min, ns.k_max, ns)
         rows = [{"model": model, "k": k, "enum_rate": enum,
                  "sieve_rate_noqram": noqram, "sieve_rate_fullqram": fullqram, "seed": seed}
                 for k, enum, noqram, fullqram in exponents.bkz_curves(ks)]
@@ -110,7 +117,7 @@ def cmd_tradeoff(ns) -> tuple[list[dict], list[str]]:
                       "sieve_rate_noqram", "sieve_rate_fullqram", "seed"]
 
     if model == "noqram":
-        taus = np.linspace(ns.t_min, ns.t_max, _steps(ns))
+        taus = _sweep(ns.t_min, ns.t_max, ns)
         rows = [{"model": model, "t_rate": p.t_rate, "alpha": p.alpha, "beta": p.beta,
                  "time_rate": p.time_rate, "seed": seed}
                 for p in exponents.noqram_curve(taus)]
@@ -124,9 +131,9 @@ def cmd_tradeoff(ns) -> tuple[list[dict], list[str]]:
     }.get(model, 1.0)
     gmin = ns.gamma_min if ns.gamma_min is not None else 1.0
     gmax = ns.gamma_max if ns.gamma_max is not None else gmax_default
-    if gmin < 1.0:
+    if not gmin >= 1.0:
         raise DomainError(f"gamma is a linear memory factor and starts at 1, got {gmin}")
-    gammas = np.linspace(gmin, gmax, _steps(ns))
+    gammas = _sweep(gmin, gmax, ns)
     pts = exponents.tradeoff_curve(model, (math.log2(float(g)) for g in gammas))
     rows = [
         {"model": model, "gamma": float(g), "gamma_rate": p.gamma_rate,

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, RangeError
 from .geometry import LIST_SIZE_RATE, cap_rate, t_rate
@@ -68,8 +67,8 @@ class TradeoffPoint:
 def _check_budget(model: str, gamma_rate: float) -> None:
     if model not in MODELS:
         raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
-    if gamma_rate < 0.0:
-        raise DomainError(f"gamma_rate must be >= 0, got {gamma_rate}")
+    if not gamma_rate >= 0.0 or math.isinf(gamma_rate):
+        raise DomainError(f"gamma_rate must be finite and >= 0, got {gamma_rate}")
     if model not in _GAMMA_MODELS and gamma_rate != 0.0:
         raise RangeError(
             f"model {model!r} takes no memory budget; gamma_rate must be 0", bound=0.0
@@ -305,6 +304,96 @@ def _nelder_mead_2d(
     return (v0[0], v0[1]), fun, nfev, nit
 
 
+# ---------------------------------------------------------------------------
+# Scalar port of scipy 1.17's minimize_scalar(method="bounded")
+# (_minimize_scalar_bounded): Brent's golden-section search with
+# parabolic steps on a closed interval, in the same float operations.
+
+_BR_MAXITER = 500
+
+
+def _sign_up(v: float) -> float:
+    """np.sign(v) + (v == 0): -1 below zero, +1 at or above it, NaN for NaN."""
+    return -1.0 if v < 0.0 else 1.0 if v >= 0.0 else v
+
+
+def _brent_bounded(
+    func: Callable[[float], float], lo: float, hi: float, xatol: float,
+    maxiter: int = _BR_MAXITER,
+) -> tuple[float, float, int]:
+    """Minimise func on [lo, hi] by scipy's bounded Brent method; returns
+    (x, fun, nfev) equal to scipy's res.x, fun and nfev.  maxiter caps
+    the calls, as scipy's option of that name does; scipy's status flag
+    is not reproduced."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # check for a parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            # is the parabola acceptable?
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign_up(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        # scipy takes np.maximum; max() agrees because rat is never NaN
+        # between finite bounds
+        x = xf + _sign_up(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf, fx, num
+
+
 def optimize(model: str, gamma_rate: float = 0.0) -> TradeoffPoint:
     """Minimise the running-time rate over (alpha, beta).
 
@@ -372,8 +461,8 @@ def closed_form_rate(model: str, gamma: float) -> float:
 def lower_bound_rate(s_rate: float) -> float:
     """Query lower bound for sieving with memory rate s_rate;
     max(0, 0.29248 - 2 s)."""
-    if s_rate < 0.0:
-        raise DomainError(f"s_rate must be >= 0, got {s_rate}")
+    if not s_rate >= 0.0 or math.isinf(s_rate):
+        raise DomainError(f"s_rate must be finite and >= 0, got {s_rate}")
     return max(0.0, 0.5 * math.log2(1.5) - 2.0 * s_rate)
 
 
@@ -412,7 +501,13 @@ def _noqram_branch(beta: float, c: float, tau: float, sign: float) -> float:
 
 
 def noqram_point(tau: float) -> NoQRAMPoint:
-    """Best (alpha, beta) for the noqram model at filter rate tau."""
+    """Best (alpha, beta) for the noqram model at filter rate tau.
+
+    On each branch of the tau constraint a 600-point grid in beta
+    brackets the minimum, and _brent_bounded, an in-package port of
+    scipy 1.17's bounded minimize_scalar that returns the same bits,
+    refines it to 1e-12.
+    """
     if not 0.0 <= tau <= N_RATE + 1e-12:
         raise DomainError(f"t_rate must lie in [0, {N_RATE:.6f}], got {tau}")
     if tau == 0.0:
@@ -421,19 +516,14 @@ def noqram_point(tau: float) -> NoQRAMPoint:
     c = 0.75 * (1.0 - 2.0 ** (-2.0 * tau))
     bmax = math.sqrt(4.0 * c / 3.0)
     best: tuple[float, float, float] | None = None
-    grid = np.linspace(1e-6, bmax - 1e-12, 600)
+    grid = np.linspace(1e-6, bmax - 1e-12, 600).tolist()
     for sign in (1.0, -1.0):
         vals = [_noqram_branch(b, c, tau, sign) for b in grid]
         k = int(np.argmin(vals))
         lo = grid[max(0, k - 1)]
         hi = grid[min(len(grid) - 1, k + 1)]
-        res = minimize_scalar(
-            lambda b: _noqram_branch(b, c, tau, sign),
-            bounds=(lo, hi),
-            method="bounded",
-            options=dict(xatol=1e-12),
-        )
-        cand = (float(res.fun), float(res.x), sign)
+        x, fun, _ = _brent_bounded(lambda b: _noqram_branch(b, c, tau, sign), lo, hi, 1e-12)
+        cand = (fun, x, sign)
         if best is None or cand[0] < best[0]:
             best = cand
     val, b, sign = best
@@ -459,8 +549,8 @@ def fit_noqram_curve(points: Sequence[NoQRAMPoint]) -> tuple[float, float]:
 
 def enum_rate(k: float) -> float:
     """Per-dimension enumeration exponent at block size k (k >= 70)."""
-    if k < 70:
-        raise DomainError(f"enum_rate needs k >= 70, got {k}")
+    if not k >= 70 or math.isinf(k):
+        raise DomainError(f"enum_rate needs a finite k >= 70, got {k}")
     return (k * math.log(k) / (8.0 * math.log(2.0)) - 0.547 * k + 10.4) / (2.0 * k)
 
 

@@ -19,9 +19,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betainc, betaincinv
 
+from ._quadpack import qagse
 from .errors import DomainError
 from .rng import make_rng
 
@@ -258,8 +258,11 @@ def wedge_volume_quad(d: int, alpha: float, beta: float, theta: float) -> float:
     So W = int_0^{acos alpha} sin^{d-2}(phi) C_{d-1}(h(phi)) dphi / B.
     The integrand vanishes where h >= 1, i.e. outside theta -+ acos
     beta, and the cross-section is the whole sphere where h <= -1,
-    i.e. below acos beta - theta; splitting there keeps quad on smooth
-    pieces (for d = 2 the cross-section is a step).
+    i.e. below acos beta - theta; splitting there keeps the quadrature
+    on smooth pieces (for d = 2 the cross-section is a step).  Each
+    piece runs _quadpack.qagse, a bit-exact port of the QUADPACK routine
+    behind scipy.integrate.quad, with epsabs 0, epsrel 1e-11 and at most
+    200 subintervals.
     """
     alpha, beta = _check_wedge("wedge_volume_quad", d, alpha, beta, theta)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -276,9 +279,7 @@ def wedge_volume_quad(d: int, alpha: float, beta: float, theta: float) -> float:
 
     full = b - theta  # below this angle the cross-section is all of S^{d-2}
     pieces = [(lo, full), (full, hi)] if lo < full < hi else [(lo, hi)]
-    total = sum(
-        quad(integrand, x, y, epsabs=0.0, epsrel=1e-11, limit=200)[0] for x, y in pieces
-    )
+    total = sum(qagse(integrand, x, y, 0.0, 1e-11, 200)[0] for x, y in pieces)
     return math.exp(log_norm) * total
 
 

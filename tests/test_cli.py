@@ -246,6 +246,24 @@ def test_invalid_input_exits_2(command):
     assert proc.stderr.startswith(b"error: ")
 
 
+# NaN or inf sweep bounds printed nan/inf rows with exit 0
+BAD_SWEEP_BOUNDS = [
+    "tradeoff --model t2 --steps 3 --gamma-min nan",
+    "tradeoff --model t2 --steps 3 --gamma-min inf",
+    "tradeoff --model t3 --steps 2 --gamma-max inf",
+    "tradeoff --model t5 --steps 2 --gamma-max nan",
+    "tradeoff --model lower --steps 3 --s-max nan",
+    "tradeoff --model lower --steps 2 --s-min inf",
+    "tradeoff --model bkz --steps 3 --k-min nan",
+    "tradeoff --model bkz --steps 2 --k-max inf",
+]
+
+
+@pytest.mark.parametrize("command", BAD_SWEEP_BOUNDS)
+def test_non_finite_sweep_bound_exits_2(command):
+    test_invalid_input_exits_2(command)
+
+
 def test_import_loads_cli():
     # code that looks sievelab.cli up in sys.modules after a plain
     # ``import sievelab`` (bench/tracer.py does) finds it there
@@ -303,3 +321,15 @@ def test_symkey_wrapper_rows(capsys):
     assert float(row["t"]) == 6.0
     assert main(["symkey", "--kind", "collision", "--n", "30"]) == 3  # guard
     capsys.readouterr()
+
+
+def test_import_loads_neither_scipy_optimize_nor_integrate():
+    # _quadpack and _brent_bounded replace the only two calls into them;
+    # scipy.sparse and scipy.special stay, and so does sievelab.cli
+    src = Path(sievelab.__file__).resolve().parent.parent
+    code = ("import sys, sievelab; "
+            "bad = [m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules]; "
+            "sys.exit(repr(bad) if bad or 'sievelab.cli' not in sys.modules else 0)")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from sievelab import exponents as E
 from sievelab.errors import DomainError, RangeError
@@ -478,3 +478,101 @@ _coef = st.floats(-2.0, 2.0, allow_nan=False)
 )
 def test_nelder_mead_matches_scipy_on_random_objectives(planes, q, x0):
     _assert_nelder_mead_matches(_max_of_affine_plus_quadratic(planes, q), x0)
+
+
+# --- _brent_bounded against scipy's minimize_scalar(method="bounded") ------
+
+
+def _scipy_bounded(f, lo, hi, **opts):
+    with np.errstate(invalid="ignore"):  # inf - inf in the parabola fit
+        res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-12, **opts})
+    return float(res.x), float(res.fun), res.nfev
+
+
+def _assert_brent_matches(f, lo, hi, **opts):
+    got = E._brent_bounded(f, lo, hi, 1e-12, **opts)
+    want = _scipy_bounded(f, lo, hi, **opts)
+    assert got[0] == want[0] and _same(got[1], want[1]) and got[2] == want[2], (got, want)
+    return got
+
+
+_TAUS = (0.001, 0.01, 0.05, 0.1, 0.15, 0.2, E.N_RATE)
+
+
+def _noqram_brackets():
+    """(branch, lo, hi) as noqram_point brackets each branch's grid argmin."""
+    out = []
+    for tau in _TAUS:
+        c = 0.75 * (1.0 - 2.0 ** (-2.0 * tau))
+        grid = np.linspace(1e-6, math.sqrt(4.0 * c / 3.0) - 1e-12, 600).tolist()
+        for sign in (1.0, -1.0):
+            def g(b, c=c, tau=tau, sign=sign):
+                return E._noqram_branch(b, c, tau, sign)
+            k = int(np.argmin([g(b) for b in grid]))
+            out.append((g, grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]))
+    return out
+
+
+@pytest.mark.parametrize("g, lo, hi", _noqram_brackets())
+def test_brent_matches_scipy_on_noqram_branches(g, lo, hi):
+    _assert_brent_matches(g, lo, hi)
+
+
+def _nan_above(x):
+    return (x - 0.3) ** 2 if x < 0.45 else math.nan
+
+
+@pytest.mark.parametrize("g, lo, hi", [
+    (lambda x: 2.0, 0.0, 1.0),  # flat: every comparison ties
+    (lambda x: (x - 0.4) ** 2, 0.25, 0.25),  # lo == hi: one call
+    (lambda x: x, 0.2, 0.7),  # minimum at the lower bound
+    (lambda x: -x * x, -0.3, 0.9),  # minimum at the upper bound
+    (lambda x: math.nan, 0.0, 1.0),  # NaN everywhere
+    (_nan_above, 0.0, 1.0),  # NaN on part of the interval
+    (lambda x: math.inf if x > 0.6 else abs(x - 0.55), 0.0, 1.0),  # an inf region
+], ids=["flat", "lo-eq-hi", "lower-bound", "upper-bound", "nan", "nan-part", "inf-part"])
+def test_brent_matches_scipy_on_awkward_functions(g, lo, hi):
+    _assert_brent_matches(g, lo, hi)
+
+
+@pytest.mark.parametrize("maxiter", [1, 2, 3, 6, 10])
+def test_brent_matches_scipy_under_a_maxiter_cap(maxiter):
+    got = _assert_brent_matches(lambda x: math.sin(40.0 * x) + 0.1 * x, 0.0, 1.0,
+                                maxiter=maxiter)
+    assert got[2] == max(2, maxiter)  # the first call always runs, then one per pass
+
+
+def _scipy_noqram_point(tau):
+    """noqram_point as it read with scipy's bounded minimize_scalar."""
+    c = 0.75 * (1.0 - 2.0 ** (-2.0 * tau))
+    grid = np.linspace(1e-6, math.sqrt(4.0 * c / 3.0) - 1e-12, 600)
+    best = None
+    for sign in (1.0, -1.0):
+        k = int(np.argmin([E._noqram_branch(b, c, tau, sign) for b in grid]))
+        res = minimize_scalar(lambda b: E._noqram_branch(b, c, tau, sign),
+                              bounds=(grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]),
+                              method="bounded", options=dict(xatol=1e-12))
+        cand = (float(res.fun), float(res.x), sign)
+        if best is None or cand[0] < best[0]:
+            best = cand
+    val, b, sign = best
+    a = (b + sign * math.sqrt(max(0.0, 4.0 * c - 3.0 * b * b))) / 2.0
+    return E.NoQRAMPoint(tau, a, b, val)
+
+
+@pytest.mark.parametrize("tau", _TAUS)
+def test_noqram_point_matches_the_scipy_version(tau):
+    assert E.noqram_point(tau) == _scipy_noqram_point(tau)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: E.optimize("t2", v),
+    lambda v: E.model_terms("t5", 0.5, 0.5, v),
+    E.lower_bound_rate,
+    E.enum_rate,
+], ids=["optimize", "model_terms", "lower_bound_rate", "enum_rate"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_rates_are_rejected(call, value):
+    with pytest.raises(DomainError):
+        call(value)

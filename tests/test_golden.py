@@ -67,6 +67,27 @@ GOLDEN_CURVES = [
 ]
 
 
+# the default sieve path, where t comes from wedge_volume_quad: the
+# README run, a d = 2 step cross-section, an obtuse theta whose interval
+# starts above 0, and two wedges whose interval splits where the
+# cross-section becomes the whole sphere (one of them a fas run); plus a
+# noqram curve from a small t
+GOLDEN_QUAD = [
+    ("8887be14da442e2c5e488a4dee3aeb1aa9013944c0da3038881f47c27b558eba",
+     "sieve --d 24 --n 4000 --seed 1"),
+    ("cc1172ff2153515d81ad8108204bca7f0dec189cd171b77a38e2dbcaa710a20d",
+     "sieve --d 2 --n 200 --seed 3"),
+    ("4d23f74ec059436d937a5679bba3395e8776e869922383836a95741e081c6225",
+     "sieve --d 16 --n 500 --seed 5 --theta 2.2 --alpha -0.3 --beta 0.6"),
+    ("7ba26e792d44e2e6633107e914b63e3a129ce00c9694abf2e25ea2649fc9f510",
+     "sieve --d 40 --n 300 --seed 6 --theta 1.3 --alpha 0.2 --beta 0.25 --method fas"),
+    ("41881120b1ab0693cb3dcf6b1d333c7d59c7795d7695048f1380ba3cfbc16ad7",
+     "sieve --d 6 --n 300 --seed 2 --theta 0.7 --alpha 0.9 --beta 0.6"),
+    ("ecabe72fa1f5dcf2bc21508c34c8b5db56505bd7a82d20f5152525c13bf36f7f",
+     "tradeoff --model noqram --steps 13 --t-min 0.01 --seed 9"),
+]
+
+
 def _golden_ids(rows):
     """Test ids: the subcommand, plus its --model or --experiment value
     after the first row of that subcommand (pytest numbers any repeats)."""
@@ -91,6 +112,13 @@ def test_golden_bytes(tmp_path, digest, command):
 @pytest.mark.parametrize("digest, command", GOLDEN_CURVES,
                          ids=["t2-gamma-min-1.02", "noqram-40", "t5-100"])
 def test_golden_curve_bytes(tmp_path, digest, command):
+    test_golden_bytes(tmp_path, digest, command)
+
+
+@pytest.mark.parametrize("digest, command", GOLDEN_QUAD,
+                         ids=["quad-readme", "quad-d2-step", "quad-obtuse", "quad-split-fas",
+                              "quad-split-d6", "noqram-t-min-0.01"])
+def test_golden_quad_bytes(tmp_path, digest, command):
     test_golden_bytes(tmp_path, digest, command)
 
 
