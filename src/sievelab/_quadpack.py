@@ -162,80 +162,78 @@ def _qelg(n: int, epstab: list, res3la: list, nres: int) -> tuple[int, float, fl
     abserr = _OFLOW
     result = epstab[n]
     if n >= 3:
-        n, result, abserr = _qelg_table(n, epstab, res3la, nres, result)
+        epstab[n + 2] = epstab[n]
+        newelm = (n - 1) // 2
+        epstab[n] = _OFLOW
+        num = n
+        k1 = n
+        converged = False
+        for i in range(1, newelm + 1):
+            k2 = k1 - 1
+            k3 = k1 - 2
+            res = epstab[k1 + 2]
+            e0 = epstab[k3]
+            e1 = epstab[k2]
+            e2 = res
+            e1abs = abs(e1)
+            delta2 = e2 - e1
+            err2 = abs(delta2)
+            tol2 = max(abs(e2), e1abs) * _EPMACH
+            delta3 = e1 - e0
+            err3 = abs(delta3)
+            tol3 = max(e1abs, abs(e0)) * _EPMACH
+            if err2 <= tol2 and err3 <= tol3:
+                # e0, e1 and e2 agree to machine accuracy: converged (go to 100)
+                result = res
+                abserr = err2 + err3
+                converged = True
+                break
+            e3 = epstab[k1]
+            epstab[k1] = e1
+            delta1 = e1 - e3
+            err1 = abs(delta1)
+            tol1 = max(e1abs, abs(e3)) * _EPMACH
+            # two close elements, or an irregular table: cut it at this row
+            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+                n = i + i - 1
+                break
+            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+            epsinf = abs(ss * e1)
+            if not epsinf > 0.1e-03:
+                n = i + i - 1
+                break
+            res = e1 + 1.0 / ss
+            epstab[k1] = res
+            k1 = k1 - 2
+            error = err2 + abs(res - e2) + err3
+            if error > abserr:
+                continue
+            abserr = error
+            result = res
+        if not converged:
+            # label 50: shift the table
+            if n == _LIMEXP:
+                n = 2 * (_LIMEXP // 2) - 1
+            ib = 2 if (num // 2) * 2 == num else 1
+            for _ in range(newelm + 1):
+                epstab[ib] = epstab[ib + 2]
+                ib += 2
+            if num != n:
+                indx = num - n + 1
+                for i in range(1, n + 1):
+                    epstab[i] = epstab[indx]
+                    indx += 1
+            if nres < 4:
+                res3la[nres] = result
+                abserr = _OFLOW
+            else:
+                abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
+                          + abs(result - res3la[1]))
+                res3la[1] = res3la[2]
+                res3la[2] = res3la[3]
+                res3la[3] = result
+    # label 100
     return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
-
-
-def _qelg_table(n: int, epstab: list, res3la: list, nres: int,
-                result: float) -> tuple[int, float, float]:
-    """dqelg from its third table entry on: (n, result, abserr) before
-    the final 5 eps |result| floor on abserr."""
-    abserr = _OFLOW
-    epstab[n + 2] = epstab[n]
-    newelm = (n - 1) // 2
-    epstab[n] = _OFLOW
-    num = n
-    k1 = n
-    for i in range(1, newelm + 1):
-        k2 = k1 - 1
-        k3 = k1 - 2
-        res = epstab[k1 + 2]
-        e0 = epstab[k3]
-        e1 = epstab[k2]
-        e2 = res
-        e1abs = abs(e1)
-        delta2 = e2 - e1
-        err2 = abs(delta2)
-        tol2 = max(abs(e2), e1abs) * _EPMACH
-        delta3 = e1 - e0
-        err3 = abs(delta3)
-        tol3 = max(e1abs, abs(e0)) * _EPMACH
-        if err2 <= tol2 and err3 <= tol3:
-            # e0, e1 and e2 agree to machine accuracy: converged
-            return n, res, err2 + err3
-        e3 = epstab[k1]
-        epstab[k1] = e1
-        delta1 = e1 - e3
-        err1 = abs(delta1)
-        tol1 = max(e1abs, abs(e3)) * _EPMACH
-        # two close elements, or an irregular table: cut it at this row
-        if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-            n = i + i - 1
-            break
-        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-        epsinf = abs(ss * e1)
-        if not epsinf > 0.1e-03:
-            n = i + i - 1
-            break
-        res = e1 + 1.0 / ss
-        epstab[k1] = res
-        k1 = k1 - 2
-        error = err2 + abs(res - e2) + err3
-        if error > abserr:
-            continue
-        abserr = error
-        result = res
-    # shift the table
-    if n == _LIMEXP:
-        n = 2 * (_LIMEXP // 2) - 1
-    ib = 2 if (num // 2) * 2 == num else 1
-    for _ in range(newelm + 1):
-        epstab[ib] = epstab[ib + 2]
-        ib += 2
-    if num != n:
-        indx = num - n + 1
-        for i in range(1, n + 1):
-            epstab[i] = epstab[indx]
-            indx += 1
-    if nres < 4:
-        res3la[nres] = result
-        abserr = _OFLOW
-    else:
-        abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
-        res3la[1] = res3la[2]
-        res3la[2] = res3la[3]
-        res3la[3] = result
-    return n, result, abserr
 
 
 def _ieee_div(x: float, y: float) -> float:

@@ -309,6 +309,7 @@ def _nelder_mead_2d(
 # (_minimize_scalar_bounded): Brent's golden-section search with
 # parabolic steps on a closed interval, in the same float operations.
 
+_BR_XATOL = 1e-12
 _BR_MAXITER = 500
 
 
@@ -318,13 +319,13 @@ def _sign_up(v: float) -> float:
 
 
 def _brent_bounded(
-    func: Callable[[float], float], lo: float, hi: float, xatol: float,
+    func: Callable[[float], float], lo: float, hi: float,
     maxiter: int = _BR_MAXITER,
 ) -> tuple[float, float, int]:
-    """Minimise func on [lo, hi] by scipy's bounded Brent method; returns
-    (x, fun, nfev) equal to scipy's res.x, fun and nfev.  maxiter caps
-    the calls, as scipy's option of that name does; scipy's status flag
-    is not reproduced."""
+    """Minimise func on [lo, hi] by scipy's bounded Brent method with
+    xatol = _BR_XATOL; returns (x, fun, nfev) equal to scipy's res.x,
+    fun and nfev.  maxiter caps the calls, as scipy's option of that
+    name does; scipy's status flag is not reproduced."""
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = lo, hi
@@ -336,7 +337,7 @@ def _brent_bounded(
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol1 = sqrt_eps * abs(xf) + _BR_XATOL / 3.0
     tol2 = 2.0 * tol1
     while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
         golden = True
@@ -387,7 +388,7 @@ def _brent_bounded(
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
         xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol1 = sqrt_eps * abs(xf) + _BR_XATOL / 3.0
         tol2 = 2.0 * tol1
         if num >= maxiter:
             break
@@ -522,7 +523,7 @@ def noqram_point(tau: float) -> NoQRAMPoint:
         k = int(np.argmin(vals))
         lo = grid[max(0, k - 1)]
         hi = grid[min(len(grid) - 1, k + 1)]
-        x, fun, _ = _brent_bounded(lambda b: _noqram_branch(b, c, tau, sign), lo, hi, 1e-12)
+        x, fun, _ = _brent_bounded(lambda b: _noqram_branch(b, c, tau, sign), lo, hi)
         cand = (fun, x, sign)
         if best is None or cand[0] < best[0]:
             best = cand

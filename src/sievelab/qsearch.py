@@ -111,13 +111,7 @@ def _bbht_two_class(
     S: int, k: int, rng: np.random.Generator, cap: int
 ) -> tuple[bool | None, int]:
     """bbht_search over a space summarized by (size, marked count);
-    returns (True on a verified hit, None on cap exhaustion).
-
-    The hit test is _qaa_success_prob(S, k, j) with its per-call work
-    (the k <= 0 and k >= S cases and theta) done once; the draws and
-    every float operation are the same."""
-    fixed = 0.0 if k <= 0 else 1.0 if k >= S else None
-    theta = 0.0 if fixed is not None else math.asin(math.sqrt(k / S))
+    returns (True on a verified hit, None on cap exhaustion)."""
     integers, random = rng.integers, rng.random
     m = 1.0
     m_max = math.sqrt(S)
@@ -129,7 +123,7 @@ def _bbht_two_class(
             evals = cap  # truncated attempt burns the remaining budget
             break
         evals += cost
-        if random() < (fixed if fixed is not None else math.sin((2 * j + 1) * theta) ** 2):
+        if random() < _qaa_success_prob(S, k, j):
             return True, evals
         # measured an unmarked element; grow the iteration range
         m = min(m * 1.2, m_max)

@@ -486,12 +486,12 @@ def test_nelder_mead_matches_scipy_on_random_objectives(planes, q, x0):
 def _scipy_bounded(f, lo, hi, **opts):
     with np.errstate(invalid="ignore"):  # inf - inf in the parabola fit
         res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12, **opts})
+                              options={"xatol": E._BR_XATOL, **opts})
     return float(res.x), float(res.fun), res.nfev
 
 
 def _assert_brent_matches(f, lo, hi, **opts):
-    got = E._brent_bounded(f, lo, hi, 1e-12, **opts)
+    got = E._brent_bounded(f, lo, hi, **opts)
     want = _scipy_bounded(f, lo, hi, **opts)
     assert got[0] == want[0] and _same(got[1], want[1]) and got[2] == want[2], (got, want)
     return got

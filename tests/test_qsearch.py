@@ -87,32 +87,6 @@ def test_bbht_returns_only_marked():
             assert found % 7 == 3
 
 
-def _bbht_two_class_reference(S, k, rng, cap):
-    """_bbht_two_class as a plain loop over _qaa_success_prob."""
-    m, m_max, evals = 1.0, math.sqrt(S), 0
-    while evals < cap:
-        j = int(rng.integers(0, math.ceil(m)))
-        cost = max(1, j)
-        if evals + cost > cap:
-            return None, cap
-        evals += cost
-        if rng.random() < Q._qaa_success_prob(S, k, j):
-            return True, evals
-        m = min(m * 1.2, m_max)
-    return None, evals
-
-
-@pytest.mark.parametrize("S, k", [(1, 0), (1, 1), (4, 0), (4, 1), (4, 4), (4, 7), (16, 3),
-                                  (64, 1), (256, 5), (1000, 999)])
-def test_bbht_two_class_matches_the_reference_loop(S, k):
-    # same outcome, same evaluations and the same generator state after
-    for seed in range(40):
-        cap = 3 + seed % 11
-        rng, ref = make_rng(seed), make_rng(seed)
-        assert Q._bbht_two_class(S, k, rng, cap) == _bbht_two_class_reference(S, k, ref, cap)
-        assert rng.random() == ref.random()
-
-
 # --- blocked search ----------------------------------------------------------
 
 
