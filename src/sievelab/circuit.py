@@ -42,12 +42,11 @@ PIPELINE_COIN_GUARD = 2**14
 @dataclass(frozen=True, eq=False)
 class ComparatorCircuit:
     chains: tuple[np.ndarray, ...]  # bucket contents, insertion order
-    mux_arity: int
     d: int
 
     @property
     def t(self) -> int:
-        return self.mux_arity
+        return len(self.chains)
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ def build_circuit(buckets: Sequence[np.ndarray], d: int | None = None) -> Compar
     if d is None:
         raise DomainError("all buckets empty; pass d explicitly")
     fixed = tuple(np.empty((0, d)) if c is None else c for c in chains)
-    return ComparatorCircuit(fixed, len(fixed), d)
+    return ComparatorCircuit(fixed, d)
 
 
 def circuit_eval_index(circuit: ComparatorCircuit, i: int, w: np.ndarray) -> int | None:
@@ -216,8 +215,8 @@ def pipeline_step(
     Buckets the whole list at beta and hardcodes it into a circuit.
     Per query vector w, the qualifying-filter tree at alpha defines the
     coin space; the reported candidate is the reducing pair of smallest
-    distance over all coins (exhaustive mode) or the one min_find lands
-    on (minfind mode, simulated on the materialized value list).  A
+    distance over all coins (exhaustive mode) or the one min_find_with_cost
+    lands on (minfind mode, simulated on the materialized value list).  A
     pair qualifies when 0 < ||w - u|| <= shrink_factor * radius.
     """
     if instance.mode != "norm":

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage or parameter error, 3 size guard,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -51,12 +52,13 @@ def render_json(config: dict, rows) -> str:
     return json.dumps({"config": config, "results": rows}, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(ns: argparse.Namespace, rows: list[dict], columns: list[str]) -> None:
+def _emit(ns: argparse.Namespace, rows: list[dict]) -> None:
     config = {k: v for k, v in vars(ns).items() if k not in ("out", "func")}
     if ns.format == "json":
         text = render_json(config, rows)
     else:
-        text = render_csv(rows, columns)
+        # the header is the first row's keys; only an empty sieve has no row
+        text = render_csv(rows, list(rows[0]) if rows else _SIEVE_COLS)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -80,7 +82,7 @@ def _sweep(lo: float, hi: float, ns) -> np.ndarray:
 # --- tradeoff ----------------------------------------------------------------
 
 
-def cmd_tradeoff(ns) -> tuple[list[dict], list[str]]:
+def cmd_tradeoff(ns) -> list[dict]:
     model, seed = ns.model, ns.seed
 
     if model in ("symkey-collision", "symkey-mtps"):
@@ -90,38 +92,29 @@ def cmd_tradeoff(ns) -> tuple[list[dict], list[str]]:
         gammas = _sweep(gmin, gmax, ns)
         if model == "symkey-collision":
             table = symkey.collision_table(n, gammas, trials=ns.trials, seed=seed)
-            cols = ["model", "n", "gamma", "l", "r",
-                    "T_bits_formula", "T_bits_emulated", "mem_bits", "seed"]
         else:
             t = ns.t if ns.t is not None else n
             table = symkey.mtps_table(n, t, gammas, trials=ns.trials, seed=seed)
-            cols = ["model", "n", "t", "gamma", "l", "r",
-                    "T_bits_formula", "T_bits_emulated", "mem_bits", "seed"]
-        rows = [{"model": model, **{k: float(v) for k, v in r.items()}, "seed": seed}
+        return [{"model": model, **{k: float(v) for k, v in r.items()}, "seed": seed}
                 for r in table]
-        return rows, cols
 
     if model == "lower":
         svals = _sweep(ns.s_min, ns.s_max, ns)
-        rows = [{"model": model, "s_rate": float(s),
+        return [{"model": model, "s_rate": float(s),
                  "time_rate": exponents.lower_bound_rate(float(s)), "seed": seed}
                 for s in svals]
-        return rows, ["model", "s_rate", "time_rate", "seed"]
 
     if model == "bkz":
         ks = _sweep(ns.k_min, ns.k_max, ns)
-        rows = [{"model": model, "k": k, "enum_rate": enum,
+        return [{"model": model, "k": k, "enum_rate": enum,
                  "sieve_rate_noqram": noqram, "sieve_rate_fullqram": fullqram, "seed": seed}
                 for k, enum, noqram, fullqram in exponents.bkz_curves(ks)]
-        return rows, ["model", "k", "enum_rate",
-                      "sieve_rate_noqram", "sieve_rate_fullqram", "seed"]
 
     if model == "noqram":
         taus = _sweep(ns.t_min, ns.t_max, ns)
-        rows = [{"model": model, "t_rate": p.t_rate, "alpha": p.alpha, "beta": p.beta,
+        return [{"model": model, "t_rate": p.t_rate, "alpha": p.alpha, "beta": p.beta,
                  "time_rate": p.time_rate, "seed": seed}
                 for p in exponents.noqram_curve(taus)]
-        return rows, ["model", "t_rate", "alpha", "beta", "time_rate", "seed"]
 
     # remaining models sweep the linear memory parameter gamma >= 1
     gmax_default = {
@@ -135,18 +128,17 @@ def cmd_tradeoff(ns) -> tuple[list[dict], list[str]]:
         raise DomainError(f"gamma is a linear memory factor and starts at 1, got {gmin}")
     gammas = _sweep(gmin, gmax, ns)
     pts = exponents.tradeoff_curve(model, (math.log2(float(g)) for g in gammas))
-    rows = [
+    return [
         {"model": model, "gamma": float(g), "gamma_rate": p.gamma_rate,
          "alpha": p.alpha, "beta": p.beta, "t_rate": p.t_rate,
          "time_rate": p.time_rate, "qram_rate": p.qram_rate, "seed": seed}
         for g, p in zip(gammas, pts)
     ]
-    return rows, ["model", "gamma", "gamma_rate", "alpha", "beta",
-                  "t_rate", "time_rate", "qram_rate", "seed"]
 
 
 # --- sieve -------------------------------------------------------------------
 
+# the CSV header of a run with --n 0, which has no row to take it from
 _SIEVE_COLS = [
     "d", "n", "method", "theta", "alpha", "beta", "t", "wedge_estimate",
     "pairs_found", "pairs_brute", "recall",
@@ -156,7 +148,7 @@ _SIEVE_COLS = [
 ]
 
 
-def cmd_sieve(ns) -> tuple[list[dict], list[str]]:
+def cmd_sieve(ns) -> list[dict]:
     if ns.n < 0:
         raise DomainError(f"--n must be >= 0, got {ns.n}")
     if ns.d > SIEVE_D_GUARD:
@@ -164,7 +156,7 @@ def cmd_sieve(ns) -> tuple[list[dict], list[str]]:
     if ns.n > SIEVE_N_GUARD:
         raise GuardError(f"n={ns.n} exceeds the list-size guard {SIEVE_N_GUARD}")
     if ns.n == 0:
-        return [], _SIEVE_COLS
+        return []
 
     theta = ns.theta
     alpha = ns.alpha if ns.alpha is not None else math.cos(theta)
@@ -212,7 +204,7 @@ def cmd_sieve(ns) -> tuple[list[dict], list[str]]:
         "ratio_inner_products": ledger.inner_product_queries / expected.inner_products,
         "seed": ns.seed,
     }
-    return [row], _SIEVE_COLS
+    return [row]
 
 
 # --- qsearch -----------------------------------------------------------------
@@ -228,7 +220,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def cmd_qsearch(ns) -> tuple[list[dict], list[str]]:
+def cmd_qsearch(ns) -> list[dict]:
     if ns.trials < 1:
         raise DomainError(f"--trials must be >= 1, got {ns.trials}")
 
@@ -237,14 +229,8 @@ def cmd_qsearch(ns) -> tuple[list[dict], list[str]]:
         # about six marks; blocked_search_scaling refuses M < 1 and p outside (0, 1]
         p = ns.p if ns.p is not None else min(1.0, 6.0 / max(ns.M, 1))
         scaling = qsearch.blocked_search_scaling(ns.M, s_values, p, ns.trials, ns.seed)
-        rows = [
-            {"experiment": "blocked", "M": r.M, "S": r.S, "p": r.p, "trials": r.trials,
-             "mean_evals": r.mean_evals, "success_rate": r.success_rate,
-             "mean_reloads": r.mean_reloads, "seed": ns.seed}
-            for r in scaling
-        ]
-        return rows, ["experiment", "M", "S", "p", "trials",
-                      "mean_evals", "success_rate", "mean_reloads", "seed"]
+        return [{"experiment": "blocked", **dataclasses.asdict(r), "seed": ns.seed}
+                for r in scaling]
 
     if ns.experiment == "pair":
         rows = []
@@ -262,8 +248,7 @@ def cmd_qsearch(ns) -> tuple[list[dict], list[str]]:
                  "mean_solutions": float(np.mean(counts)),
                  "min_solutions": int(min(counts)), "seed": ns.seed}
             )
-        return rows, ["experiment", "M1", "M2", "K", "S", "trials",
-                      "mean_evals", "mean_solutions", "min_solutions", "seed"]
+        return rows
 
     # minfind
     if ns.size < 1:
@@ -277,13 +262,13 @@ def cmd_qsearch(ns) -> tuple[list[dict], list[str]]:
     row = {"experiment": "minfind", "size": ns.size, "trials": ns.trials,
            "success_rate": hits / ns.trials, "mean_evals": float(np.mean(evals)),
            "seed": ns.seed}
-    return [row], ["experiment", "size", "trials", "success_rate", "mean_evals", "seed"]
+    return [row]
 
 
 # --- circuit -----------------------------------------------------------------
 
 
-def cmd_circuit(ns) -> tuple[list[dict], list[str]]:
+def cmd_circuit(ns) -> list[dict]:
     sizes = _parse_int_list(ns.buckets, "--buckets")
     if any(k < 0 for k in sizes):
         raise DomainError("bucket sizes must be nonnegative")
@@ -296,13 +281,13 @@ def cmd_circuit(ns) -> tuple[list[dict], list[str]]:
         "d": ns.d, "t": report["t"], "depth": report["depth"],
         "size": report["size"], "width": report["width"], "seed": ns.seed,
     }
-    return [row], ["buckets", "d", "t", "depth", "size", "width", "seed"]
+    return [row]
 
 
 # --- geom --------------------------------------------------------------------
 
 
-def cmd_geom(ns) -> tuple[list[dict], list[str]]:
+def cmd_geom(ns) -> list[dict]:
     use_mc = ns.mc or (ns.wedge and not ns.exact)
     beta = ns.beta if ns.beta is not None else ns.alpha
     if ns.cap:
@@ -325,14 +310,13 @@ def cmd_geom(ns) -> tuple[list[dict], list[str]]:
         "samples": samples, "value": value, "stderr": stderr,
         "rate": rate, "seed": ns.seed,
     }
-    return [row], ["shape", "d", "alpha", "beta", "theta",
-                   "samples", "value", "stderr", "rate", "seed"]
+    return [row]
 
 
 # --- symkey ------------------------------------------------------------------
 
 
-def cmd_symkey(ns) -> tuple[list[dict], list[str]]:
+def cmd_symkey(ns) -> list[dict]:
     if ns.kind == "collision":
         opt = exponents.collision_optimize(ns.n, ns.gamma)
         l = ns.l if ns.l is not None else opt.l
@@ -358,8 +342,7 @@ def cmd_symkey(ns) -> tuple[list[dict], list[str]]:
         "T_bits_emulated": math.log2(queries), "mem_bits": mem,
         "queries": queries, "seed": ns.seed,
     }
-    return [row], ["kind", "n", "t", "gamma", "l", "r",
-                   "T_bits_formula", "T_bits_emulated", "mem_bits", "queries", "seed"]
+    return [row]
 
 
 # --- parser ------------------------------------------------------------------
@@ -461,8 +444,7 @@ def main(argv=None) -> int:
     if ns.format is None:
         ns.format = "json" if ns.subcommand == "sieve" else "csv"
     try:
-        rows, columns = ns.func(ns)
-        _emit(ns, rows, columns)
+        _emit(ns, ns.func(ns))
     except (DomainError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

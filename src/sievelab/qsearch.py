@@ -12,13 +12,19 @@ Accounting convention: a QAA attempt with j Grover iterations costs
 max(1, j) oracle evaluations; the classical check of the measured
 candidate is folded into the final iteration (a bare j=0 measurement
 costs the one evaluation the check spends).
+
+One BBHT loop serves every search: bbht_search takes the search space
+as a flag vector, runs on its size and marked count alone and names a
+marked index only on a hit.  The QRAM ledger counts one reload per
+block (or block pair) loaded.  A window of S = 1 is the classical scan,
+worked out in closed form from the first mark.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,7 +50,6 @@ class SearchReport:
     found: int | None
     oracle_evals: int
     qram_reloads: int
-    blocks_visited: int
     success: bool
     solutions: frozenset[tuple[int, int]] | None = None
 
@@ -86,25 +91,28 @@ def _qaa_success_prob(S: int, k: int, j: int) -> float:
 
 
 def bbht_search(
-    S: int,
-    is_marked: Callable[[int], bool],
-    rng: np.random.Generator,
-    cap: int | None = None,
+    flags: np.ndarray, rng: np.random.Generator, cap: int | None = None
 ) -> tuple[int | None, int]:
-    """Search an S-element space with an unknown number of solutions.
+    """Search a flags.size-element space whose solutions, of unknown
+    number, are the indices where flags is True.
 
     Schedule: attempt sizes m grow by 6/5 per failure from m=1, each
     attempt runs j ~ Uniform[0, ceil(m)) Grover iterations and measures.
     Stops at the first verified solution or when the evaluation cap
-    (default ceil(9 sqrt(S))) is exhausted; returns (index or None,
-    oracle evaluations spent).
+    (default ceil(9 sqrt(flags.size))) is exhausted; returns (index or None,
+    oracle evaluations spent).  A hit names one marked index, drawn
+    uniformly.
     """
-    if S < 1:
-        raise DomainError(f"bbht_search needs S >= 1, got {S}")
+    flags = np.asarray(flags, dtype=bool)
+    if flags.ndim != 1 or flags.size < 1:
+        raise DomainError(f"bbht_search needs a nonempty flag vector, got shape {flags.shape}")
     if cap is None:
-        cap = math.ceil(BBHT_CAP_FACTOR * math.sqrt(S))
-    flags = np.fromiter((bool(is_marked(i)) for i in range(S)), dtype=bool, count=S)
-    return _bbht_flags(flags, rng, cap)
+        cap = math.ceil(BBHT_CAP_FACTOR * math.sqrt(flags.size))
+    k = int(np.count_nonzero(flags))
+    hit, evals = _bbht_two_class(flags.size, k, rng, cap)
+    if hit is None:
+        return None, evals
+    return int(np.flatnonzero(flags)[rng.integers(0, k)]), evals
 
 
 def _bbht_two_class(
@@ -130,18 +138,6 @@ def _bbht_two_class(
     return None, evals
 
 
-def _bbht_flags(
-    flags: np.ndarray, rng: np.random.Generator, cap: int
-) -> tuple[int | None, int]:
-    """_bbht_two_class on an explicit flag vector; a hit then names one
-    marked index, drawn uniformly."""
-    k = int(np.count_nonzero(flags))
-    hit, evals = _bbht_two_class(flags.size, k, rng, cap)
-    if hit is None:
-        return None, evals
-    return int(np.flatnonzero(flags)[rng.integers(0, k)]), evals
-
-
 def blocked_search(
     M: int, f: Sequence[bool] | np.ndarray, S: int, seed: int
 ) -> SearchReport:
@@ -150,37 +146,32 @@ def blocked_search(
     Scans blocks in index order; each block is loaded once (one QRAM
     reload), searched with an evaluation cap of ceil(3 sqrt(S)), and the
     whole search halts at the first verified solution.  S=1 degenerates
-    to the classical scan at one evaluation per element.
+    to the classical scan: one reload and one evaluation per element up
+    to the first mark, so it spends no random draws.
     """
     flags = np.asarray(f, dtype=bool)
     if flags.shape != (M,):
         raise DomainError(f"f must have length M={M}")
     if S < 1:
         raise DomainError(f"blocked_search needs S >= 1, got {S}")
-    rng = make_rng(seed)
-    evals = 0
-    reloads = 0
-    blocks = 0
     if S == 1:
-        for i in range(M):
-            reloads += 1
-            blocks += 1
-            evals += 1
-            if flags[i]:
-                return SearchReport(i, evals, reloads, blocks, True)
-        return SearchReport(None, evals, reloads, blocks, False)
+        marks = np.flatnonzero(flags)
+        if marks.size:
+            i = int(marks[0])
+            return SearchReport(i, i + 1, i + 1, True)
+        return SearchReport(None, M, M, False)
+    rng = make_rng(seed)
     cap = math.ceil(BLOCK_CAP_FACTOR * math.sqrt(S))
-    for start in range(0, M, S):
-        block = flags[start : start + S]
-        if block.size < S:  # pad the ragged tail with unmarked dummies
-            block = np.concatenate([block, np.zeros(S - block.size, dtype=bool)])
-        reloads += 1
-        blocks += 1
-        local, spent = _bbht_flags(block, rng, cap)
+    # the ragged tail is padded with unmarked dummies, so a hit is always < M
+    blocks = np.zeros((-(-M // S), S), dtype=bool)
+    blocks.flat[:M] = flags
+    evals = 0
+    for b, block in enumerate(blocks):
+        local, spent = bbht_search(block, rng, cap)
         evals += spent
-        if local is not None and start + local < M:
-            return SearchReport(start + local, evals, reloads, blocks, True)
-    return SearchReport(None, evals, reloads, blocks, False)
+        if local is not None:
+            return SearchReport(b * S + local, evals, b + 1, True)
+    return SearchReport(None, evals, len(blocks), False)
 
 
 def blocked_pair_search(
@@ -190,12 +181,12 @@ def blocked_pair_search(
     QRAM windows.
 
     Plants K_planted distinct pairs uniformly, then visits every block
-    pair (X_i, Y_j).  Dense regime (S^2 >= M1 M2 / K): repeated searches
-    with already-found pairs excluded, spending a budget of
-    ceil(1.7 S sqrt(E)) evaluations where E = K S^2/(M1 M2) is the
-    expected solution count per block pair.  Sparse regime: a single
-    amplitude-amplification probe sized for one solution.  Every found
-    pair is verified and recorded once.
+    pair (X_i, Y_j), one QRAM reload each.  Dense regime
+    (S^2 >= M1 M2 / K): repeated searches with already-found pairs
+    excluded, spending a budget of ceil(1.7 S sqrt(E)) evaluations where
+    E = K S^2/(M1 M2) is the expected solution count per block pair.
+    Sparse regime: a single amplitude-amplification probe sized for one
+    solution.  Every found pair is verified and recorded once.
     """
     if min(M1, M2) < 1 or S < 1:
         raise DomainError("blocked_pair_search needs M1, M2, S >= 1")
@@ -215,16 +206,14 @@ def blocked_pair_search(
     )
     found: set[tuple[int, int]] = set()
     evals = 0
-    reloads = 0
-    blocks = 0
     for i0 in range(0, M1, S):
         rows = range(i0, min(i0 + S, M1))
         for j0 in range(0, M2, S):
             cols = range(j0, min(j0 + S, M2))
-            reloads += 1
-            blocks += 1
             space = S * S  # padded block pair
-            live = [p for p in planted if p[0] in rows and p[1] in cols and p not in found]
+            # each planted pair lies in exactly one block pair, so none is found yet;
+            # with k = 0 the success probability is 0 and no pick can happen
+            live = [p for p in planted if p[0] in rows and p[1] in cols]
             if dense:
                 remaining = budget
                 while remaining > 0:
@@ -232,60 +221,48 @@ def blocked_pair_search(
                     sub, spent = _bbht_two_class(space, k, rng, remaining)
                     remaining -= spent
                     evals += spent
-                    if sub is not None and k > 0:
-                        pick = live.pop(int(rng.integers(0, k)))
-                        found.add(pick)
+                    if sub is not None:
+                        found.add(live.pop(int(rng.integers(0, k))))
             else:
                 theta = math.asin(1.0 / S)  # sized for a unique solution
                 n_it = qaa_iterations(theta)
                 evals += max(1, n_it)
                 k = len(live)
-                if rng.random() < _qaa_success_prob(space, k, n_it) and k > 0:
-                    pick = live.pop(int(rng.integers(0, k)))
-                    found.add(pick)
+                if rng.random() < _qaa_success_prob(space, k, n_it):
+                    found.add(live.pop(int(rng.integers(0, k))))
+    reloads = -(-M1 // S) * -(-M2 // S)
     return SearchReport(
-        None, evals, reloads, blocks, len(found) >= max(1, K_planted) // 4,
+        None, evals, reloads, len(found) >= max(1, K_planted) // 4,
         solutions=frozenset(found),
     )
 
 
-def min_find(values: Sequence[float], seed: int) -> int:
-    """Index of the minimum by quantum threshold descent.
+def min_find_with_cost(values: Sequence[float], seed: int) -> tuple[int, int]:
+    """Index of the minimum by quantum threshold descent, and the oracle
+    evaluations spent.
 
     Starts at index 0, repeatedly searches for a strictly smaller
     element and moves the threshold there; total evaluation budget
-    ceil(8 sqrt(N)).  Single-run success is probabilistic (better than
-    even); ties resolve to the earliest index reached.
+    ceil(8 sqrt(N)), never exceeded.  Single-run success is
+    probabilistic (better than even); ties resolve to the earliest index
+    reached.
     """
-    return min_find_with_cost(values, seed)[0]
-
-
-def min_find_with_cost(values: Sequence[float], seed: int) -> tuple[int, int]:
-    """min_find plus the oracle evaluations it spent (<= its budget)."""
     vals = np.asarray(values, dtype=float)
     n = vals.size
     if n == 0:
-        raise DomainError("min_find needs a nonempty list")
+        raise DomainError("min_find_with_cost needs a nonempty list")
     rng = make_rng(seed)
     budget = math.ceil(MINFIND_BUDGET_FACTOR * math.sqrt(n))
     spent_total = 0
     best = 0
     default_cap = math.ceil(BBHT_CAP_FACTOR * math.sqrt(n))
     while spent_total < budget:
-        flags = vals < vals[best]
-        idx, spent = _bbht_flags(flags, rng, min(budget - spent_total, default_cap))
+        idx, spent = bbht_search(vals < vals[best], rng, min(budget - spent_total, default_cap))
         spent_total += spent
         if idx is None:
             break
         best = idx
     return best, spent_total
-
-
-def min_find_boosted(values: Sequence[float], seed: int, runs: int = 3) -> int:
-    """Best result of independent min_find runs under derived seeds."""
-    vals = np.asarray(values, dtype=float)
-    candidates = [min_find(vals, derive_seed(seed, r)) for r in range(runs)]
-    return min(candidates, key=lambda i: (vals[i], i))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import numpy as np
 
 from .binfile import BinaryReader
 from .errors import DomainError
+from .geometry import sample_sphere
 from .rng import make_rng
 
 # levels per block in the sampling tree; epsilon = 2 sqrt(B) / grid_size
@@ -106,13 +107,9 @@ def build_family(
     _check_counts(kind, d, t=t, m=m, B=B)
     rng = make_rng(seed)
     if kind == "explicit":
-        from .geometry import sample_sphere
-
         centers = sample_sphere(d, rng, size=t)
         return FilterFamily(kind, d, t, seed, centers=centers)
     if kind == "rpc":
-        from .geometry import sample_sphere
-
         scale = 1.0 / math.sqrt(B)
         blocks = tuple(
             sample_sphere(d // B, rng, size=m) * scale for _ in range(B)

@@ -27,7 +27,7 @@ from scipy import sparse
 
 from .binfile import BinaryReader
 from .errors import DomainError, GuardError
-from .geometry import cap_volume_exact
+from .geometry import cap_volume_exact, sample_sphere
 from .rng import make_rng
 from .rpc import FilterFamily, check_queries, relevant_filters
 
@@ -103,8 +103,6 @@ def random_instance(
     shrink_factor: float = 1.0,
 ) -> SieveInstance:
     """n uniform sphere points, scaled to the radius in norm mode."""
-    from .geometry import sample_sphere
-
     pts = sample_sphere(d, make_rng(seed), size=n)
     if mode == "norm":
         pts = pts * radius

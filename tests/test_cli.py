@@ -177,6 +177,12 @@ def test_sieve_input_errors_exit_2(capsys):
 def test_sieve_empty_and_guards(capsys):
     assert main(["sieve", "--d", "24", "--n", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["results"] == []
+    # the empty CSV is the header alone, the same one a run with rows prints
+    assert main(["sieve", "--d", "24", "--n", "0", "--format", "csv"]) == 0
+    empty = capsys.readouterr().out
+    assert main(["sieve", "--d", "12", "--n", "20", "--t", "40", "--format", "csv"]) == 0
+    assert empty.count("\n") == 1
+    assert capsys.readouterr().out.startswith(empty)
     assert main(["sieve", "--d", "100", "--n", "10"]) == 3
     assert main(["sieve", "--d", "24", "--n", "200000"]) == 3
     capsys.readouterr()

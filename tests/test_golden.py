@@ -52,6 +52,9 @@ GOLDEN = [
      "qsearch --experiment pair --M1 32 --M2 32 --K 8 --S 16,4 --trials 20 --seed 7"),
     ("86eecd061d4a1cab5be03ec6ab09b8c6f2dc01c6544bab995f9af0f9842de957",
      "qsearch --experiment minfind --size 64 --trials 30 --seed 7"),
+    # S = 1 next to windows that leave a ragged tail (10 = 3·3 + 1 = 2·4 + 2 = 7 + 3)
+    ("b98553bc341092642fe8316590e8fb1eb7aee15e864cf1c76d9d20292279f14e",
+     "qsearch --experiment blocked --M 10 --S 1,3,4,7 --trials 50 --seed 3"),
 ]
 
 

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sievelab import qsearch as Q
 from sievelab.errors import DomainError
@@ -57,23 +59,28 @@ def test_qaa_run_edge_cases():
 
 
 def test_bbht_all_marked_is_immediate():
-    found, evals = Q.bbht_search(32, lambda i: True, make_rng(1))
+    found, evals = Q.bbht_search(np.ones(32, bool), make_rng(1))
     assert found is not None
     assert evals <= 2
 
 
 def test_bbht_no_marked_caps_out():
     cap = math.ceil(9 * math.sqrt(64))
-    found, evals = Q.bbht_search(64, lambda i: False, make_rng(2))
+    found, evals = Q.bbht_search(np.zeros(64, bool), make_rng(2))
     assert found is None
     assert evals <= cap
+
+
+def test_bbht_rejects_an_empty_space():
+    with pytest.raises(DomainError):
+        Q.bbht_search(np.zeros(0, bool), make_rng(2))
 
 
 def test_bbht_single_solution_statistics():
     hits = 0
     costs = []
     for t in range(500):
-        found, evals = Q.bbht_search(64, lambda i: i == 17, make_rng(DEFAULT_SEED, t))
+        found, evals = Q.bbht_search(np.arange(64) == 17, make_rng(DEFAULT_SEED, t))
         hits += found == 17
         costs.append(evals)
     assert hits / 500 >= 0.95
@@ -82,7 +89,7 @@ def test_bbht_single_solution_statistics():
 
 def test_bbht_returns_only_marked():
     for t in range(50):
-        found, _ = Q.bbht_search(33, lambda i: i % 7 == 3, make_rng(3, t))
+        found, _ = Q.bbht_search(np.arange(33) % 7 == 3, make_rng(3, t))
         if found is not None:
             assert found % 7 == 3
 
@@ -97,7 +104,6 @@ def test_blocked_search_s1_is_classical_scan():
     assert rep.success and rep.found == 37
     assert rep.oracle_evals == 38  # one evaluation per scanned element
     assert rep.qram_reloads == 38
-    assert rep.blocks_visited == 38
 
 
 def test_blocked_search_s1_no_solution():
@@ -126,7 +132,6 @@ def test_blocked_search_verifies_and_counts():
     rep = Q.blocked_search(64, flags, 16, seed=5)
     assert rep.success and flags[rep.found]
     assert rep.qram_reloads <= math.ceil(64 / 16)
-    assert rep.blocks_visited == rep.qram_reloads
     assert rep.oracle_evals >= 1
 
 
@@ -146,6 +151,37 @@ def test_blocked_search_no_solution_burns_caps():
     cap = math.ceil(3 * math.sqrt(S))
     assert rep.oracle_evals <= (M // S) * cap
     assert rep.qram_reloads == M // S
+
+
+def _reference_scan(flags):
+    """The S = 1 classical scan, one element at a time."""
+    for i, marked in enumerate(flags):
+        if marked:
+            return Q.SearchReport(i, i + 1, i + 1, True)
+    return Q.SearchReport(None, len(flags), len(flags), False)
+
+
+@given(
+    MS=st.integers(1, 64).flatmap(lambda M: st.tuples(st.just(M), st.integers(1, M))),
+    p=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**32),
+)
+def test_blocked_search_ledger_invariants(MS, p, seed):
+    M, S = MS
+    flags = make_rng(seed).random(M) < p  # may hold no mark at all
+    rep = Q.blocked_search(M, flags, S, seed)
+    blocks = math.ceil(M / S)
+    assert rep.qram_reloads <= blocks
+    if S == 1:
+        assert rep.oracle_evals <= M
+        assert rep == _reference_scan(flags)
+    else:
+        assert rep.oracle_evals <= rep.qram_reloads * math.ceil(3 * math.sqrt(S))
+    assert rep.success == (rep.found is not None)
+    if rep.found is None:
+        assert rep.qram_reloads == blocks  # a miss loads every block
+    else:
+        assert flags[rep.found]
 
 
 def test_blocked_search_deterministic():
@@ -238,26 +274,24 @@ def test_pair_search_deterministic():
 
 
 def test_min_find_constant_list():
-    assert Q.min_find(np.ones(50), seed=1) == 0
+    assert Q.min_find_with_cost(np.ones(50), seed=1)[0] == 0
 
 
 def test_min_find_sorted_list():
-    assert Q.min_find(np.arange(17.0), seed=1) == 0
+    assert Q.min_find_with_cost(np.arange(17.0), seed=1)[0] == 0
 
 
 def test_min_find_statistics():
+    # best-of-runs is pipeline_step(minfind_runs=...); test_circuit covers it
     vals_rng = make_rng(DEFAULT_SEED, 99)
-    single = boosted = 0
+    single = 0
     trials = 200
     for t in range(trials):
         vals = vals_rng.permutation(256).astype(float)
-        true = int(np.argmin(vals))
-        single += Q.min_find(vals, derive_seed(2, t)) == true
-        boosted += Q.min_find_boosted(vals, derive_seed(3, t)) == true
+        single += Q.min_find_with_cost(vals, derive_seed(2, t))[0] == int(np.argmin(vals))
     assert single / trials >= 0.5
-    assert boosted / trials >= 0.9
 
 
 def test_min_find_empty_rejected():
     with pytest.raises(DomainError):
-        Q.min_find([], seed=0)
+        Q.min_find_with_cost([], seed=0)
