@@ -174,18 +174,18 @@ def _query_values(
     bucket_indices: Sequence[np.ndarray],
     vectors: np.ndarray,
     q: int,
-) -> tuple[np.ndarray, list[tuple[int, int] | None]]:
-    """Distance seen by each point of the search space, with the pair it
-    would report.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distance seen by each point of the search space, with the list
+    index of the partner it would report.
 
     Every qualifying leaf is unranked and evaluated once; below the coin
     guard each coin string then reads the entry of the rank it selects.
-    Self-hits and empty chains are lifted to +inf: the oracle returned
-    nothing usable for reduction there.
+    Self-hits and empty chains are lifted to +inf with partner -1: the
+    oracle returned nothing usable for reduction there.
     """
     w = vectors[q]
     values = np.full(tree.root_count, math.inf)
-    hits: list[tuple[int, int] | None] = [None] * tree.root_count
+    partner = np.full(tree.root_count, -1, dtype=np.int64)
     for rank in range(tree.root_count):
         j = leaf_index(tree, rank)
         chain_pos = circuit_eval_index(circuit, j, w)
@@ -194,11 +194,11 @@ def _query_values(
         u_idx = int(bucket_indices[j][chain_pos])
         dist = float(np.linalg.norm(vectors[u_idx] - w))
         if u_idx != q and dist > 1e-12:
-            values[rank], hits[rank] = dist, (q, u_idx)
+            values[rank], partner[rank] = dist, u_idx
     if 2**tree.coin_count > PIPELINE_COIN_GUARD:
-        return values, hits
+        return values, partner
     ranks = tree.coin_rank(np.arange(2**tree.coin_count, dtype=np.int64))
-    return values[ranks], [hits[r] for r in ranks.tolist()]
+    return values[ranks], partner[ranks]
 
 
 def pipeline_step(
@@ -226,9 +226,8 @@ def pipeline_step(
     if minfind_runs < 1:
         raise DomainError("minfind_runs must be >= 1")
     ledger = QueryLedger()
-    buckets = preprocess(instance, family, beta, ledger)
-    chains = [instance.vectors[idx] for idx in buckets.B]
-    circ = build_circuit(chains, d=instance.d)
+    bucket_indices = preprocess(instance, family, beta, ledger).B
+    circ = build_circuit([instance.vectors[idx] for idx in bucket_indices], d=instance.d)
     dirs = instance.directions()
     bound = instance.shrink_factor * instance.radius
 
@@ -239,20 +238,17 @@ def pipeline_step(
         tree = build_sample_tree(family, dirs[q], alpha)
         if tree.root_count == 0:
             continue
-        values, hits = _query_values(circ, tree, buckets.B, instance.vectors, q)
+        values, partner = _query_values(circ, tree, bucket_indices, instance.vectors, q)
         if mode == "exhaustive":
             calls = values.size
             best = int(np.argmin(values))
         else:
-            calls = 0
-            found = []
-            for r in range(minfind_runs):
-                idx, spent = min_find_with_cost(values, derive_seed(seed, q * 131 + r))
-                calls += spent
-                found.append(idx)
-            best = min(found, key=lambda i: (values[i], i))
+            runs = [min_find_with_cost(values, derive_seed(seed, q * 131 + r))
+                    for r in range(minfind_runs)]
+            calls = sum(spent for _, spent in runs)
+            best = min((idx for idx, _ in runs), key=lambda i: (values[i], i))
         total_calls += int(calls)
         max_calls = max(max_calls, int(calls))
-        if hits[best] is not None and values[best] <= bound + 1e-9:
-            pairs.add(hits[best])
+        if values[best] <= bound + 1e-9:  # a missing partner is +inf
+            pairs.add((q, int(partner[best])))
     return PipelineReport(frozenset(pairs), total_calls, max_calls, mode)

@@ -117,13 +117,8 @@ def cmd_tradeoff(ns) -> list[dict]:
                 for p in exponents.noqram_curve(taus)]
 
     # remaining models sweep the linear memory parameter gamma >= 1
-    gmax_default = {
-        "t2": exponents.T2_GAMMA_MAX,
-        "t3": exponents.T3_GAMMA_MAX,
-        "t5": exponents.T5_GAMMA_MAX,
-    }.get(model, 1.0)
     gmin = ns.gamma_min if ns.gamma_min is not None else 1.0
-    gmax = ns.gamma_max if ns.gamma_max is not None else gmax_default
+    gmax = ns.gamma_max if ns.gamma_max is not None else exponents.GAMMA_MAX.get(model, 1.0)
     if not gmin >= 1.0:
         raise DomainError(f"gamma is a linear memory factor and starts at 1, got {gmin}")
     gammas = _sweep(gmin, gmax, ns)

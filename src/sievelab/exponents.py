@@ -40,12 +40,13 @@ from .geometry import LIST_SIZE_RATE, cap_rate, t_rate
 N_RATE = LIST_SIZE_RATE
 
 MODELS = ("classical", "t1", "t2", "t3", "t4", "t5", "noqram")
-_GAMMA_MODELS = ("t2", "t3", "t5")
 
-# saturation ends of the closed-form curves (gamma, not gamma_rate)
+# saturation ends of the closed-form curves (gamma, not gamma_rate);
+# GAMMA_MAX's keys are the models that take a memory budget
 T2_GAMMA_MAX = 13.0 / 12.0
 T3_GAMMA_MAX = math.sqrt(13.0 / 12.0)
 T5_GAMMA_MAX = 1.07122
+GAMMA_MAX = {"t2": T2_GAMMA_MAX, "t3": T3_GAMMA_MAX, "t5": T5_GAMMA_MAX}
 
 # reference sieve-time rates used by the block-reduction plots
 SIEVE_RATE_NOQRAM = 0.2925
@@ -69,7 +70,7 @@ def _check_budget(model: str, gamma_rate: float) -> None:
         raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
     if not gamma_rate >= 0.0 or math.isinf(gamma_rate):
         raise DomainError(f"gamma_rate must be finite and >= 0, got {gamma_rate}")
-    if model not in _GAMMA_MODELS and gamma_rate != 0.0:
+    if model not in GAMMA_MAX and gamma_rate != 0.0:
         raise RangeError(
             f"model {model!r} takes no memory budget; gamma_rate must be 0", bound=0.0
         )
@@ -442,21 +443,17 @@ def closed_form_rate(model: str, gamma: float) -> float:
     """Closed-form optimum time rate at memory gamma^d, for the three
     memory-bounded models.  gamma runs over the model's admissible
     interval starting at 1 (no memory)."""
-    eps = 1e-9
+    if model not in GAMMA_MAX:
+        raise DomainError(f"no closed form for model {model!r}")
+    gmax = GAMMA_MAX[model]
+    if not 1.0 - 1e-9 <= gamma <= gmax + 1e-9:
+        raise RangeError(f"{model} needs gamma in [1, {gmax}]", bound=gmax)
     if model == "t2":
-        if not 1.0 - eps <= gamma <= T2_GAMMA_MAX + eps:
-            raise RangeError(f"t2 needs gamma in [1, {T2_GAMMA_MAX}]", bound=T2_GAMMA_MAX)
         return 0.5 * math.log2(3.0 * gamma / (3.0 * gamma - 1.0))
     if model == "t3":
-        if not 1.0 - eps <= gamma <= T3_GAMMA_MAX + eps:
-            raise RangeError(f"t3 needs gamma in [1, {T3_GAMMA_MAX}]", bound=T3_GAMMA_MAX)
         g2 = gamma * gamma
         return 0.5 * math.log2(3.0 * g2 / (3.0 * g2 - 1.0))
-    if model == "t5":
-        if not 1.0 - eps <= gamma <= T5_GAMMA_MAX + eps:
-            raise RangeError(f"t5 needs gamma in [1, {T5_GAMMA_MAX}]", bound=T5_GAMMA_MAX)
-        return -0.5 * math.log2(gamma - 2.0 / 3.0 + (2.0 / 3.0) * math.sqrt(1.0 - 0.75 * gamma))
-    raise DomainError(f"no closed form for model {model!r}")
+    return -0.5 * math.log2(gamma - 2.0 / 3.0 + (2.0 / 3.0) * math.sqrt(1.0 - 0.75 * gamma))
 
 
 def lower_bound_rate(s_rate: float) -> float:

@@ -123,20 +123,17 @@ def build_family(
 
 def _check_query(family: FilterFamily, v: np.ndarray, alpha: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape != (family.d,):
-        raise DomainError(f"v must have shape ({family.d},)")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-6:
-        raise DomainError("v must be a unit vector")
-    if not -1.0 <= alpha < 1.0:
-        raise DomainError(f"alpha must lie in [-1, 1), got {alpha}")
+    check_queries(family, v[None], alpha)
     return v
 
 
 def check_queries(family: FilterFamily, V: np.ndarray, alpha: float) -> None:
     """The relevant_filters argument checks for a batch of query rows."""
     if V.ndim != 2 or V.shape[1] != family.d:
-        raise DomainError(f"queries must have shape (n, {family.d})")
-    if np.any(np.abs(np.linalg.norm(V, axis=1) - 1.0) > 1e-6):
+        raise DomainError(f"query rows must have {family.d} coordinates")
+    # np.linalg.norm's sum as Python floats, cheap for one row; NaN and inf fail <=
+    norms = np.sqrt(np.add.reduce(V * V, axis=1)).tolist()
+    if not all(abs(x - 1.0) <= 1e-6 for x in norms):
         raise DomainError("v must be a unit vector")
     if not -1.0 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [-1, 1), got {alpha}")

@@ -3,10 +3,12 @@
 Two interchangeable drivers find all pairs at angle <= theta through a
 filter family.  query_method inserts every vector into its beta-close
 buckets and then, per query vector, tests the contents of its
-alpha-close buckets.  fas_method materializes both bucket sides first
-and tests every A_i x B_i product.  Both return the same ordered pair
-set: (x, y) with x alpha-covered and y beta-covered by a shared filter
-and <x, y> >= cos theta.  query_keys, fas_keys and brute_force_keys
+alpha-close buckets.  The buckets are the CSC columns of the (n, t)
+insert mask, which preprocess returns as Buckets.members.  fas_method
+materializes both bucket sides first and tests every A_i x B_i
+product.  Both return the same ordered pair set: (x, y) with x
+alpha-covered and y beta-covered by a shared filter and
+<x, y> >= cos theta.  query_keys, fas_keys and brute_force_keys
 give the same pairs as ascending int64 keys x * n + y, which is what
 the set-returning functions wrap.
 
@@ -86,8 +88,8 @@ def make_instance(
         if n and np.abs(norms - 1.0).max() > 1e-9:
             raise DomainError("unit mode needs all norms within 1e-9 of 1")
     else:
-        if not radius > 0.0:
-            raise DomainError(f"radius must be positive, got {radius}")
+        if not 0.0 < radius < math.inf:
+            raise DomainError(f"radius must be finite and positive, got {radius}")
         if n and norms.max() > radius + 1e-9:
             raise DomainError("norm mode needs all norms <= radius")
     return SieveInstance(d, vectors, mode, radius, theta, shrink_factor)
@@ -121,7 +123,15 @@ class QueryLedger:
 
 @dataclass(frozen=True, eq=False)
 class Buckets:
-    B: tuple[np.ndarray, ...]  # insert side, beta threshold
+    """Insert-side buckets at the beta threshold: column j of members,
+    the (n, t) CSC insert mask, is bucket j, rows in ascending order."""
+
+    members: sparse.csc_array
+
+    @property
+    def B(self) -> tuple[np.ndarray, ...]:
+        """Per bucket, its ascending int64 row indices."""
+        return tuple(np.split(self.members.indices.astype(np.int64), self.members.indptr[1:-1]))
 
 
 def _check_family(instance: SieveInstance, family: FilterFamily) -> None:
@@ -190,16 +200,6 @@ def _charge_filters(ledger: QueryLedger, mask: sparse.csr_array, insert: bool) -
         ledger.insertions += mask.nnz
 
 
-def _bucket_matrix(buckets: tuple[np.ndarray, ...], n: int) -> sparse.csc_array:
-    sizes = np.array([b.size for b in buckets], dtype=np.int64)
-    indptr = np.zeros(len(buckets) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    rows = np.concatenate(buckets) if buckets else np.empty(0, dtype=np.int64)
-    return sparse.csc_array(
-        (np.ones(rows.size, dtype=bool), rows, indptr), shape=(n, len(buckets))
-    )
-
-
 def _covered_close_keys(
     instance: SieveInstance,
     query_mask: sparse.csr_array,
@@ -237,11 +237,6 @@ def keys_to_pairs(keys: np.ndarray, n: int) -> set[tuple[int, int]]:
     return set(zip(x.tolist(), y.tolist()))
 
 
-def _buckets(mask: sparse.csr_array) -> tuple[np.ndarray, ...]:
-    csc = mask.tocsc()  # row indices come out ascending within each column
-    return tuple(np.split(csc.indices.astype(np.int64), csc.indptr[1:-1]))
-
-
 def preprocess(
     instance: SieveInstance, family: FilterFamily, beta: float, ledger: QueryLedger
 ) -> Buckets:
@@ -249,7 +244,7 @@ def preprocess(
     _check_family(instance, family)
     (mask,) = _close_masks(instance, family, (beta,))
     _charge_filters(ledger, mask, insert=True)
-    return Buckets(B=_buckets(mask))
+    return Buckets(mask.tocsc())  # row indices come out ascending within each column
 
 
 def query_keys(
@@ -261,11 +256,11 @@ def query_keys(
 ) -> np.ndarray:
     """query_method as ascending int64 keys x * n + y."""
     _check_family(instance, family)
-    if len(buckets.B) != family.t:
-        raise DomainError("buckets were built for a different family")
+    if buckets.members.shape != (instance.n, family.t):
+        raise DomainError("buckets were built for a different list or family")
     (mask,) = _close_masks(instance, family, (alpha,))
     _charge_filters(ledger, mask, insert=False)
-    return _covered_close_keys(instance, mask, _bucket_matrix(buckets.B, instance.n), ledger)
+    return _covered_close_keys(instance, mask, buckets.members, ledger)
 
 
 def query_method(

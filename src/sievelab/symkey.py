@@ -64,6 +64,18 @@ def _amplified_iterations(space: int, rng) -> int:
     return math.ceil(_QUARTER_PI * math.sqrt(space / k))
 
 
+def _emulate(
+    plan: EmulationPlan, setup: int, chain_cost: int, membership: int, space: int
+) -> float:
+    """Mean over plan.trials of the setup plus one amplified stage, each
+    iteration paying a chain and a block-membership test."""
+    rng = make_rng(plan.seed)
+    per_iteration = chain_cost + membership
+    return float(np.mean(
+        [setup + _amplified_iterations(space, rng) * per_iteration for _ in range(plan.trials)]
+    ))
+
+
 def emulate_collision_queries(plan: EmulationPlan) -> float:
     """Mean total queries to collide a random n-bit function, storing 2^l
     chain ends found behind prefix 2^r, membership-tested in 2^gamma blocks.
@@ -77,16 +89,10 @@ def emulate_collision_queries(plan: EmulationPlan) -> float:
     # range and ordering checks live with the cost formula
     exponents.collision_cost(plan.n, plan.l, plan.r, plan.gamma)
 
-    rng = make_rng(plan.seed)
     chain_cost = math.ceil(_QUARTER_PI * 2 ** (plan.r / 2.0))
-    setup = math.ceil(2**plan.l) * chain_cost
     membership = math.ceil(2 ** (plan.l - plan.gamma))
     space = max(1, round(2 ** (plan.n - plan.r - plan.l)))
-    totals = [
-        setup + _amplified_iterations(space, rng) * (chain_cost + membership)
-        for _ in range(plan.trials)
-    ]
-    return float(np.mean(totals))
+    return _emulate(plan, math.ceil(2**plan.l) * chain_cost, chain_cost, membership, space)
 
 
 def emulate_mtps_queries(plan: EmulationPlan) -> float:
@@ -98,16 +104,10 @@ def emulate_mtps_queries(plan: EmulationPlan) -> float:
         raise DomainError("preimage plan needs the target count t")
     exponents.mtps_cost(plan.n, plan.t, plan.r, plan.gamma)
 
-    rng = make_rng(plan.seed)
-    setup = math.ceil(2**plan.t)
     chain_cost = math.ceil(_QUARTER_PI * 2 ** (plan.r / 2.0))
     membership = math.ceil(2 ** (plan.t - plan.r - plan.gamma))
     space = max(1, round(2 ** (plan.n - plan.t)))
-    totals = [
-        setup + _amplified_iterations(space, rng) * (chain_cost + membership)
-        for _ in range(plan.trials)
-    ]
-    return float(np.mean(totals))
+    return _emulate(plan, math.ceil(2**plan.t), chain_cost, membership, space)
 
 
 def collision_table(

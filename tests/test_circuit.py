@@ -216,19 +216,48 @@ def test_oracle_prime_rejects_mismatched_query(oracle_setup):
 def test_query_values_match_the_coin_oracle(oracle_setup):
     _, inst, buckets, circ, w, tree = oracle_setup
     q = inst.n  # w joins the list as its last vector
-    values, hits = ccirc._query_values(circ, tree, buckets.B, np.vstack([inst.vectors, w]), q)
+    values, partner = ccirc._query_values(circ, tree, buckets.B, np.vstack([inst.vectors, w]), q)
     R = tree.coin_count
-    assert values.size == len(hits) == 2**R
-    assert any(hit is not None for hit in hits)
+    assert values.size == partner.size == 2**R
+    assert partner.dtype == np.int64
+    assert np.array_equal(partner == -1, values == math.inf)
+    assert np.any(partner >= 0)
     for x in range(2**R):
         j = rpc.sample_alpha_close(tree, format(x, f"0{R}b"))
         pos = ccirc.circuit_eval_index(circ, j, w)
         if pos is None:
-            assert values[x] == math.inf and hits[x] is None
+            assert values[x] == math.inf and partner[x] == -1
         else:
             u = int(buckets.B[j][pos])
             assert values[x] == float(np.linalg.norm(inst.vectors[u] - w))
-            assert hits[x] == (q, u)
+            assert partner[x] == u
+
+
+def test_query_values_mark_missing_partners_with_minus_one(oracle_setup):
+    fam, inst, buckets, circ, _, _ = oracle_setup
+    dirs = inst.directions()
+    missing = 0
+    for q in range(inst.n):  # list vectors see themselves in their own buckets
+        tree = rpc.build_sample_tree(fam, dirs[q], 0.35)
+        if tree.root_count == 0:
+            continue
+        values, partner = ccirc._query_values(circ, tree, buckets.B, inst.vectors, q)
+        assert np.array_equal(partner == -1, values == math.inf)
+        assert np.all(partner != q)
+        missing += int(np.sum(partner == -1))
+    assert missing > 0
+
+
+def test_pipeline_adds_no_pair_without_a_partner():
+    # two copies of one vector: every chain holds a self-hit or a zero
+    # difference, so every value is +inf and no pair qualifies
+    fam = rpc.build_family("rpc", 8, 11, m=4, B=2)
+    v = geometry.sample_sphere(8, make_rng(3))
+    inst = sieve.make_instance(np.vstack([v, v]), mode="norm", radius=1.0)
+    for mode in ("exhaustive", "minfind"):
+        rep = ccirc.pipeline_step(inst, fam, -0.5, -0.5, mode=mode)
+        assert rep.oracle_calls > 0
+        assert rep.pairs == frozenset()
 
 
 # --- pipeline ----------------------------------------------------------------------

@@ -7,10 +7,17 @@ it exactly: the same buckets, the same pair sets and the same ledgers.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import sievelab
 from sievelab import rpc, sieve
 from sievelab.errors import DomainError
 
@@ -183,3 +190,78 @@ def test_thresholds_are_inclusive():
     bk = sieve.preprocess(inst, fam, 0.6, led)  # <x, center> == 0.6 exactly
     assert bk.B[0].tolist() == [0]
     assert sieve.brute_force_pairs(inst) == {(0, 1), (1, 0)}
+
+
+# buckets built for another list once sent the sparse product out of
+# bounds: an IndexError and then a corrupted heap that killed the
+# process, or, for a smaller list, a silent answer; a subprocess keeps a
+# crash from taking pytest down with it
+_MISMATCH = """
+import sys
+from sievelab import rpc, sieve
+from sievelab.errors import DomainError
+fam = rpc.build_family("explicit", 12, 1, t=200)
+inst = sieve.random_instance(12, 300, seed=1)
+refused = 0
+for n in (600, 100):  # buckets of a larger and of a smaller list
+    buckets = sieve.preprocess(sieve.random_instance(12, n, seed=2), fam, 0.3, sieve.QueryLedger())
+    for query in (sieve.query_keys, sieve.query_method):
+        try:
+            query(inst, fam, 0.3, buckets, sieve.QueryLedger())
+        except DomainError:
+            refused += 1
+sys.exit(0 if refused == 4 else f"refused {refused} of 4")
+"""
+
+
+def test_buckets_of_another_list_are_refused():
+    src = Path(sievelab.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _MISMATCH],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+
+
+@pytest.mark.parametrize("kind", ["explicit", "rpc"])
+@pytest.mark.parametrize("mode", ["unit", "norm"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+def test_preprocess_rejects_non_finite_vectors(kind, mode, bad):
+    # a directly built instance skips make_instance's finiteness check
+    fam = (rpc.build_family("explicit", 12, 3, t=40) if kind == "explicit"
+           else rpc.build_family("rpc", 12, 3, m=4, B=2))
+    vectors = sieve.random_instance(12, 20, seed=3).vectors.copy()
+    vectors[7, 2] = bad
+    inst = sieve.SieveInstance(12, vectors, mode, radius=2.0)
+    with pytest.raises(DomainError):
+        sieve.preprocess(inst, fam, BETA, sieve.QueryLedger())
+
+
+@given(
+    seed=st.integers(0, 2**20),
+    n=st.integers(0, 30),
+    kind=st.sampled_from(["explicit", "rpc"]),
+    mode=st.sampled_from(["unit", "norm"]),
+    t=st.integers(1, 60),
+    alpha=st.floats(-0.4, 0.8),
+    beta=st.floats(-0.4, 0.8),
+    theta=st.floats(0.3, 2.8),
+)
+def test_engine_property(seed, n, kind, mode, t, alpha, beta, theta):
+    # explicit families of t centers and product codes of m^2 codewords,
+    # over unit lists and norm lists of radius 2
+    if kind == "explicit":
+        fam = rpc.build_family("explicit", 6, seed, t=t)
+    else:
+        fam = rpc.build_family("rpc", 6, seed, m=1 + t % 5, B=2)
+    inst = sieve.random_instance(6, n, seed=seed + 1, mode=mode, radius=2.0, theta=theta)
+    led = sieve.QueryLedger()
+    buckets = sieve.preprocess(inst, fam, beta, led)
+    assert buckets.members.format == "csc" and buckets.members.shape == (n, fam.t)
+    assert led.insertions == buckets.members.nnz
+    keys = sieve.query_keys(inst, fam, alpha, buckets, led)
+    assert np.isin(keys, sieve.brute_force_keys(inst)).all()
+    led, led_ref = sieve.QueryLedger(), sieve.QueryLedger()
+    got = sieve.keys_to_pairs(sieve.fas_keys(inst, fam, alpha, beta, led), inst.n)
+    assert got == ref_fas(inst, fam, alpha, beta, led_ref)
+    assert led == led_ref

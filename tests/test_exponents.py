@@ -159,6 +159,26 @@ def test_closed_form_out_of_range():
         E.closed_form_rate("classical", 1.0)
 
 
+def test_gamma_max_names_the_budgeted_models():
+    assert E.GAMMA_MAX == {"t2": E.T2_GAMMA_MAX, "t3": E.T3_GAMMA_MAX, "t5": E.T5_GAMMA_MAX}
+    for model in E.MODELS:
+        if model in E.GAMMA_MAX:
+            E.optimize(model, 0.05)
+        else:
+            with pytest.raises(RangeError):
+                E.optimize(model, 0.05)
+    # one range check for the three closed forms, with the messages and
+    # bounds each of them stated before
+    for model, gmax in E.GAMMA_MAX.items():
+        for gamma in (0.9, 1.0 - 1e-8, gmax + 1e-8, math.nan):
+            with pytest.raises(RangeError) as info:
+                E.closed_form_rate(model, gamma)
+            assert str(info.value) == f"{model} needs gamma in [1, {gmax}]"
+            assert info.value.bound == gmax
+        E.closed_form_rate(model, 1.0 - 1e-10)
+        E.closed_form_rate(model, gmax + 1e-10)
+
+
 def test_closed_form_matches_optimizer_on_grids():
     grids = {
         "t2": np.linspace(1.0, E.T2_GAMMA_MAX, 50),

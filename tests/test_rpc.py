@@ -104,6 +104,23 @@ def test_relevant_filters_validation():
         rpc.relevant_filters(fam, 2.0 * v, 0.3)
 
 
+@pytest.mark.parametrize("kind", ["explicit", "rpc"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_relevant_filters_rejects_non_finite_queries(kind, bad):
+    # abs(nan - 1) > 1e-6 is False, so a NaN query once passed the norm test
+    fam = (rpc.build_family("explicit", 8, 5, t=10) if kind == "explicit"
+           else rpc.build_family("rpc", 8, 5, m=3, B=2))
+    v = geometry.sample_sphere(8, make_rng(1))
+    for w in (np.full(8, bad), np.where(np.arange(8) == 3, bad, v)):
+        with pytest.raises(DomainError):
+            rpc.relevant_filters(fam, w, 0.3)
+        with pytest.raises(DomainError):
+            rpc.check_queries(fam, np.vstack([v, w]), 0.3)
+        if kind == "rpc":
+            with pytest.raises(DomainError):
+                rpc.build_sample_tree(fam, w, 0.3)
+
+
 # --- sample tree --------------------------------------------------------------
 
 

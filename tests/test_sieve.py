@@ -28,6 +28,15 @@ def test_make_instance_validation():
         sieve.make_instance(good, shrink_factor=1.5)
 
 
+def test_make_instance_needs_a_finite_radius():
+    # the pipeline's bound test is what keeps a partner-less query out of
+    # its pairs, and an infinite bound would let one through
+    good = geometry.sample_sphere(8, make_rng(1), size=5)
+    for radius in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            sieve.make_instance(good, mode="norm", radius=radius)
+
+
 def test_preprocess_empty_instance():
     inst = sieve.make_instance(np.empty((0, 8)))
     fam = rpc.build_family("explicit", 8, 1, t=20)

@@ -200,6 +200,18 @@ def test_emulation_deterministic_in_seed():
     assert symkey.emulate_collision_queries(plan) != symkey.emulate_collision_queries(other)
 
 
+def test_emulation_means_are_pinned():
+    # recorded before the two emulators shared one trial loop: the same
+    # draws, in the same order, give the same means
+    P = symkey.EmulationPlan
+    assert symkey.emulate_collision_queries(
+        P(n=16, l=4.0, r=5.0, gamma=2.0, trials=25, seed=3)) == 153.8
+    assert symkey.emulate_collision_queries(
+        P(n=12, l=3.0, r=4.5, gamma=0.0, trials=7, seed=11)) == 74.85714285714286
+    assert symkey.emulate_mtps_queries(P(n=21, t=6.0, r=2.0, gamma=3.0, trials=25, seed=3)) == 571.84
+    assert symkey.emulate_mtps_queries(P(n=15, t=5.5, r=1.5, gamma=0.5, trials=7, seed=11)) == 318.0
+
+
 def test_collision_table_rows():
     rows = symkey.collision_table(16.0, [0.0, 2.0, 4.0], trials=8, seed=3)
     assert len(rows) == 3
