@@ -121,17 +121,6 @@ def circuit_cost(circuit: ComparatorCircuit) -> CircuitCost:
     )
 
 
-def cost_report(circuit: ComparatorCircuit) -> dict:
-    cost = circuit_cost(circuit)
-    return {
-        "t": circuit.t,
-        "bucket_sizes": [int(c.shape[0]) for c in circuit.chains],
-        "depth": cost.depth,
-        "size": cost.size,
-        "width": cost.width,
-    }
-
-
 def oracle_prime(
     circuit: ComparatorCircuit, tree: SampleTree, w: np.ndarray, coins
 ) -> np.ndarray:

@@ -270,11 +270,11 @@ def cmd_circuit(ns) -> list[dict]:
     if ns.d < 1:  # before the zero buckets are shaped; build_circuit checks d too
         raise DomainError(f"--d must be >= 1, got {ns.d}")
     circ = circuit.build_circuit([np.zeros((k, ns.d)) for k in sizes], d=ns.d)
-    report = circuit.cost_report(circ)
+    cost = circuit.circuit_cost(circ)
     row = {
-        "buckets": ";".join(str(k) for k in report["bucket_sizes"]),
-        "d": ns.d, "t": report["t"], "depth": report["depth"],
-        "size": report["size"], "width": report["width"], "seed": ns.seed,
+        "buckets": ";".join(str(k) for k in sizes),
+        "d": ns.d, "t": circ.t, "depth": cost.depth,
+        "size": cost.size, "width": cost.width, "seed": ns.seed,
     }
     return [row]
 
@@ -283,11 +283,10 @@ def cmd_circuit(ns) -> list[dict]:
 
 
 def cmd_geom(ns) -> list[dict]:
-    use_mc = ns.mc or (ns.wedge and not ns.exact)
     beta = ns.beta if ns.beta is not None else ns.alpha
     if ns.cap:
         shape, rate = "cap", geometry.cap_rate(ns.alpha)
-        if use_mc:
+        if ns.mc:
             est = geometry.cap_volume_mc(ns.d, ns.alpha, ns.samples, ns.seed)
             value, stderr, samples = est.estimate, est.stderr, ns.samples
         else:

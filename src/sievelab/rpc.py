@@ -1,19 +1,18 @@
-"""Spherical filter families: explicit random centers and product codes.
+"""Spherical filter families, all stored as random product codes.
 
-A filter family is a set of t unit vectors ("centers") on S^{d-1}.  The
-explicit kind stores them as rows of a matrix.  The product-code kind
-stores B blocks of m short vectors of norm 1/sqrt(B) each; center i is
-the concatenation of one vector per block, picked by the base-m digits
-of i, so t = m^B codewords exist without ever materializing them.
+A filter family is a set of t unit vectors ("centers") on S^{d-1}, kept
+as B blocks of m short vectors of norm 1/sqrt(B) each.  Center i is the
+concatenation of one vector per block, picked by the base-m digits of
+i, so t = m^B codewords exist without ever materializing them.  An
+explicit family of t random centers is the one-block case, m = t, B = 1.
 
 Two queries matter downstream.  relevant_filters(v, alpha) returns every
-center with <v, c> >= alpha; for product codes this runs as a
-branch-and-bound over blocks instead of a scan.  sample_alpha_close
-draws a near-uniform qualifying center from a bounded string of random
-coins, using a dynamic-programming tree over discretized block scores.
-The discretization only ever widens the qualifying set, so a sampled
-center is guaranteed (alpha - epsilon)-close with the documented
-epsilon.
+center with <v, c> >= alpha, by a branch-and-bound over blocks that
+scans the last block as one vector.  sample_alpha_close draws a
+near-uniform qualifying center from a bounded string of random coins,
+using a dynamic-programming tree over discretized block scores.  The
+discretization only ever widens the qualifying set, so a sampled center
+is guaranteed (alpha - epsilon)-close with the documented epsilon.
 """
 
 from __future__ import annotations
@@ -42,51 +41,51 @@ _KIND_CODES = {"explicit": 0, "rpc": 1}
 
 @dataclass(frozen=True, eq=False)
 class FilterFamily:
-    kind: str
+    """B blocks of m vectors, blocks[b] of shape (m, d // B); t = m^B.
+    m, B and t are read off the arrays, so they cannot disagree with them."""
+
+    kind: str  # "explicit" (one block of t centers) or "rpc": how it was drawn and is saved
     d: int
-    t: int
     seed: int
-    centers: np.ndarray | None = None  # explicit: (t, d) unit rows
-    blocks: tuple[np.ndarray, ...] | None = None  # rpc: B arrays (m, d//B)
-    m: int | None = None
-    B: int | None = None
+    blocks: tuple[np.ndarray, ...]
+
+    @property
+    def m(self) -> int:
+        return self.blocks[0].shape[0]
+
+    @property
+    def B(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def t(self) -> int:
+        return self.m**self.B
 
     def center(self, i: int) -> np.ndarray:
-        """Center i as a full d-vector (materialized on demand for rpc)."""
+        """Center i as a full d-vector, materialized on demand."""
         if not 0 <= i < self.t:
             raise DomainError(f"center index {i} outside [0, {self.t})")
-        if self.kind == "explicit":
-            return self.centers[i]
-        digits = _digits(i, self.m, self.B)
-        return np.concatenate([self.blocks[b][digits[b]] for b in range(self.B)])
+        digits = np.unravel_index(i, (self.m,) * self.B)
+        return np.concatenate([blk[j] for blk, j in zip(self.blocks, digits)])
 
     def all_centers(self) -> np.ndarray:
         """Full (t, d) center matrix; the brute-force view of the family."""
-        if self.kind == "explicit":
-            return self.centers
-        return np.stack([self.center(i) for i in range(self.t)])
+        digits = np.indices((self.m,) * self.B).reshape(self.B, -1)
+        return np.concatenate([blk[j] for blk, j in zip(self.blocks, digits)], axis=1)
 
 
-def _digits(i: int, m: int, B: int) -> list[int]:
-    out = [0] * B
-    for b in range(B - 1, -1, -1):
-        out[b] = i % m
-        i //= m
-    return out
-
-
-def _check_counts(
-    kind: str, d: int, *, t: int | None = None, m: int | None = None, B: int | None = None
-) -> None:
+def _check_counts(kind: str, d: int, m: int | None, B: int | None) -> None:
     if d < 1:
         raise DomainError(f"filter families need d >= 1, got {d}")
-    if kind == "explicit" and (t is None or t < 1):
-        raise DomainError("explicit family needs t >= 1")
-    if kind == "rpc":
-        if m is None or B is None or m < 1 or B < 1:
-            raise DomainError("rpc family needs m >= 1 and B >= 1")
-        if d % B != 0:
-            raise DomainError(f"block count B={B} must divide d={d}")
+    if kind not in ("explicit", "rpc"):
+        raise DomainError(f"unknown family kind {kind!r}")
+    if m is None or B is None or m < 1 or B < 1:
+        need = "t >= 1" if kind == "explicit" else "m >= 1 and B >= 1"
+        raise DomainError(f"{kind} family needs {need}")
+    if d % B != 0:
+        raise DomainError(f"block count B={B} must divide d={d}")
+    if m > 1 and (B >= 63 or m**B >= 2**63):  # indices and tree counts are int64
+        raise DomainError(f"t = {m}^{B} codewords must stay below 2^63")
 
 
 def build_family(
@@ -100,31 +99,22 @@ def build_family(
 ) -> FilterFamily:
     """Draw a deterministic filter family of the requested kind.
 
-    explicit needs t; rpc needs m and B with B | d.  Block vectors are
-    Gaussian draws scaled to norm 1/sqrt(B), which makes every codeword
-    a unit vector by construction.
+    explicit needs t and draws the one-block code m = t, B = 1; rpc
+    needs m and B with B | d.  Block vectors are Gaussian draws scaled
+    to norm 1/sqrt(B), which makes every codeword a unit vector by
+    construction (the scale is exactly 1.0 for one block).
     """
-    _check_counts(kind, d, t=t, m=m, B=B)
-    rng = make_rng(seed)
     if kind == "explicit":
-        centers = sample_sphere(d, rng, size=t)
-        return FilterFamily(kind, d, t, seed, centers=centers)
-    if kind == "rpc":
-        scale = 1.0 / math.sqrt(B)
-        blocks = tuple(
-            sample_sphere(d // B, rng, size=m) * scale for _ in range(B)
-        )
-        return FilterFamily(kind, d, m**B, seed, blocks=blocks, m=m, B=B)
-    raise DomainError(f"unknown family kind {kind!r}")
+        m, B = t, 1
+    _check_counts(kind, d, m, B)
+    rng = make_rng(seed)
+    blocks = tuple(sample_sphere(d // B, rng, size=m) for _ in range(B))
+    for block in blocks:
+        block *= 1.0 / math.sqrt(B)  # in place: no second copy of the centers
+    return FilterFamily(kind, d, seed, blocks)
 
 
 # --- relevant-filter enumeration --------------------------------------------
-
-
-def _check_query(family: FilterFamily, v: np.ndarray, alpha: float) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    check_queries(family, v[None], alpha)
-    return v
 
 
 def check_queries(family: FilterFamily, V: np.ndarray, alpha: float) -> None:
@@ -139,6 +129,14 @@ def check_queries(family: FilterFamily, V: np.ndarray, alpha: float) -> None:
         raise DomainError(f"alpha must lie in [-1, 1), got {alpha}")
 
 
+def _block_scores(family: FilterFamily, v: np.ndarray, alpha: float) -> list[np.ndarray]:
+    """Per block b, the m scores <blocks[b][j], v's b-th slice>."""
+    v = np.asarray(v, dtype=float)
+    check_queries(family, v[None], alpha)
+    w = family.d // family.B
+    return [blk @ v[b * w : (b + 1) * w] for b, blk in enumerate(family.blocks)]
+
+
 def relevant_filters(family: FilterFamily, v: np.ndarray, alpha: float) -> list[int]:
     """Sorted indices of every center with <v, c_i> >= alpha."""
     return relevant_filters_with_cost(family, v, alpha)[0]
@@ -149,19 +147,14 @@ def relevant_filters_with_cost(
 ) -> tuple[list[int], int]:
     """relevant_filters plus the number of search nodes visited.
 
-    Explicit families scan (t nodes).  Product codes run a depth-first
-    branch-and-bound over blocks: a child is pruned when its partial
-    score plus the best achievable remaining block scores cannot reach
-    alpha.  Node count never exceeds t*B.
+    A depth-first branch-and-bound over the blocks, the same for every
+    family: a child is pruned when its partial score plus the best
+    achievable remaining block scores cannot reach alpha, and the last
+    block is scanned as one vector of m nodes.  A one-block (explicit)
+    family is that scan alone, t nodes; node count never exceeds t*B.
     """
-    v = _check_query(family, v, alpha)
-    if family.kind == "explicit":
-        scores = family.centers @ v
-        return [int(i) for i in np.flatnonzero(scores >= alpha)], family.t
-
+    scores = _block_scores(family, v, alpha)
     m, B = family.m, family.B
-    w = family.d // B
-    scores = [family.blocks[b] @ v[b * w : (b + 1) * w] for b in range(B)]
     best_tail = np.zeros(B + 1)
     for b in range(B - 1, -1, -1):
         best_tail[b] = best_tail[b + 1] + float(np.max(scores[b]))
@@ -171,16 +164,15 @@ def relevant_filters_with_cost(
 
     def descend(b: int, partial: float, prefix: int) -> None:
         nonlocal nodes
+        nodes += m
+        if b + 1 == B:
+            out.extend((prefix * m + np.flatnonzero(partial + scores[b] >= alpha)).tolist())
+            return
         for j in range(m):
-            nodes += 1
             s = partial + scores[b][j]
             if s + best_tail[b + 1] < alpha:
                 continue
-            if b + 1 == B:
-                if s >= alpha:
-                    out.append(prefix * m + j)
-            else:
-                descend(b + 1, s, prefix * m + j)
+            descend(b + 1, s, prefix * m + j)
 
     descend(0, 0.0, 0)
     return out, nodes
@@ -241,16 +233,15 @@ def build_sample_tree(
         raise DomainError("sample trees need a product-code family")
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
-    v = _check_query(family, v, alpha)
-    m, B = family.m, family.B
-    w = family.d // B
+    v = np.asarray(v, dtype=float)
+    scores = _block_scores(family, v, alpha)
+    B = family.B
     step = (2.0 / math.sqrt(B)) / grid_size
     epsilon = B * step
     smin = -1.0 / math.sqrt(B)
 
     levels = []
-    for b in range(B):
-        s = family.blocks[b] @ v[b * w : (b + 1) * w]
+    for s in scores:
         lv = np.floor((s - smin) / step + 1e-12).astype(np.int64)
         levels.append(np.clip(lv, 0, grid_size))
     # qualify iff the level sum L satisfies step*L - sqrt(B) > alpha - epsilon
@@ -328,33 +319,26 @@ def leaf_index(tree: SampleTree, rank: int) -> int:
 
 
 def save_family(family: FilterFamily, path: str) -> None:
-    """Binary dump: header (kind, d, counts, seed) then '<f8' vectors."""
+    """Binary dump: header (kind, d, seed, then t or m and B) and the
+    blocks as '<f8' vectors."""
+    counts = (family.m,) if family.kind == "explicit" else (family.m, family.B)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<BIQ", _KIND_CODES[family.kind], family.d, family.seed))
-        if family.kind == "explicit":
-            fh.write(struct.pack("<I", family.t))
-            fh.write(np.ascontiguousarray(family.centers, dtype="<f8").tobytes())
-        else:
-            fh.write(struct.pack("<II", family.m, family.B))
-            for block in family.blocks:
-                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        fh.write(struct.pack(f"<{len(counts)}I", *counts))
+        for block in family.blocks:
+            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
 def load_family(path: str) -> FilterFamily:
     """Read a save_family file, with build_family's checks on its counts."""
     reader = BinaryReader(path, _MAGIC, "filter-family")
     code, d, seed = reader.unpack("<BIQ")
-    if code == _KIND_CODES["explicit"]:
-        (t,) = reader.unpack("<I")
-        _check_counts("explicit", d, t=t)
-        centers = reader.floats(t, d)
-        reader.finish()
-        return FilterFamily("explicit", d, t, seed, centers=centers)
-    if code == _KIND_CODES["rpc"]:
-        m, B = reader.unpack("<II")
-        _check_counts("rpc", d, m=m, B=B)
-        blocks = tuple(reader.floats(m, d // B) for _ in range(B))
-        reader.finish()
-        return FilterFamily("rpc", d, m**B, seed, blocks=blocks, m=m, B=B)
-    raise DomainError(f"unknown family kind code {code}")
+    kind = {v: k for k, v in _KIND_CODES.items()}.get(code)
+    if kind is None:
+        raise DomainError(f"unknown family kind code {code}")
+    m, B = reader.unpack("<II") if kind == "rpc" else (*reader.unpack("<I"), 1)
+    _check_counts(kind, d, m, B)
+    blocks = tuple(reader.floats(m, d // B) for _ in range(B))
+    reader.finish()
+    return FilterFamily(kind, d, seed, blocks)

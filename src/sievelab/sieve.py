@@ -128,6 +128,17 @@ class Buckets:
 
     members: sparse.csc_array
 
+    def __post_init__(self) -> None:
+        # a malformed matrix would send the sparse products out of bounds
+        members = self.members
+        if getattr(members, "format", None) != "csc":
+            raise DomainError("bucket members must be a CSC matrix")
+        (n, t), ptr, rows = members.shape, members.indptr, members.indices
+        if not (ptr.shape == (t + 1,) and ptr[0] == 0 and ptr[-1] == rows.size == members.data.size
+                and (ptr[:-1] <= ptr[1:]).all()
+                and 0 <= rows.min(initial=0) and rows.max(initial=-1) < n):
+            raise DomainError("bucket members are not a valid CSC matrix")
+
     @property
     def B(self) -> tuple[np.ndarray, ...]:
         """Per bucket, its ascending int64 row indices."""
@@ -168,9 +179,10 @@ def _close_masks(
 ) -> list[sparse.csr_array]:
     """Per threshold, the mask of <x, c_j> >= threshold over the list.
 
-    Explicit families score a row chunk against every center at once,
-    and one score block serves all thresholds.  Product codes keep their
-    per-vector branch-and-bound, one threshold after the other.
+    Explicit families score a row chunk against their one block, the
+    (t, d) center matrix, and one score block serves all thresholds.
+    Product codes keep their per-vector branch-and-bound, one threshold
+    after the other.
     """
     dirs = instance.directions()
     n, t = instance.n, family.t
@@ -181,7 +193,7 @@ def _close_masks(
                 check_queries(family, dirs, thr)
         step = _row_step(t)
         for lo in range(0, n, step):
-            scores = dirs[lo : lo + step] @ family.centers.T
+            scores = dirs[lo : lo + step] @ family.blocks[0].T
             for k, thr in enumerate(thresholds):
                 keys[k].append(np.flatnonzero(scores >= thr) + lo * t)
     else:

@@ -67,13 +67,6 @@ def test_cost_matches_closed_form_on_random_profiles():
         assert cost.width == len(sizes)
 
 
-def test_cost_report_shape():
-    circ, sizes = _random_circuit(3, t=5)
-    rep = ccirc.cost_report(circ)
-    assert rep["t"] == 5 and rep["bucket_sizes"] == sizes
-    assert set(rep) == {"t", "bucket_sizes", "depth", "size", "width"}
-
-
 # --- construction ----------------------------------------------------------------
 
 

@@ -286,7 +286,7 @@ def test_circuit_cost_row(capsys):
     out = capsys.readouterr().out.splitlines()
     row = dict(zip(out[0].split(","), out[1].split(",")))
     assert (row["depth"], row["size"], row["width"]) == ("6", "10", "4")
-    assert row["buckets"] == "3;5;2;0"
+    assert row["buckets"] == "3;5;2;0" and row["t"] == "4"
     assert main(["circuit", "--buckets", ""]) == 2
     capsys.readouterr()
 

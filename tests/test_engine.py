@@ -177,7 +177,7 @@ def test_thresholds_are_inclusive():
     x = np.array([1.0, 0.0, 0.0, 0.0])
     y = np.array([c, math.sqrt(1.0 - c * c), 0.0, 0.0])  # <x, y> == cos theta exactly
     inst = sieve.SieveInstance(4, np.vstack([x, y]), "unit", theta=theta)
-    fam = rpc.FilterFamily("explicit", 4, 1, 0, centers=np.array([[0.6, 0.0, 0.8, 0.0]]))
+    fam = rpc.FilterFamily("explicit", 4, 0, (np.array([[0.6, 0.0, 0.8, 0.0]]),))
     for method in ("query", "fas"):
         led = sieve.QueryLedger()
         if method == "query":
@@ -189,6 +189,7 @@ def test_thresholds_are_inclusive():
     led = sieve.QueryLedger()
     bk = sieve.preprocess(inst, fam, 0.6, led)  # <x, center> == 0.6 exactly
     assert bk.B[0].tolist() == [0]
+    assert rpc.relevant_filters(fam, x, 0.6) == [0]
     assert sieve.brute_force_pairs(inst) == {(0, 1), (1, 0)}
 
 
@@ -214,12 +215,56 @@ sys.exit(0 if refused == 4 else f"refused {refused} of 4")
 """
 
 
-def test_buckets_of_another_list_are_refused():
+def _assert_exits_cleanly(script):
     src = Path(sievelab.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-c", _MISMATCH],
+    proc = subprocess.run([sys.executable, "-c", script],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+
+
+def test_buckets_of_another_list_are_refused():
+    _assert_exits_cleanly(_MISMATCH)
+
+
+# a hand-built Buckets is checked too: row indices past n once
+# corrupted the heap, and a CSR matrix of the right shape silently
+# dropped inner products
+_MALFORMED = """
+import sys
+import numpy as np
+from scipy import sparse
+from sievelab import rpc, sieve
+from sievelab.errors import DomainError
+fam = rpc.build_family("explicit", 12, 1, t=200)
+inst = sieve.random_instance(12, 300, seed=1)
+good = sieve.preprocess(inst, fam, 0.5, sieve.QueryLedger()).members
+data, rows, ptr = good.data, good.indices, good.indptr
+falling = ptr.copy()
+falling[1] = ptr[-1]  # column 0 claims every entry, then indptr falls
+bad = [
+    sparse.csc_array((data, rows * 3, ptr), shape=(300, 200)),  # rows past n
+    sparse.csc_array((data, rows - 1, ptr), shape=(300, 200)),  # a row -1
+    sparse.csc_array((data, rows, falling), shape=(300, 200)),
+    good.tocsr(),  # the right shape in the wrong format
+    good.toarray(),
+]
+refused = 0
+for members in bad:
+    kept = members.copy()
+    try:
+        sieve.query_keys(inst, fam, 0.5, sieve.Buckets(members), sieve.QueryLedger())
+    except DomainError:
+        refused += 1
+    if sparse.issparse(members):  # the check neither casts nor sorts
+        assert members.indices.dtype == kept.indices.dtype
+        assert np.array_equal(members.indices, kept.indices)
+sys.exit(0 if refused == len(bad) else f"refused {refused} of {len(bad)}")
+"""
+
+
+def test_malformed_bucket_matrices_are_refused():
+    _assert_exits_cleanly(_MALFORMED)
 
 
 @pytest.mark.parametrize("kind", ["explicit", "rpc"])

@@ -15,8 +15,8 @@ from sievelab.rng import make_rng
 
 def test_explicit_family_unit_centers():
     fam = rpc.build_family("explicit", 8, 5, t=100)
-    assert fam.t == 100 and fam.centers.shape == (100, 8)
-    assert np.allclose(np.linalg.norm(fam.centers, axis=1), 1.0, atol=1e-12)
+    assert (fam.t, fam.m, fam.B) == (100, 100, 1) and fam.blocks[0].shape == (100, 8)
+    assert np.allclose(np.linalg.norm(fam.all_centers(), axis=1), 1.0, atol=1e-12)
 
 
 def test_rpc_family_codewords_unit_norm():
@@ -39,6 +39,12 @@ def test_family_validation():
         rpc.build_family("explicit", 8, 1)  # t missing
     with pytest.raises(DomainError):
         rpc.build_family("fancy", 8, 1, t=4)
+    # a 2^64-codeword code once built, and its sample tree counted 0 leaves
+    for m, B in ((2, 63), (2, 64), (2**21, 3), (2**63, 1)):
+        with pytest.raises(DomainError, match="below 2"):
+            rpc.build_family("rpc", B, 1, m=m, B=B)
+    assert rpc.build_family("rpc", 62, 1, m=2, B=62).t == 2**62
+    assert rpc.build_family("rpc", 3, 1, m=2**21 - 1, B=3).t < 2**63
 
 
 def test_center_materialization_matches_blocks():
@@ -58,7 +64,7 @@ def test_relevant_filters_alpha_minus_one_returns_all():
 
 def test_relevant_filters_matches_brute_force():
     rng = make_rng(0xABC)
-    worst_ratio = 0.0
+    worst_ratio, total_nodes = 0.0, 0
     for trial in range(100):
         if trial % 2 == 0:
             d = int(rng.integers(4, 17))
@@ -76,9 +82,13 @@ def test_relevant_filters_matches_brute_force():
         got, nodes = rpc.relevant_filters_with_cost(fam, v, alpha)
         want = [int(i) for i in np.flatnonzero(fam.all_centers() @ v >= alpha)]
         assert got == want
-        assert nodes <= fam.t * (fam.B or 1)
+        assert nodes <= fam.t * fam.B
+        if fam.B == 1:
+            assert nodes == fam.t  # a one-block family is a plain scan
         worst_ratio = max(worst_ratio, nodes / fam.t)
+        total_nodes += nodes
     assert worst_ratio <= 3.0  # pruning keeps the walk near scan cost
+    assert total_nodes == 12330  # the walk's cost is pinned, not only bounded
 
 
 def test_relevant_filters_expected_count():
@@ -243,11 +253,8 @@ def test_family_roundtrip(tmp_path):
         rpc.save_family(fam, path)
         back = rpc.load_family(path)
         assert (back.kind, back.d, back.t, back.seed) == (fam.kind, fam.d, fam.t, fam.seed)
-        if fam.kind == "explicit":
-            assert np.array_equal(back.centers, fam.centers)
-        else:
-            assert (back.m, back.B) == (fam.m, fam.B)
-            assert all(np.array_equal(a, b) for a, b in zip(back.blocks, fam.blocks))
+        assert (back.m, back.B) == (fam.m, fam.B)
+        assert all(np.array_equal(a, b) for a, b in zip(back.blocks, fam.blocks))
 
 
 def test_load_rejects_foreign_file(tmp_path):

@@ -3,9 +3,12 @@
 import math
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sievelab import geometry, rpc, sieve
 from sievelab.errors import DomainError, GuardError
@@ -56,7 +59,7 @@ def test_preprocess_bucket_membership_is_exact():
         i = int(rng.integers(0, 60))
         j = int(rng.integers(0, 80))
         member = i in bk.B[j]
-        assert member == (inst.vectors[i] @ fam.centers[j] >= 0.4)
+        assert member == (inst.vectors[i] @ fam.center(j) >= 0.4)
     assert led.insertions == sum(b.size for b in bk.B)
     assert led.filter_queries == 60 + led.insertions
 
@@ -111,7 +114,7 @@ def test_planted_pair_with_midpoint_filter_is_found():
     y = math.cos(math.pi / 4) * x + math.sin(math.pi / 4) * u
     mid = (x + y) / np.linalg.norm(x + y)
     centers = np.vstack([mid, geometry.sample_sphere(24, rng, size=49)])
-    fam = rpc.FilterFamily("explicit", 24, 50, 0, centers=centers)
+    fam = rpc.FilterFamily("explicit", 24, 0, (centers,))
     inst = sieve.make_instance(np.vstack([x, y, geometry.sample_sphere(24, rng, size=30)]))
     led = sieve.QueryLedger()
     got = sieve.query_method(inst, fam, 0.7, sieve.preprocess(inst, fam, 0.7, led), led)
@@ -163,9 +166,7 @@ def test_fas_equals_query_on_both_family_kinds():
 
 def test_fas_single_global_bucket():
     inst = sieve.random_instance(12, 80, seed=7)
-    fam = rpc.FilterFamily(
-        "explicit", 12, 1, 0, centers=geometry.sample_sphere(12, make_rng(1), size=1)
-    )
+    fam = rpc.FilterFamily("explicit", 12, 0, (geometry.sample_sphere(12, make_rng(1), size=1),))
     led = sieve.QueryLedger()
     got = sieve.fas_method(inst, fam, -1.0, -1.0, led)
     assert got == sieve.brute_force_pairs(inst)
@@ -334,3 +335,48 @@ def test_empty_instance_roundtrip(tmp_path):
     sieve.save_instance(sieve.make_instance(np.empty((0, 5))), p)
     back = sieve.load_instance(p)
     assert (back.n, back.d) == (0, 5)
+
+
+_SAVERS = {
+    "explicit": (lambda k, seed: rpc.build_family("explicit", k, seed, t=1 + seed % 5),
+                 rpc.save_family, rpc.load_family),
+    "rpc": (lambda k, seed: rpc.build_family("rpc", 2 * k, seed, m=1 + seed % 3, B=2),
+            rpc.save_family, rpc.load_family),
+    "unit": (lambda k, seed: sieve.random_instance(k, seed % 5, seed),
+             sieve.save_instance, sieve.load_instance),
+    "norm": (lambda k, seed: sieve.random_instance(k, seed % 5, seed, mode="norm", radius=2.0),
+             sieve.save_instance, sieve.load_instance),
+}
+
+
+@given(
+    what=st.sampled_from(sorted(_SAVERS)),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1,
+                   max_size=4),
+    resize=st.integers(-3, 3),
+    pad=st.binary(min_size=3, max_size=3),
+)
+def test_corrupt_saved_files_are_refused_or_round_trip(what, k, seed, edits, resize, pad):
+    # an SLF1 or SLSI file with 1-4 bytes overwritten, then truncated or
+    # padded by up to 3 bytes, loads to an object that saves back to
+    # exactly those bytes, or is refused with a DomainError
+    build, save, load = _SAVERS[what]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "saved.bin")
+        save(build(k, seed), path)
+        with open(path, "rb") as fh:
+            raw = bytearray(fh.read())
+        for pos, byte in edits:
+            raw[pos % len(raw)] = byte
+        raw = raw[: len(raw) + resize] if resize < 0 else raw + pad[:resize]
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            back = load(path)
+        except DomainError:
+            return
+        save(back, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == raw
