@@ -269,7 +269,8 @@ def cmd_circuit(ns) -> list[dict]:
         raise DomainError("bucket sizes must be nonnegative")
     if ns.d < 1:  # before the zero buckets are shaped; build_circuit checks d too
         raise DomainError(f"--d must be >= 1, got {ns.d}")
-    circ = circuit.build_circuit([np.zeros((k, ns.d)) for k in sizes], d=ns.d)
+    # the cost depends on the bucket sizes alone: read-only zero views, no allocation
+    circ = circuit.build_circuit([np.broadcast_to(0.0, (k, ns.d)) for k in sizes], d=ns.d)
     cost = circuit.circuit_cost(circ)
     row = {
         "buckets": ";".join(str(k) for k in sizes),
@@ -312,9 +313,13 @@ def cmd_geom(ns) -> list[dict]:
 
 def cmd_symkey(ns) -> list[dict]:
     if ns.kind == "collision":
-        opt = exponents.collision_optimize(ns.n, ns.gamma)
-        l = ns.l if ns.l is not None else opt.l
-        r = ns.r if ns.r is not None else opt.r
+        # the optimizer only fills in what was not given; its gamma <= n/3
+        # bound does not hold for an explicit (l, r)
+        l, r = ns.l, ns.r
+        if l is None or r is None:
+            opt = exponents.collision_optimize(ns.n, ns.gamma)
+            l = l if l is not None else opt.l
+            r = r if r is not None else opt.r
         formula = exponents.collision_cost(ns.n, l, r, ns.gamma)
         queries = symkey.emulate_collision_queries(
             symkey.EmulationPlan(n=ns.n, l=l, r=r, gamma=ns.gamma,

@@ -586,7 +586,7 @@ def log2_sum(a: float, b: float) -> float:
 def collision_cost(n: float, l: float, r: float, gamma: float) -> float:
     """Bits of work for collision search with list 2^l, prefix 2^r and
     memory 2^gamma: log2(2^{l+r/2} + 2^{(n-r-l)/2}(2^{r/2} + 2^{l-gamma}))."""
-    if min(n, l, r) < 0 or l + r > n:
+    if not (l >= 0 and r >= 0 and l + r <= n):  # written so that NaN fails
         raise DomainError("collision_cost needs l, r >= 0 and l + r <= n")
     if not 0.0 <= gamma <= l:
         raise RangeError(f"collision memory gamma must be in [0, l={l}]", bound=l)
@@ -605,10 +605,10 @@ class CollisionPlan:
 
 def collision_optimize(n: float, gamma: float) -> CollisionPlan:
     """Balanced parameters: l = (n+2g)/5, r = (2n-6g)/5, T = (2n-g)/5."""
-    if n <= 0:
+    if not n > 0:
         raise DomainError(f"collision_optimize needs n > 0, got {n}")
     if not 0.0 <= gamma <= n / 3.0:
-        raise RangeError(f"collision memory gamma must be in [0, n/3]", bound=n / 3.0)
+        raise RangeError("collision memory gamma must be in [0, n/3]", bound=n / 3.0)
     l = (n + 2.0 * gamma) / 5.0
     r = (2.0 * n - 6.0 * gamma) / 5.0
     return CollisionPlan(l=l, r=r, time_bits=(2.0 * n - gamma) / 5.0, memory_bits=l)
@@ -617,7 +617,7 @@ def collision_optimize(n: float, gamma: float) -> CollisionPlan:
 def mtps_cost(n: float, t: float, r: float, gamma: float) -> float:
     """Bits of work for preimage search against 2^t targets:
     log2(2^t + 2^{(n-t)/2}(2^{r/2} + 2^{t-r-gamma}))."""
-    if min(n, t, r) < 0 or t > n or r > t:
+    if not 0 <= r <= t <= n:
         raise DomainError("mtps_cost needs 0 <= r <= t <= n")
     if not 0.0 <= gamma <= t - r:
         raise RangeError(f"mtps memory gamma must be in [0, t-r={t - r}]", bound=t - r)
@@ -634,8 +634,8 @@ class MTPSPlan:
 def mtps_optimize(n: float, t: float, gamma: float) -> MTPSPlan:
     """Balanced prefix r = 2(t-gamma)/3, ignoring targets beyond the
     saturation point t = 3n/7 - 2 gamma / 7."""
-    if n <= 0 or not 0.0 <= t <= n:
-        raise DomainError(f"mtps_optimize needs 0 <= t <= n, n > 0")
+    if not (n > 0 and 0.0 <= t <= n):
+        raise DomainError("mtps_optimize needs 0 <= t <= n, n > 0")
     if not 0.0 <= gamma <= min(t, n / 3.0):
         raise RangeError("mtps memory gamma must be in [0, min(t, n/3)]", bound=min(t, n / 3.0))
     t_cap = 3.0 * n / 7.0 - 2.0 * gamma / 7.0

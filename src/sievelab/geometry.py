@@ -182,6 +182,8 @@ def cap_volume_mc(d: int, alpha: float, samples: int, seed: int) -> MCEstimate:
     Sampling is sharded into fixed blocks with per-shard derived seeds,
     so the estimate is bit-stable regardless of how shards are run.
     """
+    if d < 1:
+        raise DomainError("cap_volume_mc needs d >= 1")
     if samples < 1:
         raise DomainError("cap_volume_mc needs samples >= 1")
     if not -1.0 <= alpha <= 1.0:

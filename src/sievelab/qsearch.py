@@ -31,8 +31,6 @@ import numpy as np
 from .errors import DomainError
 from .rng import derive_seed, make_rng
 
-# per-search evaluation cap for a standalone unknown-count search
-BBHT_CAP_FACTOR = 9.0
 # per-block cap inside blocked_search; the proof caps at O(sqrt(S))
 BLOCK_CAP_FACTOR = 3.0
 # dense-regime budget in blocked_pair_search: S sqrt(E) scaled by a
@@ -43,6 +41,8 @@ PAIR_BUDGET_FACTOR = 1.7
 PAIR_SWEEP_SURCHARGE = 1.5
 # total-evaluation budget for minimum finding, in units of sqrt(N)
 MINFIND_BUDGET_FACTOR = 8.0
+# least chance of a mark planted_instance accepts: its loop takes ~1/chance rounds
+PLANTED_MIN_MARK_CHANCE = 1e-3
 
 
 @dataclass
@@ -91,23 +91,20 @@ def _qaa_success_prob(S: int, k: int, j: int) -> float:
 
 
 def bbht_search(
-    flags: np.ndarray, rng: np.random.Generator, cap: int | None = None
+    flags: np.ndarray, rng: np.random.Generator, cap: int
 ) -> tuple[int | None, int]:
     """Search a flags.size-element space whose solutions, of unknown
     number, are the indices where flags is True.
 
     Schedule: attempt sizes m grow by 6/5 per failure from m=1, each
     attempt runs j ~ Uniform[0, ceil(m)) Grover iterations and measures.
-    Stops at the first verified solution or when the evaluation cap
-    (default ceil(9 sqrt(flags.size))) is exhausted; returns (index or None,
-    oracle evaluations spent).  A hit names one marked index, drawn
-    uniformly.
+    Stops at the first verified solution or when the evaluation cap is
+    exhausted; returns (index or None, oracle evaluations spent).  A hit
+    names one marked index, drawn uniformly.
     """
     flags = np.asarray(flags, dtype=bool)
     if flags.ndim != 1 or flags.size < 1:
         raise DomainError(f"bbht_search needs a nonempty flag vector, got shape {flags.shape}")
-    if cap is None:
-        cap = math.ceil(BBHT_CAP_FACTOR * math.sqrt(flags.size))
     k = int(np.count_nonzero(flags))
     hit, evals = _bbht_two_class(flags.size, k, rng, cap)
     if hit is None:
@@ -186,7 +183,8 @@ def blocked_pair_search(
     excluded, spending a budget of ceil(1.7 S sqrt(E)) evaluations where
     E = K S^2/(M1 M2) is the expected solution count per block pair.
     Sparse regime: a single amplitude-amplification probe sized for one
-    solution.  Every found pair is verified and recorded once.
+    solution.  Every found pair is verified and recorded once.  Either
+    regime spends a fixed amount per block pair, budget or probe.
     """
     if min(M1, M2) < 1 or S < 1:
         raise DomainError("blocked_pair_search needs M1, M2, S >= 1")
@@ -204,13 +202,13 @@ def blocked_pair_search(
         PAIR_BUDGET_FACTOR * S * math.sqrt(max(expected_per_bp, 1.0))
         + PAIR_SWEEP_SURCHARGE * expected_per_bp
     )
+    space = S * S  # padded block pair
+    probe = qaa_iterations(math.asin(1.0 / S))  # sized for a unique solution
     found: set[tuple[int, int]] = set()
-    evals = 0
     for i0 in range(0, M1, S):
         rows = range(i0, min(i0 + S, M1))
         for j0 in range(0, M2, S):
             cols = range(j0, min(j0 + S, M2))
-            space = S * S  # padded block pair
             # each planted pair lies in exactly one block pair, so none is found yet;
             # with k = 0 the success probability is 0 and no pick can happen
             live = [p for p in planted if p[0] in rows and p[1] in cols]
@@ -220,17 +218,14 @@ def blocked_pair_search(
                     k = len(live)
                     sub, spent = _bbht_two_class(space, k, rng, remaining)
                     remaining -= spent
-                    evals += spent
                     if sub is not None:
                         found.add(live.pop(int(rng.integers(0, k))))
             else:
-                theta = math.asin(1.0 / S)  # sized for a unique solution
-                n_it = qaa_iterations(theta)
-                evals += max(1, n_it)
                 k = len(live)
-                if rng.random() < _qaa_success_prob(space, k, n_it):
+                if rng.random() < _qaa_success_prob(space, k, probe):
                     found.add(live.pop(int(rng.integers(0, k))))
     reloads = -(-M1 // S) * -(-M2 // S)
+    evals = reloads * (budget if dense else max(1, probe))
     return SearchReport(
         None, evals, reloads, len(found) >= max(1, K_planted) // 4,
         solutions=frozenset(found),
@@ -242,10 +237,11 @@ def min_find_with_cost(values: Sequence[float], seed: int) -> tuple[int, int]:
     evaluations spent.
 
     Starts at index 0, repeatedly searches for a strictly smaller
-    element and moves the threshold there; total evaluation budget
-    ceil(8 sqrt(N)), never exceeded.  Single-run success is
-    probabilistic (better than even); ties resolve to the earliest index
-    reached.
+    element and moves the threshold there until the ceil(8 sqrt(N))
+    budget is spent: it cannot tell when it holds the minimum, and a
+    miss (as past the minimum) burns what is left.  Single-run success
+    is probabilistic (better than even); ties resolve to the earliest
+    index reached.
     """
     vals = np.asarray(values, dtype=float)
     n = vals.size
@@ -253,16 +249,14 @@ def min_find_with_cost(values: Sequence[float], seed: int) -> tuple[int, int]:
         raise DomainError("min_find_with_cost needs a nonempty list")
     rng = make_rng(seed)
     budget = math.ceil(MINFIND_BUDGET_FACTOR * math.sqrt(n))
-    spent_total = 0
+    remaining = budget
     best = 0
-    default_cap = math.ceil(BBHT_CAP_FACTOR * math.sqrt(n))
-    while spent_total < budget:
-        idx, spent = bbht_search(vals < vals[best], rng, min(budget - spent_total, default_cap))
-        spent_total += spent
-        if idx is None:
-            break
-        best = idx
-    return best, spent_total
+    while remaining > 0:
+        idx, spent = bbht_search(vals < vals[best], rng, remaining)
+        remaining -= spent  # a miss spends all that remains
+        if idx is not None:
+            best = idx
+    return best, budget
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +275,15 @@ class ScalingRow:
 
 
 def planted_instance(M: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Bernoulli(p) marks conditioned on at least one solution."""
+    """Bernoulli(p) marks conditioned on at least one solution; refuses
+    (M, p) whose chance of a mark is below PLANTED_MIN_MARK_CHANCE."""
     if M < 1:
         raise DomainError(f"M must be >= 1, got {M}")
     if not 0.0 < p <= 1.0:
         raise DomainError(f"p must lie in (0, 1], got {p}")
+    chance = -math.expm1(M * math.log1p(-p)) if p < 1.0 else 1.0
+    if chance < PLANTED_MIN_MARK_CHANCE:
+        raise DomainError(f"M={M}, p={p}: chance of a mark {chance:.3g} < {PLANTED_MIN_MARK_CHANCE}")
     while True:
         flags = rng.random(M) < p
         if flags.any():

@@ -195,7 +195,6 @@ class SampleTree:
 
     family: FilterFamily
     v: np.ndarray
-    alpha: float
     grid_size: int
     epsilon: float
     level_min: int
@@ -260,7 +259,6 @@ def build_sample_tree(
     return SampleTree(
         family=family,
         v=v,
-        alpha=alpha,
         grid_size=grid_size,
         epsilon=epsilon,
         level_min=level_min,

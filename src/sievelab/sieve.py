@@ -322,11 +322,11 @@ def fas_method(
     return keys_to_pairs(fas_keys(instance, family, alpha, beta, ledger), instance.n)
 
 
-def brute_force_keys(instance: SieveInstance, theta: float | None = None) -> np.ndarray:
+def brute_force_keys(instance: SieveInstance) -> np.ndarray:
     """brute_force_pairs as ascending int64 keys x * n + y."""
     if instance.n > BRUTE_FORCE_GUARD:
         raise GuardError(f"brute force refuses n > {BRUTE_FORCE_GUARD}")
-    cos_theta = math.cos(instance.theta if theta is None else theta)
+    cos_theta = math.cos(instance.theta)
     dirs = instance.directions()
     n = instance.n
     out = [np.empty(0, dtype=np.int64)]
@@ -339,19 +339,13 @@ def brute_force_keys(instance: SieveInstance, theta: float | None = None) -> np.
     return np.concatenate(out)
 
 
-def brute_force_pairs(
-    instance: SieveInstance, theta: float | None = None
-) -> set[tuple[int, int]]:
+def brute_force_pairs(instance: SieveInstance) -> set[tuple[int, int]]:
     """Exact ordered close-pair set by full scan over normalized vectors."""
-    return keys_to_pairs(brute_force_keys(instance, theta), instance.n)
+    return keys_to_pairs(brute_force_keys(instance), instance.n)
 
 
 def sieve_step(
-    instance: SieveInstance,
-    family: FilterFamily,
-    alpha: float,
-    beta: float,
-    ledger: QueryLedger | None = None,
+    instance: SieveInstance, family: FilterFamily, alpha: float, beta: float
 ) -> np.ndarray:
     """One list-sieve round: emit differences of found reducing pairs.
 
@@ -361,8 +355,7 @@ def sieve_step(
     """
     if instance.mode != "norm":
         raise DomainError("sieve_step needs a norm-mode instance")
-    if ledger is None:
-        ledger = QueryLedger()
+    ledger = QueryLedger()
     buckets = preprocess(instance, family, beta, ledger)
     keys = query_keys(instance, family, alpha, buckets, ledger)
     bound = instance.shrink_factor * instance.radius

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sievelab
+from sievelab import exponents
 from sievelab.cli import main
 
 
@@ -235,6 +236,15 @@ BAD_INPUTS = [
     "qsearch --experiment minfind --trials 2 --size -1",
     "circuit --buckets 1,2 --d 0",
     "circuit --buckets 1,2 --d -3",
+    "geom --cap --d 0 --alpha 0.3 --mc",  # exit 4: index 0 is out of bounds
+    "geom --cap --d -1 --alpha 0.3 --mc",
+    "symkey --kind collision --l 3 --r nan",  # exit 4: NaN passed the range checks
+    "symkey --kind collision --n nan --l 1 --r 1",
+    "symkey --kind mtps --r nan",
+    # hung: a mark is too rare for the rejection loop to find one
+    "qsearch --experiment blocked --M 16 --S 1,4 --trials 2 --p 1e-300",
+    "qsearch --experiment blocked --M 1 --S 1 --p 1e-10",
+    "qsearch --experiment blocked --M 1000 --S 4 --p 1e-9",
 ]
 
 
@@ -288,6 +298,26 @@ def test_circuit_cost_row(capsys):
     assert (row["depth"], row["size"], row["width"]) == ("6", "10", "4")
     assert row["buckets"] == "3;5;2;0" and row["t"] == "4"
     assert main(["circuit", "--buckets", ""]) == 2
+    capsys.readouterr()
+
+
+def test_circuit_cost_at_huge_d(capsys):
+    # the cost needs only the bucket sizes; this once asked for 14.9 GiB
+    assert main(["circuit", "--buckets", "1,2", "--d", "1000000000"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    row = dict(zip(out[0].split(","), out[1].split(",")))
+    assert (row["d"], row["depth"], row["size"], row["width"]) == ("1000000000", "2", "2", "2")
+
+
+def test_symkey_collision_with_explicit_l_and_r(capsys):
+    # gamma = 6 is past the optimizer's n/3 bound but valid for l = 7, r = 2
+    argv = ["symkey", "--kind", "collision", "--n", "16", "--gamma", "6", "--l", "7", "--r", "2"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    row = dict(zip(out[0].split(","), out[1].split(",")))
+    assert (row["l"], row["r"]) == ("7", "2")
+    assert float(row["T_bits_formula"]) == pytest.approx(exponents.collision_cost(16, 7, 2, 6), abs=1e-10)
+    assert main(argv[:6]) == 2  # without l and r the optimizer's bound applies
     capsys.readouterr()
 
 

@@ -151,6 +151,12 @@ def test_cap_volume_mc_matches_exact():
         assert abs(est.estimate - exact) <= 4 * est.stderr
 
 
+def test_cap_volume_mc_one_dimension():
+    # S^0 = {-1, +1}: C(alpha) is 1/2 for 0 < alpha <= 1
+    est = G.cap_volume_mc(1, 0.3, samples=20_000, seed=1)
+    assert abs(est.estimate - 0.5) <= 4 * est.stderr
+
+
 def test_cap_volume_mc_deterministic():
     a = G.cap_volume_mc(8, 0.4, samples=70_000, seed=123)
     b = G.cap_volume_mc(8, 0.4, samples=70_000, seed=123)

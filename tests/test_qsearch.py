@@ -4,6 +4,7 @@ Statistical assertions run on pinned seeds, so every number here is
 reproducible; windows come from the closed forms they shadow.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -59,28 +60,28 @@ def test_qaa_run_edge_cases():
 
 
 def test_bbht_all_marked_is_immediate():
-    found, evals = Q.bbht_search(np.ones(32, bool), make_rng(1))
+    found, evals = Q.bbht_search(np.ones(32, bool), make_rng(1), 51)
     assert found is not None
     assert evals <= 2
 
 
 def test_bbht_no_marked_caps_out():
     cap = math.ceil(9 * math.sqrt(64))
-    found, evals = Q.bbht_search(np.zeros(64, bool), make_rng(2))
+    found, evals = Q.bbht_search(np.zeros(64, bool), make_rng(2), cap)
     assert found is None
-    assert evals <= cap
+    assert evals == cap  # no mark: the whole cap is spent
 
 
 def test_bbht_rejects_an_empty_space():
     with pytest.raises(DomainError):
-        Q.bbht_search(np.zeros(0, bool), make_rng(2))
+        Q.bbht_search(np.zeros(0, bool), make_rng(2), 1)
 
 
 def test_bbht_single_solution_statistics():
     hits = 0
     costs = []
     for t in range(500):
-        found, evals = Q.bbht_search(np.arange(64) == 17, make_rng(DEFAULT_SEED, t))
+        found, evals = Q.bbht_search(np.arange(64) == 17, make_rng(DEFAULT_SEED, t), 72)
         hits += found == 17
         costs.append(evals)
     assert hits / 500 >= 0.95
@@ -89,7 +90,7 @@ def test_bbht_single_solution_statistics():
 
 def test_bbht_returns_only_marked():
     for t in range(50):
-        found, _ = Q.bbht_search(np.arange(33) % 7 == 3, make_rng(3, t))
+        found, _ = Q.bbht_search(np.arange(33) % 7 == 3, make_rng(3, t), 52)
         if found is not None:
             assert found % 7 == 3
 
@@ -217,6 +218,11 @@ def test_planted_instance_domain():
     with pytest.raises(DomainError):
         Q.planted_instance(-1, 0.5, rng)
     assert Q.planted_instance(8, 1.0, rng).all()
+    # a mark too rare to draw: refused instead of a near-endless loop
+    for M, p in ((16, 1e-300), (1, 1e-10), (1000, 1e-9), (1, 9e-4)):
+        with pytest.raises(DomainError):
+            Q.planted_instance(M, p, rng)
+    assert Q.planted_instance(1, 2e-3, make_rng(5)).all()
     with pytest.raises(DomainError):
         Q.blocked_search_scaling(16, [4], 0.5, 0, DEFAULT_SEED)
 
@@ -270,6 +276,51 @@ def test_pair_search_deterministic():
     assert a == b
 
 
+# (M1, M2, K, S): dense, sparse, ragged both ways, K = 0 in both regimes,
+# K = M1 M2, and the one-element space
+PAIR_GRID = [
+    (64, 64, 16, 32), (64, 64, 4, 8), (33, 17, 5, 17), (33, 17, 5, 4),
+    (16, 16, 0, 8), (16, 16, 0, 16), (16, 16, 256, 8), (5, 7, 35, 3),
+    (1, 1, 1, 1), (1, 1, 0, 1), (40, 9, 12, 6), (10, 30, 300, 7),
+]
+
+
+def test_pair_search_pinned_reports():
+    # sha256 recorded before oracle_evals became a closed form: every
+    # ledger, verdict and solution set is what the per-draw sum gave
+    rows = []
+    for M1, M2, K, S in PAIR_GRID:
+        for seed in range(6):
+            rep = Q.blocked_pair_search(M1, M2, K, S, seed)
+            rows.append((rep.oracle_evals, rep.qram_reloads, rep.success, sorted(rep.solutions)))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "76800be2db4dedac22154736d97c7cabc8c9b577ba18e5b76e3c71a4d79e3b3a"
+
+
+def _pair_evals(M1, M2, K, S):
+    """The fixed per-block-pair spend times the block pairs loaded."""
+    E = K * S * S / (M1 * M2)
+    if S * S * max(K, 1) >= M1 * M2:
+        per = math.ceil(Q.PAIR_BUDGET_FACTOR * S * math.sqrt(max(E, 1.0))
+                        + Q.PAIR_SWEEP_SURCHARGE * E)
+    else:
+        per = max(1, Q.qaa_iterations(math.asin(1.0 / S)))
+    return math.ceil(M1 / S) * math.ceil(M2 / S) * per
+
+
+@given(
+    M=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+    data=st.data(),
+    seed=st.integers(0, 2**32),
+)
+def test_pair_search_evals_closed_form(M, data, seed):
+    M1, M2 = M
+    S = data.draw(st.integers(1, max(M1, M2)))
+    K = data.draw(st.integers(0, M1 * M2))
+    rep = Q.blocked_pair_search(M1, M2, K, S, seed)
+    assert rep.oracle_evals == _pair_evals(M1, M2, K, S)
+
+
 # --- minimum finding ----------------------------------------------------------
 
 
@@ -290,6 +341,28 @@ def test_min_find_statistics():
         vals = vals_rng.permutation(256).astype(float)
         single += Q.min_find_with_cost(vals, derive_seed(2, t))[0] == int(np.argmin(vals))
     assert single / trials >= 0.5
+
+
+def test_min_find_pinned_on_ties():
+    # sha256 recorded while the cost was still summed search by search
+    rng = make_rng(2024)
+    rows = []
+    for t in range(120):
+        n = int(rng.integers(1, 300))
+        vals = rng.integers(0, max(2, n // 3), size=n).astype(float)
+        rows.append(Q.min_find_with_cost(vals, t))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "6412523706e0a6a0448cff941d3a48f48c56f10826be5a8b8919f54ffc39cd84"
+
+
+@given(
+    values=st.lists(st.integers(0, 6), min_size=1, max_size=400),
+    seed=st.integers(0, 2**32),
+)
+def test_min_find_spends_its_whole_budget(values, seed):
+    idx, cost = Q.min_find_with_cost(values, seed)
+    assert cost == math.ceil(8 * math.sqrt(len(values)))
+    assert 0 <= idx < len(values)
 
 
 def test_min_find_empty_rejected():

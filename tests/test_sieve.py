@@ -189,11 +189,12 @@ def test_methods_are_deterministic():
 
 def test_brute_force_trivial_geometry():
     orth = sieve.make_instance(np.eye(4)[:2])
-    assert sieve.brute_force_pairs(orth, math.pi / 3) == set()
+    assert orth.theta == math.pi / 3
+    assert sieve.brute_force_pairs(orth) == set()
     close = sieve.make_instance(
         np.array([[1.0, 0.0], [math.cos(math.pi / 6), math.sin(math.pi / 6)]])
     )
-    assert sieve.brute_force_pairs(close, math.pi / 3) == {(0, 1), (1, 0)}
+    assert sieve.brute_force_pairs(close) == {(0, 1), (1, 0)}
 
 
 def test_brute_force_count_matches_cap_probability():
