@@ -109,16 +109,24 @@ def circuit_eval(circuit: ComparatorCircuit, i: int, w: np.ndarray) -> np.ndarra
     return circuit.chains[i][pos].copy()
 
 
-def circuit_cost(circuit: ComparatorCircuit) -> CircuitCost:
-    """Exact stage/node/lane counts under the fixed accounting units."""
-    sizes = [c.shape[0] for c in circuit.chains]
+def chain_cost(sizes: Sequence[int]) -> CircuitCost:
+    """Exact stage/node/lane counts of chains of these lengths under the
+    fixed accounting units; the vectors in them do not matter."""
+    if not sizes:
+        raise DomainError("a circuit needs at least one chain")
+    t = len(sizes)
     comparators = [max(k - 1, 0) for k in sizes]
-    mux_depth = math.ceil(math.log2(circuit.t)) if circuit.t > 1 else 0
+    mux_depth = math.ceil(math.log2(t)) if t > 1 else 0
     return CircuitCost(
         depth=max(comparators) + mux_depth,
-        size=sum(comparators) + (circuit.t - 1),
-        width=circuit.t,
+        size=sum(comparators) + (t - 1),
+        width=t,
     )
+
+
+def circuit_cost(circuit: ComparatorCircuit) -> CircuitCost:
+    """Exact stage/node/lane counts under the fixed accounting units."""
+    return chain_cost([c.shape[0] for c in circuit.chains])
 
 
 def oracle_prime(

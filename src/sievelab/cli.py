@@ -154,6 +154,8 @@ def cmd_sieve(ns) -> list[dict]:
         return []
 
     theta = ns.theta
+    if not 0.0 < theta <= math.pi:  # before the cosine, which refuses +-inf
+        raise DomainError(f"theta must lie in (0, pi], got {theta}")
     alpha = ns.alpha if ns.alpha is not None else math.cos(theta)
     beta = ns.beta if ns.beta is not None else math.cos(theta)
 
@@ -176,11 +178,7 @@ def cmd_sieve(ns) -> list[dict]:
     instance = sieve.random_instance(ns.d, ns.n, ns.seed, mode="unit", theta=theta)
     family = rpc.build_family("explicit", ns.d, derive_seed(ns.seed, 1), t=t)
     ledger = sieve.QueryLedger()
-    if ns.method == "query":
-        buckets = sieve.preprocess(instance, family, beta, ledger)
-        pairs = sieve.query_keys(instance, family, alpha, buckets, ledger)
-    else:
-        pairs = sieve.fas_keys(instance, family, alpha, beta, ledger)
+    pairs = sieve.pair_keys(instance, family, alpha, beta, ns.method, ledger)
     brute = sieve.brute_force_keys(instance)
     found = np.intersect1d(pairs, brute, assume_unique=True).size
     recall = found / brute.size if brute.size else 1.0
@@ -267,14 +265,13 @@ def cmd_circuit(ns) -> list[dict]:
     sizes = _parse_int_list(ns.buckets, "--buckets")
     if any(k < 0 for k in sizes):
         raise DomainError("bucket sizes must be nonnegative")
-    if ns.d < 1:  # before the zero buckets are shaped; build_circuit checks d too
+    if ns.d < 1:
         raise DomainError(f"--d must be >= 1, got {ns.d}")
-    # the cost depends on the bucket sizes alone: read-only zero views, no allocation
-    circ = circuit.build_circuit([np.broadcast_to(0.0, (k, ns.d)) for k in sizes], d=ns.d)
-    cost = circuit.circuit_cost(circ)
+    # the cost depends on the bucket sizes alone, so no vector is shaped at any d
+    cost = circuit.chain_cost(sizes)
     row = {
         "buckets": ";".join(str(k) for k in sizes),
-        "d": ns.d, "t": circ.t, "depth": cost.depth,
+        "d": ns.d, "t": len(sizes), "depth": cost.depth,
         "size": cost.size, "width": cost.width, "seed": ns.seed,
     }
     return [row]

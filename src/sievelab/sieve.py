@@ -10,12 +10,16 @@ product.  Both return the same ordered pair set: (x, y) with x
 alpha-covered and y beta-covered by a shared filter and
 <x, y> >= cos theta.  query_keys, fas_keys and brute_force_keys
 give the same pairs as ascending int64 keys x * n + y, which is what
-the set-returning functions wrap.
+the set-returning functions wrap.  pair_keys runs either method with
+one scoring pass of the list for both thresholds.
 
 Every probe is charged to a QueryLedger: filter enumerations cost
 1 + |result|, each inner-product test costs 1, insertions are counted
-as they happen.  sieve_step turns found pairs into difference vectors
-below a shrinking norm bound, which is one round of a list sieve.
+as they happen.  The ledger charges every bucket entry a method would
+test, but the engine finds the pairs the other way round: it takes the
+close entries of the Gram matrix and keeps those whose rows share a
+filter.  sieve_step turns found pairs into difference vectors below a
+shrinking norm bound, which is one round of a list sieve.
 """
 
 from __future__ import annotations
@@ -182,27 +186,30 @@ def _close_masks(
     Explicit families score a row chunk against their one block, the
     (t, d) center matrix, and one score block serves all thresholds.
     Product codes keep their per-vector branch-and-bound, one threshold
-    after the other.
+    after the other.  Equal thresholds are compared once and share one
+    mask; thresholds are checked in the order given.
     """
     dirs = instance.directions()
     n, t = instance.n, family.t
-    keys: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in thresholds]
+    distinct = list(dict.fromkeys(thresholds))
+    keys: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in distinct]
     if family.kind == "explicit":
         if n:
-            for thr in thresholds:
+            for thr in distinct:
                 check_queries(family, dirs, thr)
         step = _row_step(t)
         for lo in range(0, n, step):
             scores = dirs[lo : lo + step] @ family.blocks[0].T
-            for k, thr in enumerate(thresholds):
+            for k, thr in enumerate(distinct):
                 keys[k].append(np.flatnonzero(scores >= thr) + lo * t)
     else:
-        for k, thr in enumerate(thresholds):
+        for k, thr in enumerate(distinct):
             flat = [
                 x * t + j for x, v in enumerate(dirs) for j in relevant_filters(family, v, thr)
             ]
             keys[k].append(np.array(flat, dtype=np.int64))
-    return [_mask(np.concatenate(parts), n, t) for parts in keys]
+    masks = [_mask(np.concatenate(parts), n, t) for parts in keys]
+    return [masks[distinct.index(thr)] for thr in thresholds]
 
 
 def _charge_filters(ledger: QueryLedger, mask: sparse.csr_array, insert: bool) -> None:
@@ -215,31 +222,32 @@ def _charge_filters(ledger: QueryLedger, mask: sparse.csr_array, insert: bool) -
 def _covered_close_keys(
     instance: SieveInstance,
     query_mask: sparse.csr_array,
-    bucket_mask: sparse.csc_array,
+    insert_mask: sparse.csr_array,
     ledger: QueryLedger,
 ) -> np.ndarray:
     """Keys of (x, y), x != y, sharing a filter and at angle <= theta.
 
     Each x is charged one inner product per entry of each of its
-    buckets, duplicates included.  Candidates come from the sparse
-    product of a row chunk of the query mask with the bucket mask, and
-    are tested against the Gram block of the same chunk.
+    buckets, duplicates included: that is what a query tests.  The
+    pairs are found the other way round: per row chunk, the close
+    entries (x, y) of its Gram block, kept when row x of the query mask
+    and row y of the insert mask share a filter.  Only close pairs are
+    tested for sharing.
     """
     dirs = instance.directions()
-    n = instance.n
-    sizes = np.diff(bucket_mask.indptr)
+    n, t = instance.n, insert_mask.shape[1]
+    sizes = np.bincount(insert_mask.indices, minlength=t)
     ledger.inner_product_queries += int(sizes[query_mask.indices].sum())
     cos_theta = math.cos(instance.theta)
-    members = bucket_mask.T  # (t, n) CSR view of the same arrays
     out = [np.empty(0, dtype=np.int64)]
     step = _row_step(n)
     for lo in range(0, n, step):
-        cand = query_mask[lo : lo + step] @ members
-        rows = np.repeat(np.arange(cand.shape[0]), np.diff(cand.indptr))
-        cols = cand.indices.astype(np.int64)
         gram = dirs[lo : lo + step] @ dirs.T
-        keep = (gram[rows, cols] >= cos_theta) & (rows + lo != cols)
-        out.append(np.sort((rows[keep] + lo) * n + cols[keep]))
+        keys = np.flatnonzero(gram >= cos_theta) + lo * n
+        x, y = np.divmod(keys, n)
+        other = x != y  # a vector is never its own pair
+        shared = np.diff(query_mask[x[other]].multiply(insert_mask[y[other]]).indptr) > 0
+        out.append(keys[other][shared])
     return np.concatenate(out)
 
 
@@ -272,7 +280,7 @@ def query_keys(
         raise DomainError("buckets were built for a different list or family")
     (mask,) = _close_masks(instance, family, (alpha,))
     _charge_filters(ledger, mask, insert=False)
-    return _covered_close_keys(instance, mask, buckets.members, ledger)
+    return _covered_close_keys(instance, mask, buckets.members.tocsr(), ledger)
 
 
 def query_method(
@@ -291,6 +299,30 @@ def query_method(
     return keys_to_pairs(query_keys(instance, family, alpha, buckets, ledger), instance.n)
 
 
+def pair_keys(
+    instance: SieveInstance,
+    family: FilterFamily,
+    alpha: float,
+    beta: float,
+    method: str,
+    ledger: QueryLedger,
+) -> np.ndarray:
+    """One run of method "query" or "fas" as ascending int64 keys x * n + y.
+
+    The list is scored once for both thresholds.  "query" charges the
+    ledger what preprocess at beta and then query_keys at alpha would;
+    "fas" charges both sides as insertions, as fas_method does.  Beta
+    is checked before alpha.
+    """
+    if method not in ("query", "fas"):
+        raise DomainError(f"method must be query or fas, got {method!r}")
+    _check_family(instance, family)
+    insert_mask, query_mask = _close_masks(instance, family, (beta, alpha))
+    _charge_filters(ledger, insert_mask, insert=True)
+    _charge_filters(ledger, query_mask, insert=method == "fas")
+    return _covered_close_keys(instance, query_mask, insert_mask, ledger)
+
+
 def fas_keys(
     instance: SieveInstance,
     family: FilterFamily,
@@ -299,11 +331,7 @@ def fas_keys(
     ledger: QueryLedger,
 ) -> np.ndarray:
     """fas_method as ascending int64 keys x * n + y."""
-    _check_family(instance, family)
-    insert_mask, query_mask = _close_masks(instance, family, (beta, alpha))
-    _charge_filters(ledger, insert_mask, insert=True)
-    _charge_filters(ledger, query_mask, insert=True)
-    return _covered_close_keys(instance, query_mask, insert_mask.tocsc(), ledger)
+    return pair_keys(instance, family, alpha, beta, "fas", ledger)
 
 
 def fas_method(
@@ -349,15 +377,13 @@ def sieve_step(
 ) -> np.ndarray:
     """One list-sieve round: emit differences of found reducing pairs.
 
-    Pairs come from query_method at the instance angle; a pair counts
+    Pairs come from the query method at the instance angle; a pair counts
     as reducing when ||v - w|| <= instance.shrink_factor * radius.  Zero
     differences are dropped, so identical inputs produce nothing.
     """
     if instance.mode != "norm":
         raise DomainError("sieve_step needs a norm-mode instance")
-    ledger = QueryLedger()
-    buckets = preprocess(instance, family, beta, ledger)
-    keys = query_keys(instance, family, alpha, buckets, ledger)
+    keys = pair_keys(instance, family, alpha, beta, "query", QueryLedger())
     bound = instance.shrink_factor * instance.radius
     out = []
     for x, y in zip(*np.divmod(keys, instance.n)):

@@ -175,6 +175,17 @@ def test_sieve_input_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("method", ["query", "fas"])
+def test_sieve_reports_beta_before_alpha(capsys, method):
+    # the threshold check names every threshold alpha; beta is checked first
+    argv = ["sieve", "--t", "50", "--n", "20", "--d", "8", "--method", method]
+    for flags, shown in ((["--beta", "1.5"], "1.5"), (["--alpha", "1.5"], "1.5"),
+                         (["--alpha", "1.5", "--beta", "-1.5"], "-1.5"),
+                         (["--alpha", "-2", "--beta", "1.5"], "1.5")):
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err == f"error: alpha must lie in [-1, 1), got {shown}\n"
+
+
 def test_sieve_empty_and_guards(capsys):
     assert main(["sieve", "--d", "24", "--n", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["results"] == []
@@ -234,6 +245,8 @@ BAD_INPUTS = [
     "qsearch --experiment blocked --trials 2 --S ,,",
     "qsearch --experiment pair --trials 2 --S ,,",
     "qsearch --experiment minfind --trials 2 --size -1",
+    "sieve --d 24 --n 10 --theta inf",  # exit 4: math domain error in the cosine
+    "sieve --d 24 --n 10 --theta=-inf",
     "circuit --buckets 1,2 --d 0",
     "circuit --buckets 1,2 --d -3",
     "geom --cap --d 0 --alpha 0.3 --mc",  # exit 4: index 0 is out of bounds
@@ -302,11 +315,13 @@ def test_circuit_cost_row(capsys):
 
 
 def test_circuit_cost_at_huge_d(capsys):
-    # the cost needs only the bucket sizes; this once asked for 14.9 GiB
-    assert main(["circuit", "--buckets", "1,2", "--d", "1000000000"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    row = dict(zip(out[0].split(","), out[1].split(",")))
-    assert (row["d"], row["depth"], row["size"], row["width"]) == ("1000000000", "2", "2", "2")
+    # the cost needs only the bucket sizes; d = 10^9 once asked for
+    # 14.9 GiB, and a d past numpy's shape limit exited 4
+    for d in ("1000000000", "99999999999999999999"):
+        assert main(["circuit", "--buckets", "1,2", "--d", d]) == 0
+        out = capsys.readouterr().out.splitlines()
+        row = dict(zip(out[0].split(","), out[1].split(",")))
+        assert (row["d"], row["t"], row["depth"], row["size"], row["width"]) == (d, "2", "2", "2", "2")
 
 
 def test_symkey_collision_with_explicit_l_and_r(capsys):

@@ -69,6 +69,37 @@ def ref_fas(inst, fam, alpha, beta, led):
     return pairs
 
 
+def ref_covered_close_keys(inst, query_mask, bucket_mask, led):
+    # the engine's earlier pair pass: every candidate from the sparse
+    # product of a row chunk of the query mask with the buckets, then a
+    # gather from the Gram block of the same chunk
+    dirs = inst.directions()
+    n = inst.n
+    sizes = np.diff(bucket_mask.indptr)
+    led.inner_product_queries += int(sizes[query_mask.indices].sum())
+    cos_theta = math.cos(inst.theta)
+    members = bucket_mask.T
+    out = [np.empty(0, dtype=np.int64)]
+    step = sieve._row_step(n)
+    for lo in range(0, n, step):
+        cand = query_mask[lo : lo + step] @ members
+        rows = np.repeat(np.arange(cand.shape[0]), np.diff(cand.indptr))
+        cols = cand.indices.astype(np.int64)
+        gram = dirs[lo : lo + step] @ dirs.T
+        keep = (gram[rows, cols] >= cos_theta) & (rows + lo != cols)
+        out.append(np.sort((rows[keep] + lo) * n + cols[keep]))
+    return np.concatenate(out)
+
+
+def ref_fas_keys(inst, fam, alpha, beta, led):
+    # one scoring call per threshold, both sides charged as insertions
+    masks = [sieve._close_masks(inst, fam, (thr,))[0] for thr in (beta, alpha)]
+    for mask in masks:
+        led.filter_queries += inst.n + mask.nnz
+        led.insertions += mask.nnz
+    return ref_covered_close_keys(inst, masks[1], masks[0].tocsc(), led)
+
+
 def _instance(seed, n, d=12):
     # odd seeds: unit sphere; even seeds: norm mode, so directions() rescales
     if seed % 2:
@@ -310,3 +341,51 @@ def test_engine_property(seed, n, kind, mode, t, alpha, beta, theta):
     got = sieve.keys_to_pairs(sieve.fas_keys(inst, fam, alpha, beta, led), inst.n)
     assert got == ref_fas(inst, fam, alpha, beta, led_ref)
     assert led == led_ref
+
+
+@given(
+    seed=st.integers(0, 2**20),
+    n=st.one_of(st.sampled_from([1, 2]), st.integers(3, 30)),
+    duplicates=st.booleans(),
+    kind=st.sampled_from(["explicit", "rpc"]),
+    mode=st.sampled_from(["unit", "norm"]),
+    t=st.integers(1, 60),
+    alpha=st.floats(-0.4, 0.8),
+    beta=st.one_of(st.none(), st.floats(-0.4, 0.8)),
+    theta=st.floats(0.3, 2.8),
+)
+def test_pair_keys_property(seed, n, duplicates, kind, mode, t, alpha, beta, theta):
+    # beta None is the default alpha == beta, where one mask serves both
+    # sides; duplicate vectors are close pairs that share every filter
+    beta = alpha if beta is None else beta
+    if kind == "explicit":
+        fam = rpc.build_family("explicit", 6, seed, t=t)
+    else:
+        fam = rpc.build_family("rpc", 6, seed, m=1 + t % 5, B=2)
+    vectors = sieve.random_instance(6, n, seed=seed + 1, mode=mode, radius=2.0).vectors
+    if duplicates:
+        vectors = vectors[np.random.default_rng(seed).integers(0, n, size=n + 3)]
+    inst = sieve.make_instance(vectors, mode, radius=2.0, theta=theta)
+
+    led, led_ref = sieve.QueryLedger(), sieve.QueryLedger()
+    got = sieve.pair_keys(inst, fam, alpha, beta, "query", led)
+    buckets = sieve.preprocess(inst, fam, beta, led_ref)
+    assert np.array_equal(got, sieve.query_keys(inst, fam, alpha, buckets, led_ref))
+    assert led == led_ref
+    (query_mask,) = sieve._close_masks(inst, fam, (alpha,))
+    assert np.array_equal(
+        got, ref_covered_close_keys(inst, query_mask, buckets.members, sieve.QueryLedger())
+    )
+
+    led, led_ref = sieve.QueryLedger(), sieve.QueryLedger()
+    got = sieve.pair_keys(inst, fam, alpha, beta, "fas", led)
+    assert got.dtype == np.int64 and np.all(np.diff(got) > 0)
+    assert np.array_equal(got, ref_fas_keys(inst, fam, alpha, beta, led_ref))
+    assert led == led_ref
+
+
+def test_pair_keys_refuses_an_unknown_method():
+    inst = _instance(1, 10)
+    with pytest.raises(DomainError):
+        sieve.pair_keys(inst, rpc.build_family("explicit", 12, 1, t=20), 0.3, 0.3, "brute",
+                        sieve.QueryLedger())

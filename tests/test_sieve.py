@@ -1,5 +1,6 @@
 """Near-neighbor engine: exactness vs brute force, ledgers, sieve yield."""
 
+import hashlib
 import math
 import os
 import struct
@@ -245,6 +246,23 @@ def test_sieve_step_yield_and_norm_contract():
     assert out.shape[0] >= 0.4 * len(sieve.brute_force_pairs(inst))
     assert np.linalg.norm(out, axis=1).max() <= 1.0 + 1e-9
     assert np.linalg.norm(out, axis=1).min() > 0.0
+
+
+def test_sieve_step_bytes_are_pinned():
+    # recorded when sieve_step still ran preprocess and then query_keys,
+    # each scoring the list against the family
+    inst = sieve.random_instance(16, 600, seed=31, mode="norm", radius=2.0, theta=1.2,
+                                 shrink_factor=0.9)
+    explicit = rpc.build_family("explicit", 16, 32, t=500)
+    for fam, alpha, beta, rows, digest in (
+        (explicit, 0.4, 0.5, 2136, "757ae0cf0001e90e11056dd290b98be577eedf8d01e98abb138cef76037ebcd7"),
+        (explicit, 0.45, 0.45, 2144, "514feb1dae050a74cbdd30a4a890a9aa06304cabef1f70aa1a70db945e980cbc"),
+        (rpc.build_family("rpc", 16, 33, m=6, B=2), 0.3, 0.35, 920,
+         "b2a270e24f9dfed7e7b04c1496fc2343f882b86427b81c4328bb659fb6b97b08"),
+    ):
+        out = sieve.sieve_step(inst, fam, alpha, beta)
+        assert out.shape == (rows, 16)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
 def test_sieve_step_requires_norm_mode():
