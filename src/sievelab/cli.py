@@ -26,6 +26,8 @@ from .rng import DEFAULT_SEED, derive_seed, make_rng
 SIEVE_D_GUARD = 64
 SIEVE_N_GUARD = 10**5
 FAMILY_GUARD = 10**6
+# blocked list size --M and minfind list size --size; each trial holds one such list
+QSEARCH_SIZE_GUARD = 10**6
 
 _SIEVE_MODELS = list(exponents.MODELS)
 _EXTRA_MODELS = ["lower", "bkz", "symkey-collision", "symkey-mtps"]
@@ -218,6 +220,8 @@ def cmd_qsearch(ns) -> list[dict]:
         raise DomainError(f"--trials must be >= 1, got {ns.trials}")
 
     if ns.experiment == "blocked":
+        if ns.M > QSEARCH_SIZE_GUARD:
+            raise GuardError(f"M={ns.M} exceeds the search-size guard {QSEARCH_SIZE_GUARD}")
         s_values = _parse_int_list(ns.S, "--S")
         # about six marks; blocked_search_scaling refuses M < 1 and p outside (0, 1]
         p = ns.p if ns.p is not None else min(1.0, 6.0 / max(ns.M, 1))
@@ -246,6 +250,8 @@ def cmd_qsearch(ns) -> list[dict]:
     # minfind
     if ns.size < 1:
         raise DomainError(f"--size must be >= 1, got {ns.size}")
+    if ns.size > QSEARCH_SIZE_GUARD:
+        raise GuardError(f"size={ns.size} exceeds the search-size guard {QSEARCH_SIZE_GUARD}")
     hits, evals = 0, []
     for i in range(ns.trials):
         values = make_rng(derive_seed(ns.seed, 900_000 + i)).standard_normal(ns.size)

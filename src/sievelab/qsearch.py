@@ -18,6 +18,11 @@ as a flag vector, runs on its size and marked count alone and names a
 marked index only on a hit.  The QRAM ledger counts one reload per
 block (or block pair) loaded.  A window of S = 1 is the classical scan,
 worked out in closed form from the first mark.
+
+Every scalar search draw goes through rng.Draws, which reads numpy's
+Generator.integers(0, n) and Generator.random() stream straight from the
+bit generator's C interface: the same values at a fraction of the call
+cost.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .rng import derive_seed, make_rng
+from .rng import Draws, derive_seed, make_rng
 
 # per-block cap inside blocked_search; the proof caps at O(sqrt(S))
 BLOCK_CAP_FACTOR = 3.0
@@ -106,29 +111,31 @@ def bbht_search(
     if flags.ndim != 1 or flags.size < 1:
         raise DomainError(f"bbht_search needs a nonempty flag vector, got shape {flags.shape}")
     k = int(np.count_nonzero(flags))
-    hit, evals = _bbht_two_class(flags.size, k, rng, cap)
+    draws = Draws(rng)
+    hit, evals = _bbht_two_class(flags.size, k, draws, cap)
     if hit is None:
         return None, evals
-    return int(np.flatnonzero(flags)[rng.integers(0, k)]), evals
+    return int(np.flatnonzero(flags)[draws.below(k)]), evals
 
 
-def _bbht_two_class(
-    S: int, k: int, rng: np.random.Generator, cap: int
-) -> tuple[bool | None, int]:
+def _bbht_two_class(S: int, k: int, draws: Draws, cap: int) -> tuple[bool | None, int]:
     """bbht_search over a space summarized by (size, marked count);
     returns (True on a verified hit, None on cap exhaustion)."""
-    integers, random = rng.integers, rng.random
+    below, uniform = draws.below, draws.uniform
+    # _qaa_success_prob's angle: k = 0 gives probability 0 at every j, and
+    # k = S hits on the first attempt, whose j is 0, with sin(pi/2)^2 = 1
+    theta = math.asin(math.sqrt(k / S))
     m = 1.0
     m_max = math.sqrt(S)
     evals = 0
     while evals < cap:
-        j = int(integers(0, math.ceil(m)))
+        j = below(math.ceil(m))
         cost = max(1, j)
         if evals + cost > cap:
             evals = cap  # truncated attempt burns the remaining budget
             break
         evals += cost
-        if random() < _qaa_success_prob(S, k, j):
+        if uniform() < math.sin((2 * j + 1) * theta) ** 2:
             return True, evals
         # measured an unmarked element; grow the iteration range
         m = min(m * 1.2, m_max)
@@ -144,13 +151,14 @@ def blocked_search(
     reload), searched with an evaluation cap of ceil(3 sqrt(S)), and the
     whole search halts at the first verified solution.  S=1 degenerates
     to the classical scan: one reload and one evaluation per element up
-    to the first mark, so it spends no random draws.
+    to the first mark, so it spends no random draws.  The window holds
+    at most the whole list: S > M is refused.
     """
     flags = np.asarray(f, dtype=bool)
     if flags.shape != (M,):
         raise DomainError(f"f must have length M={M}")
-    if S < 1:
-        raise DomainError(f"blocked_search needs S >= 1, got {S}")
+    if not 1 <= S <= M:
+        raise DomainError(f"blocked_search needs 1 <= S <= M={M}, got S={S}")
     if S == 1:
         marks = np.flatnonzero(flags)
         if marks.size:
@@ -195,6 +203,12 @@ def blocked_pair_search(
     rng = make_rng(seed)
     chosen = rng.choice(M1 * M2, size=K_planted, replace=False)
     planted = frozenset((int(c) // M2, int(c) % M2) for c in chosen)
+    draws = Draws(rng)
+    # each planted pair lies in exactly one block pair, so none is found
+    # before its block pair is searched; lists keep the set's order
+    live_in: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for pair in planted:
+        live_in.setdefault((pair[0] // S, pair[1] // S), []).append(pair)
 
     dense = S * S * max(K_planted, 1) >= M1 * M2
     expected_per_bp = K_planted * S * S / (M1 * M2)
@@ -204,27 +218,25 @@ def blocked_pair_search(
     )
     space = S * S  # padded block pair
     probe = qaa_iterations(math.asin(1.0 / S))  # sized for a unique solution
+    row_blocks, col_blocks = -(-M1 // S), -(-M2 // S)
     found: set[tuple[int, int]] = set()
-    for i0 in range(0, M1, S):
-        rows = range(i0, min(i0 + S, M1))
-        for j0 in range(0, M2, S):
-            cols = range(j0, min(j0 + S, M2))
-            # each planted pair lies in exactly one block pair, so none is found yet;
+    for bi in range(row_blocks):
+        for bj in range(col_blocks):
             # with k = 0 the success probability is 0 and no pick can happen
-            live = [p for p in planted if p[0] in rows and p[1] in cols]
+            live = live_in.get((bi, bj), [])
             if dense:
                 remaining = budget
                 while remaining > 0:
                     k = len(live)
-                    sub, spent = _bbht_two_class(space, k, rng, remaining)
+                    sub, spent = _bbht_two_class(space, k, draws, remaining)
                     remaining -= spent
                     if sub is not None:
-                        found.add(live.pop(int(rng.integers(0, k))))
+                        found.add(live.pop(draws.below(k)))
             else:
                 k = len(live)
-                if rng.random() < _qaa_success_prob(space, k, probe):
-                    found.add(live.pop(int(rng.integers(0, k))))
-    reloads = -(-M1 // S) * -(-M2 // S)
+                if draws.uniform() < _qaa_success_prob(space, k, probe):
+                    found.add(live.pop(draws.below(k)))
+    reloads = row_blocks * col_blocks
     evals = reloads * (budget if dense else max(1, probe))
     return SearchReport(
         None, evals, reloads, len(found) >= max(1, K_planted) // 4,

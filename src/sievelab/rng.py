@@ -4,7 +4,9 @@ Every stochastic routine takes a 64-bit master seed and derives one
 independent stream per task from (master seed, task index) through a
 fixed SplitMix64 mix.  Streams are backed by numpy's Philox generator,
 a 64-bit counter-based generator, so results do not depend on how work
-is sliced across shards or trials.
+is sliced across shards or trials.  Draws takes scalar draws of a
+Generator's own stream through the bit generator's C interface, for
+loops that pay per call.
 
 DEFAULT_SEED is the seed used by the command line when none is given.
 """
@@ -12,6 +14,8 @@ DEFAULT_SEED is the seed used by the command line when none is given.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import DomainError
 
 DEFAULT_SEED = 0x5EED
 
@@ -39,3 +43,45 @@ def derive_seed(master: int, index: int) -> int:
 def make_rng(seed: int, index: int = 0) -> np.random.Generator:
     """Generator for task `index` under `seed` (Philox, counter-based)."""
     return np.random.Generator(np.random.Philox(key=derive_seed(seed, index)))
+
+
+class Draws:
+    """Scalar draws of ``rng``'s stream through ``rng.bit_generator.ctypes``.
+
+    ``below(n)`` gives what ``rng.integers(0, n)`` gives and ``uniform()``
+    what ``rng.random()`` gives, value for value: both step the same C
+    state, so they interleave exactly with any other call on ``rng``.
+    They skip the Generator's argument dispatch, which is most of a
+    scalar draw's cost.  Like numpy, ``below`` takes 32-bit draws through
+    Lemire's multiply-and-reject step and draws nothing for n = 1.
+    Unlike the Generator's methods they take no lock, so no other thread
+    may draw from ``rng`` meanwhile.
+    """
+
+    __slots__ = ("_bit_generator", "_state", "_next_uint32", "_next_double")
+
+    def __init__(self, rng: np.random.Generator):
+        iface = rng.bit_generator.ctypes
+        self._bit_generator = rng.bit_generator  # owns the state the pointer names
+        self._state = iface.state
+        self._next_uint32 = iface.next_uint32
+        self._next_double = iface.next_double
+
+    def below(self, n: int) -> int:
+        """Uniform integer in [0, n), as ``Generator.integers(0, n)``."""
+        if not 1 <= n <= 1 << 32:
+            raise DomainError(f"below needs 1 <= n <= 2**32, got {n}")
+        if n == 1:
+            return 0
+        m = self._next_uint32(self._state) * n
+        low = m & 0xFFFFFFFF
+        if low < n:  # n bounds the rejection threshold (2**32 - n) % n
+            threshold = ((1 << 32) - n) % n
+            while low < threshold:
+                m = self._next_uint32(self._state) * n
+                low = m & 0xFFFFFFFF
+        return m >> 32
+
+    def uniform(self) -> float:
+        """Uniform float in [0, 1), as ``Generator.random()``."""
+        return self._next_double(self._state)

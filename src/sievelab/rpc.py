@@ -117,8 +117,11 @@ def build_family(
 # --- relevant-filter enumeration --------------------------------------------
 
 
-def check_queries(family: FilterFamily, V: np.ndarray, alpha: float) -> None:
-    """The relevant_filters argument checks for a batch of query rows."""
+def check_queries(
+    family: FilterFamily, V: np.ndarray, alpha: float, name: str = "alpha"
+) -> None:
+    """The relevant_filters argument checks for a batch of query rows;
+    a threshold out of range is reported under ``name``."""
     if V.ndim != 2 or V.shape[1] != family.d:
         raise DomainError(f"query rows must have {family.d} coordinates")
     # np.linalg.norm's sum as Python floats, cheap for one row; NaN and inf fail <=
@@ -126,7 +129,7 @@ def check_queries(family: FilterFamily, V: np.ndarray, alpha: float) -> None:
     if not all(abs(x - 1.0) <= 1e-6 for x in norms):
         raise DomainError("v must be a unit vector")
     if not -1.0 <= alpha < 1.0:
-        raise DomainError(f"alpha must lie in [-1, 1), got {alpha}")
+        raise DomainError(f"{name} must lie in [-1, 1), got {alpha}")
 
 
 def _block_scores(family: FilterFamily, v: np.ndarray, alpha: float) -> list[np.ndarray]:

@@ -179,24 +179,28 @@ def _mask(keys: np.ndarray, n: int, t: int) -> sparse.csr_array:
 
 
 def _close_masks(
-    instance: SieveInstance, family: FilterFamily, thresholds: tuple[float, ...]
+    instance: SieveInstance, family: FilterFamily, thresholds: dict[str, float]
 ) -> list[sparse.csr_array]:
-    """Per threshold, the mask of <x, c_j> >= threshold over the list.
+    """Per named threshold, the mask of <x, c_j> >= threshold over the list.
 
     Explicit families score a row chunk against their one block, the
     (t, d) center matrix, and one score block serves all thresholds.
     Product codes keep their per-vector branch-and-bound, one threshold
     after the other.  Equal thresholds are compared once and share one
-    mask; thresholds are checked in the order given.
+    mask; thresholds are checked in the order given, and one out of
+    range is reported under its name.
     """
     dirs = instance.directions()
     n, t = instance.n, family.t
-    distinct = list(dict.fromkeys(thresholds))
+    named: dict[float, str] = {}  # each distinct threshold under its first name
+    for name, thr in thresholds.items():
+        named.setdefault(thr, name)
+    if n:
+        for thr, name in named.items():
+            check_queries(family, dirs, thr, name)
+    distinct = list(named)
     keys: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in distinct]
     if family.kind == "explicit":
-        if n:
-            for thr in distinct:
-                check_queries(family, dirs, thr)
         step = _row_step(t)
         for lo in range(0, n, step):
             scores = dirs[lo : lo + step] @ family.blocks[0].T
@@ -209,7 +213,7 @@ def _close_masks(
             ]
             keys[k].append(np.array(flat, dtype=np.int64))
     masks = [_mask(np.concatenate(parts), n, t) for parts in keys]
-    return [masks[distinct.index(thr)] for thr in thresholds]
+    return [masks[distinct.index(thr)] for thr in thresholds.values()]
 
 
 def _charge_filters(ledger: QueryLedger, mask: sparse.csr_array, insert: bool) -> None:
@@ -262,7 +266,7 @@ def preprocess(
 ) -> Buckets:
     """Insert every vector into the buckets of its beta-close filters."""
     _check_family(instance, family)
-    (mask,) = _close_masks(instance, family, (beta,))
+    (mask,) = _close_masks(instance, family, {"beta": beta})
     _charge_filters(ledger, mask, insert=True)
     return Buckets(mask.tocsc())  # row indices come out ascending within each column
 
@@ -278,7 +282,7 @@ def query_keys(
     _check_family(instance, family)
     if buckets.members.shape != (instance.n, family.t):
         raise DomainError("buckets were built for a different list or family")
-    (mask,) = _close_masks(instance, family, (alpha,))
+    (mask,) = _close_masks(instance, family, {"alpha": alpha})
     _charge_filters(ledger, mask, insert=False)
     return _covered_close_keys(instance, mask, buckets.members.tocsr(), ledger)
 
@@ -317,7 +321,7 @@ def pair_keys(
     if method not in ("query", "fas"):
         raise DomainError(f"method must be query or fas, got {method!r}")
     _check_family(instance, family)
-    insert_mask, query_mask = _close_masks(instance, family, (beta, alpha))
+    insert_mask, query_mask = _close_masks(instance, family, {"beta": beta, "alpha": alpha})
     _charge_filters(ledger, insert_mask, insert=True)
     _charge_filters(ledger, query_mask, insert=method == "fas")
     return _covered_close_keys(instance, query_mask, insert_mask, ledger)

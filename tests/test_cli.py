@@ -177,13 +177,14 @@ def test_sieve_input_errors_exit_2(capsys):
 
 @pytest.mark.parametrize("method", ["query", "fas"])
 def test_sieve_reports_beta_before_alpha(capsys, method):
-    # the threshold check names every threshold alpha; beta is checked first
+    # the threshold check names the flag at fault; beta is checked first
     argv = ["sieve", "--t", "50", "--n", "20", "--d", "8", "--method", method]
-    for flags, shown in ((["--beta", "1.5"], "1.5"), (["--alpha", "1.5"], "1.5"),
-                         (["--alpha", "1.5", "--beta", "-1.5"], "-1.5"),
-                         (["--alpha", "-2", "--beta", "1.5"], "1.5")):
+    for flags, name, shown in ((["--beta", "1.5"], "beta", "1.5"),
+                               (["--alpha", "1.5"], "alpha", "1.5"),
+                               (["--alpha", "1.5", "--beta", "-1.5"], "beta", "-1.5"),
+                               (["--alpha", "-2", "--beta", "1.5"], "beta", "1.5")):
         assert main(argv + flags) == 2
-        assert capsys.readouterr().err == f"error: alpha must lie in [-1, 1), got {shown}\n"
+        assert capsys.readouterr().err == f"error: {name} must lie in [-1, 1), got {shown}\n"
 
 
 def test_sieve_empty_and_guards(capsys):
@@ -258,21 +259,41 @@ BAD_INPUTS = [
     "qsearch --experiment blocked --M 16 --S 1,4 --trials 2 --p 1e-300",
     "qsearch --experiment blocked --M 1 --S 1 --p 1e-10",
     "qsearch --experiment blocked --M 1000 --S 4 --p 1e-9",
+    # exit 4: padding one (1, S) block ran out of memory; the window exceeds the list
+    "qsearch --experiment blocked --M 256 --S 100000000000 --trials 1",
 ]
 
 
-@pytest.mark.parametrize("command", BAD_INPUTS)
-def test_invalid_input_exits_2(command):
+def _run_cli(command):
     # a subprocess with a timeout, so an input that hangs fails the test
     # instead of stalling the suite
     src = Path(sievelab.__file__).resolve().parent.parent
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", "import sys; from sievelab.cli import main; "
          "sys.exit(main(sys.argv[1:]))", *command.split()],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, timeout=60,
     )
+
+
+@pytest.mark.parametrize("command", BAD_INPUTS)
+def test_invalid_input_exits_2(command):
+    proc = _run_cli(command)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(b"error: ")
+
+
+# exit 4: lists this long ran out of memory; the size guard refuses them
+OVERSIZED_INPUTS = [
+    "qsearch --experiment blocked --M 100000000000",
+    "qsearch --experiment minfind --size 100000000000",
+]
+
+
+@pytest.mark.parametrize("command", OVERSIZED_INPUTS)
+def test_oversized_input_exits_3(command):
+    proc = _run_cli(command)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(b"error: ") and b"guard" in proc.stderr
 
 
 # NaN or inf sweep bounds printed nan/inf rows with exit 0

@@ -93,7 +93,8 @@ def ref_covered_close_keys(inst, query_mask, bucket_mask, led):
 
 def ref_fas_keys(inst, fam, alpha, beta, led):
     # one scoring call per threshold, both sides charged as insertions
-    masks = [sieve._close_masks(inst, fam, (thr,))[0] for thr in (beta, alpha)]
+    masks = [sieve._close_masks(inst, fam, {name: thr})[0]
+             for name, thr in (("beta", beta), ("alpha", alpha))]
     for mask in masks:
         led.filter_queries += inst.n + mask.nnz
         led.insertions += mask.nnz
@@ -372,7 +373,7 @@ def test_pair_keys_property(seed, n, duplicates, kind, mode, t, alpha, beta, the
     buckets = sieve.preprocess(inst, fam, beta, led_ref)
     assert np.array_equal(got, sieve.query_keys(inst, fam, alpha, buckets, led_ref))
     assert led == led_ref
-    (query_mask,) = sieve._close_masks(inst, fam, (alpha,))
+    (query_mask,) = sieve._close_masks(inst, fam, {"alpha": alpha})
     assert np.array_equal(
         got, ref_covered_close_keys(inst, query_mask, buckets.members, sieve.QueryLedger())
     )

@@ -193,6 +193,27 @@ def test_blocked_search_deterministic():
     assert a == b
 
 
+# (M, S) with S >= 2: whole blocks, ragged tails, S = M and a lone pair
+BLOCKED_GRID = [
+    (2, 2), (10, 3), (10, 4), (17, 5), (33, 32), (64, 16),
+    (64, 64), (100, 7), (256, 16), (256, 256), (300, 64),
+]
+
+
+def test_blocked_search_pinned_reports():
+    # sha256 recorded while the BBHT loop drew through Generator.integers
+    # and Generator.random; no-mark, sparse and dense flag vectors
+    rows = []
+    for M, S in BLOCKED_GRID:
+        for seed in range(6):
+            draws = make_rng(seed, M).random(M)
+            for p in (0.0, 2.0 / M, 0.25):
+                rep = Q.blocked_search(M, draws < p, S, derive_seed(seed, S))
+                rows.append((rep.found, rep.oracle_evals, rep.qram_reloads, rep.success))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "17ad9b3d7bb6afd7e575e0b182c40d7845c0763924bf8a55378c15b55e3bf1de"
+
+
 def test_blocked_search_scaling_structure():
     rows = Q.blocked_search_scaling(256, [1, 4, 16, 64, 256], 6 / 256, 100, DEFAULT_SEED)
     by_s = {r.S: r for r in rows}
