@@ -26,8 +26,12 @@ from .rng import DEFAULT_SEED, derive_seed, make_rng
 SIEVE_D_GUARD = 64
 SIEVE_N_GUARD = 10**5
 FAMILY_GUARD = 10**6
-# blocked list size --M and minfind list size --size; each trial holds one such list
+# per trial: the blocked --M or minfind --size list, the pair --K and evaluations
 QSEARCH_SIZE_GUARD = 10**6
+# tradeoff curve points; the largest curve in use has 100
+STEPS_GUARD = 10**4
+# geom --cap --mc dimension: each sample shard holds 2^16 x d doubles
+CAP_MC_D_GUARD = 256
 
 _SIEVE_MODELS = list(exponents.MODELS)
 _EXTRA_MODELS = ["lower", "bkz", "symkey-collision", "symkey-mtps"]
@@ -71,6 +75,8 @@ def _emit(ns: argparse.Namespace, rows: list[dict]) -> None:
 def _steps(ns) -> int:
     if ns.steps < 1:
         raise DomainError(f"--steps must be >= 1, got {ns.steps}")
+    if ns.steps > STEPS_GUARD:
+        raise GuardError(f"--steps {ns.steps} exceeds the curve guard {STEPS_GUARD}")
     return ns.steps
 
 
@@ -180,16 +186,14 @@ def cmd_sieve(ns) -> list[dict]:
     instance = sieve.random_instance(ns.d, ns.n, ns.seed, mode="unit", theta=theta)
     family = rpc.build_family("explicit", ns.d, derive_seed(ns.seed, 1), t=t)
     ledger = sieve.QueryLedger()
-    pairs = sieve.pair_keys(instance, family, alpha, beta, ns.method, ledger)
-    brute = sieve.brute_force_keys(instance)
-    found = np.intersect1d(pairs, brute, assume_unique=True).size
-    recall = found / brute.size if brute.size else 1.0
+    pairs, close = sieve.pair_keys(instance, family, alpha, beta, ns.method, ledger)
+    recall = pairs.size / close.size if close.size else 1.0
     expected = sieve.expected_ledger(ns.n, t, alpha, beta, ns.d)
 
     row = {
         "d": ns.d, "n": ns.n, "method": ns.method, "theta": theta,
         "alpha": alpha, "beta": beta, "t": t, "wedge_estimate": wedge_est,
-        "pairs_found": pairs.size, "pairs_brute": brute.size, "recall": recall,
+        "pairs_found": pairs.size, "pairs_brute": close.size, "recall": recall,
         "filter_queries": ledger.filter_queries,
         "inner_product_queries": ledger.inner_product_queries,
         "insertions": ledger.insertions,
@@ -230,18 +234,24 @@ def cmd_qsearch(ns) -> list[dict]:
                 for r in scaling]
 
     if ns.experiment == "pair":
+        # a trial's evaluation count is fixed before its draws; refuse before any
+        s_values = _parse_int_list(ns.S, "--S")
+        evals = [qsearch.pair_search_plan(ns.M1, ns.M2, ns.K, S)[-1] for S in s_values]
+        for S, cost in zip(s_values, evals):
+            if max(cost, ns.K) > QSEARCH_SIZE_GUARD:
+                raise GuardError(f"S={S}, K={ns.K}: {cost} evaluations per trial; both "
+                                 f"must stay within the search-size guard {QSEARCH_SIZE_GUARD}")
         rows = []
-        for S in _parse_int_list(ns.S, "--S"):
-            counts, evals = [], []
+        for S, cost in zip(s_values, evals):
+            counts = []
             for i in range(ns.trials):
                 rep = qsearch.blocked_pair_search(
                     ns.M1, ns.M2, ns.K, S, derive_seed(ns.seed, 5000 + i)
                 )
                 counts.append(len(rep.solutions))
-                evals.append(rep.oracle_evals)
             rows.append(
                 {"experiment": "pair", "M1": ns.M1, "M2": ns.M2, "K": ns.K, "S": S,
-                 "trials": ns.trials, "mean_evals": float(np.mean(evals)),
+                 "trials": ns.trials, "mean_evals": float(cost),
                  "mean_solutions": float(np.mean(counts)),
                  "min_solutions": int(min(counts)), "seed": ns.seed}
             )
@@ -291,6 +301,8 @@ def cmd_geom(ns) -> list[dict]:
     if ns.cap:
         shape, rate = "cap", geometry.cap_rate(ns.alpha)
         if ns.mc:
+            if ns.d > CAP_MC_D_GUARD:
+                raise GuardError(f"d={ns.d} exceeds the Monte-Carlo guard {CAP_MC_D_GUARD}")
             est = geometry.cap_volume_mc(ns.d, ns.alpha, ns.samples, ns.seed)
             value, stderr, samples = est.estimate, est.stderr, ns.samples
         else:
@@ -350,17 +362,21 @@ def cmd_symkey(ns) -> list[dict]:
 # --- parser ------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_command(subs, name: str, help_text: str, func) -> argparse.ArgumentParser:
+    """A subcommand running func, with the common --seed, --out and --format."""
+    sub = subs.add_parser(name, help=help_text)
+    sub.set_defaults(func=func)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--out", default=None)
     sub.add_argument("--format", choices=("csv", "json"), default=None)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sievelab")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser("tradeoff", help="cost-model curves")
+    p = _add_command(subs, "tradeoff", "cost-model curves", cmd_tradeoff)
     p.add_argument("--model", required=True, choices=_SIEVE_MODELS + _EXTRA_MODELS)
     p.add_argument("--gamma-min", type=float, default=None)
     p.add_argument("--gamma-max", type=float, default=None)
@@ -374,10 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, default=None)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--trials", type=int, default=10)
-    p.set_defaults(func=cmd_tradeoff)
-    _add_common(p)
 
-    p = subs.add_parser("sieve", help="one bucketed near-neighbour run")
+    p = _add_command(subs, "sieve", "one bucketed near-neighbour run", cmd_sieve)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("query", "fas"), default="query")
@@ -386,10 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--wedge-samples", type=int, default=None)
-    p.set_defaults(func=cmd_sieve)
-    _add_common(p)
 
-    p = subs.add_parser("qsearch", help="bounded-memory search experiments")
+    p = _add_command(subs, "qsearch", "bounded-memory search experiments", cmd_qsearch)
     p.add_argument("--experiment", required=True, choices=("blocked", "pair", "minfind"))
     p.add_argument("--M", type=int, default=256)
     p.add_argument("--S", default="1,4,16,64,256")
@@ -399,16 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, default=16)
     p.add_argument("--size", type=int, default=256)
     p.add_argument("--trials", type=int, default=300)
-    p.set_defaults(func=cmd_qsearch)
-    _add_common(p)
 
-    p = subs.add_parser("circuit", help="comparator-tree cost accounting")
+    p = _add_command(subs, "circuit", "comparator-tree cost accounting", cmd_circuit)
     p.add_argument("--buckets", required=True)
     p.add_argument("--d", type=int, default=2)
-    p.set_defaults(func=cmd_circuit)
-    _add_common(p)
 
-    p = subs.add_parser("geom", help="cap and wedge volumes")
+    p = _add_command(subs, "geom", "cap and wedge volumes", cmd_geom)
     shape = p.add_mutually_exclusive_group(required=True)
     shape.add_argument("--cap", action="store_true")
     shape.add_argument("--wedge", action="store_true")
@@ -420,10 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--theta", type=float, default=math.pi / 3.0)
     p.add_argument("--samples", type=int, default=10**5)
-    p.set_defaults(func=cmd_geom)
-    _add_common(p)
 
-    p = subs.add_parser("symkey", help="collision / preimage query emulation")
+    p = _add_command(subs, "symkey", "collision / preimage query emulation", cmd_symkey)
     p.add_argument("--kind", required=True, choices=("collision", "mtps"))
     p.add_argument("--n", type=float, default=16.0)
     p.add_argument("--l", type=float, default=None)
@@ -431,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=10)
-    p.set_defaults(func=cmd_symkey)
-    _add_common(p)
 
     return parser
 
@@ -447,12 +451,9 @@ def main(argv=None) -> int:
         ns.format = "json" if ns.subcommand == "sieve" else "csv"
     try:
         _emit(ns, ns.func(ns))
-    except (DomainError, RangeError) as exc:
+    except (DomainError, RangeError, GuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, GuardError) else 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

@@ -179,20 +179,15 @@ def blocked_search(
     return SearchReport(None, evals, len(blocks), False)
 
 
-def blocked_pair_search(
-    M1: int, M2: int, K_planted: int, S: int, seed: int
-) -> SearchReport:
-    """Collect planted solution pairs from [M1] x [M2] through S-sized
-    QRAM windows.
+def pair_search_plan(M1: int, M2: int, K_planted: int, S: int) -> tuple[bool, int, int, int, int]:
+    """blocked_pair_search's schedule, fixed before any draw, and its
+    closed-form evaluation count: (dense, budget, probe, reloads, evals).
 
-    Plants K_planted distinct pairs uniformly, then visits every block
-    pair (X_i, Y_j), one QRAM reload each.  Dense regime
-    (S^2 >= M1 M2 / K): repeated searches with already-found pairs
-    excluded, spending a budget of ceil(1.7 S sqrt(E)) evaluations where
-    E = K S^2/(M1 M2) is the expected solution count per block pair.
-    Sparse regime: a single amplitude-amplification probe sized for one
-    solution.  Every found pair is verified and recorded once.  Either
-    regime spends a fixed amount per block pair, budget or probe.
+    Dense regime (S^2 >= M1 M2 / K): each of the reloads block pairs
+    spends a budget of ceil(1.7 S sqrt(max(E, 1)) + 1.5 E) evaluations,
+    E = K S^2/(M1 M2) being its expected solution count.  Sparse regime:
+    one probe of `probe` iterations, sized for one solution, charged
+    max(1, probe).  Refuses what blocked_pair_search refuses.
     """
     if min(M1, M2) < 1 or S < 1:
         raise DomainError("blocked_pair_search needs M1, M2, S >= 1")
@@ -200,6 +195,31 @@ def blocked_pair_search(
         raise DomainError(f"S={S} exceeds both list sizes")
     if not 0 <= K_planted <= M1 * M2:
         raise DomainError(f"K_planted must lie in [0, M1*M2], got {K_planted}")
+    dense = S * S * max(K_planted, 1) >= M1 * M2
+    expected_per_bp = K_planted * S * S / (M1 * M2)
+    budget = math.ceil(
+        PAIR_BUDGET_FACTOR * S * math.sqrt(max(expected_per_bp, 1.0))
+        + PAIR_SWEEP_SURCHARGE * expected_per_bp
+    )
+    probe = qaa_iterations(math.asin(1.0 / S))
+    reloads = -(-M1 // S) * -(-M2 // S)
+    return dense, budget, probe, reloads, reloads * (budget if dense else max(1, probe))
+
+
+def blocked_pair_search(
+    M1: int, M2: int, K_planted: int, S: int, seed: int
+) -> SearchReport:
+    """Collect planted solution pairs from [M1] x [M2] through S-sized
+    QRAM windows.
+
+    Plants K_planted distinct pairs uniformly, then visits every block
+    pair (X_i, Y_j), one QRAM reload each, on pair_search_plan's
+    schedule.  Dense regime: repeated searches with already-found pairs
+    excluded until the block pair's budget is spent.  Sparse regime: a
+    single amplitude-amplification probe.  Every found pair is verified
+    and recorded once.
+    """
+    dense, budget, probe, reloads, evals = pair_search_plan(M1, M2, K_planted, S)
     rng = make_rng(seed)
     chosen = rng.choice(M1 * M2, size=K_planted, replace=False)
     planted = frozenset((int(c) // M2, int(c) % M2) for c in chosen)
@@ -210,18 +230,10 @@ def blocked_pair_search(
     for pair in planted:
         live_in.setdefault((pair[0] // S, pair[1] // S), []).append(pair)
 
-    dense = S * S * max(K_planted, 1) >= M1 * M2
-    expected_per_bp = K_planted * S * S / (M1 * M2)
-    budget = math.ceil(
-        PAIR_BUDGET_FACTOR * S * math.sqrt(max(expected_per_bp, 1.0))
-        + PAIR_SWEEP_SURCHARGE * expected_per_bp
-    )
     space = S * S  # padded block pair
-    probe = qaa_iterations(math.asin(1.0 / S))  # sized for a unique solution
-    row_blocks, col_blocks = -(-M1 // S), -(-M2 // S)
     found: set[tuple[int, int]] = set()
-    for bi in range(row_blocks):
-        for bj in range(col_blocks):
+    for bi in range(-(-M1 // S)):
+        for bj in range(-(-M2 // S)):
             # with k = 0 the success probability is 0 and no pick can happen
             live = live_in.get((bi, bj), [])
             if dense:
@@ -236,8 +248,6 @@ def blocked_pair_search(
                 k = len(live)
                 if draws.uniform() < _qaa_success_prob(space, k, probe):
                     found.add(live.pop(draws.below(k)))
-    reloads = row_blocks * col_blocks
-    evals = reloads * (budget if dense else max(1, probe))
     return SearchReport(
         None, evals, reloads, len(found) >= max(1, K_planted) // 4,
         solutions=frozenset(found),

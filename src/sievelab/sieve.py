@@ -8,18 +8,18 @@ insert mask, which preprocess returns as Buckets.members.  fas_method
 materializes both bucket sides first and tests every A_i x B_i
 product.  Both return the same ordered pair set: (x, y) with x
 alpha-covered and y beta-covered by a shared filter and
-<x, y> >= cos theta.  query_keys, fas_keys and brute_force_keys
-give the same pairs as ascending int64 keys x * n + y, which is what
-the set-returning functions wrap.  pair_keys runs either method with
-one scoring pass of the list for both thresholds.
+<x, y> >= cos theta.  query_keys, pair_keys and brute_force_keys
+give their pairs as ascending int64 keys x * n + y, which is what the
+set-returning functions wrap.  pair_keys runs either method with one
+scoring pass of the list for both thresholds.
 
 Every probe is charged to a QueryLedger: filter enumerations cost
 1 + |result|, each inner-product test costs 1, insertions are counted
 as they happen.  The ledger charges every bucket entry a method would
-test, but the engine finds the pairs the other way round: it takes the
-close entries of the Gram matrix and keeps those whose rows share a
-filter.  sieve_step turns found pairs into difference vectors below a
-shrinking norm bound, which is one round of a list sieve.
+test, but the engine finds the pairs the other way round: one Gram
+scan gives the close pairs, and a method keeps those whose rows share
+a filter.  sieve_step turns found pairs into difference vectors below
+a shrinking norm bound, which is one round of a list sieve.
 """
 
 from __future__ import annotations
@@ -223,35 +223,42 @@ def _charge_filters(ledger: QueryLedger, mask: sparse.csr_array, insert: bool) -
         ledger.insertions += mask.nnz
 
 
-def _covered_close_keys(
-    instance: SieveInstance,
-    query_mask: sparse.csr_array,
-    insert_mask: sparse.csr_array,
-    ledger: QueryLedger,
-) -> np.ndarray:
-    """Keys of (x, y), x != y, sharing a filter and at angle <= theta.
-
-    Each x is charged one inner product per entry of each of its
-    buckets, duplicates included: that is what a query tests.  The
-    pairs are found the other way round: per row chunk, the close
-    entries (x, y) of its Gram block, kept when row x of the query mask
-    and row y of the insert mask share a filter.  Only close pairs are
-    tested for sharing.
-    """
-    dirs = instance.directions()
-    n, t = instance.n, insert_mask.shape[1]
-    sizes = np.bincount(insert_mask.indices, minlength=t)
-    ledger.inner_product_queries += int(sizes[query_mask.indices].sum())
+def _close_keys(instance: SieveInstance) -> np.ndarray:
+    """Ascending keys of the pairs (x, y), x != y, at angle <= theta."""
     cos_theta = math.cos(instance.theta)
+    dirs = instance.directions()
+    n = instance.n
     out = [np.empty(0, dtype=np.int64)]
     step = _row_step(n)
     for lo in range(0, n, step):
         gram = dirs[lo : lo + step] @ dirs.T
-        keys = np.flatnonzero(gram >= cos_theta) + lo * n
+        own = np.arange(gram.shape[0])
+        gram[own, own + lo] = -np.inf  # a vector is never its own pair
+        out.append(np.flatnonzero(gram >= cos_theta) + lo * n)
+    return np.concatenate(out)
+
+
+def _covered_close_keys(
+    close: np.ndarray,
+    query_mask: sparse.csr_array,
+    insert_mask: sparse.csr_array,
+    ledger: QueryLedger,
+) -> np.ndarray:
+    """The close keys (x, y) whose query row x and insert row y share a filter.
+
+    Each x is charged one inner product per entry of each of its
+    buckets, duplicates included: that is what a query tests.  The
+    sharing test gathers mask rows one row chunk of keys at a time.
+    """
+    n, t = insert_mask.shape
+    sizes = np.bincount(insert_mask.indices, minlength=t)
+    ledger.inner_product_queries += int(sizes[query_mask.indices].sum())
+    step = _row_step(n)
+    out = [np.empty(0, dtype=np.int64)]
+    for keys in np.split(close, np.searchsorted(close, np.arange(step, n, step) * n)):
         x, y = np.divmod(keys, n)
-        other = x != y  # a vector is never its own pair
-        shared = np.diff(query_mask[x[other]].multiply(insert_mask[y[other]]).indptr) > 0
-        out.append(keys[other][shared])
+        shared = np.diff(query_mask[x].multiply(insert_mask[y]).indptr) > 0
+        out.append(keys[shared])
     return np.concatenate(out)
 
 
@@ -284,7 +291,7 @@ def query_keys(
         raise DomainError("buckets were built for a different list or family")
     (mask,) = _close_masks(instance, family, {"alpha": alpha})
     _charge_filters(ledger, mask, insert=False)
-    return _covered_close_keys(instance, mask, buckets.members.tocsr(), ledger)
+    return _covered_close_keys(_close_keys(instance), mask, buckets.members.tocsr(), ledger)
 
 
 def query_method(
@@ -310,8 +317,9 @@ def pair_keys(
     beta: float,
     method: str,
     ledger: QueryLedger,
-) -> np.ndarray:
-    """One run of method "query" or "fas" as ascending int64 keys x * n + y.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One run of method "query" or "fas": its pairs and the close pairs
+    (brute_force_keys, unguarded), both as ascending int64 keys x * n + y.
 
     The list is scored once for both thresholds.  "query" charges the
     ledger what preprocess at beta and then query_keys at alpha would;
@@ -324,18 +332,8 @@ def pair_keys(
     insert_mask, query_mask = _close_masks(instance, family, {"beta": beta, "alpha": alpha})
     _charge_filters(ledger, insert_mask, insert=True)
     _charge_filters(ledger, query_mask, insert=method == "fas")
-    return _covered_close_keys(instance, query_mask, insert_mask, ledger)
-
-
-def fas_keys(
-    instance: SieveInstance,
-    family: FilterFamily,
-    alpha: float,
-    beta: float,
-    ledger: QueryLedger,
-) -> np.ndarray:
-    """fas_method as ascending int64 keys x * n + y."""
-    return pair_keys(instance, family, alpha, beta, "fas", ledger)
+    close = _close_keys(instance)
+    return _covered_close_keys(close, query_mask, insert_mask, ledger), close
 
 
 def fas_method(
@@ -351,24 +349,14 @@ def fas_method(
     the two-sided loop structure instead (both preparations, then
     sum_i |A_i| * |B_i| inner products).
     """
-    return keys_to_pairs(fas_keys(instance, family, alpha, beta, ledger), instance.n)
+    return keys_to_pairs(pair_keys(instance, family, alpha, beta, "fas", ledger)[0], instance.n)
 
 
 def brute_force_keys(instance: SieveInstance) -> np.ndarray:
     """brute_force_pairs as ascending int64 keys x * n + y."""
     if instance.n > BRUTE_FORCE_GUARD:
         raise GuardError(f"brute force refuses n > {BRUTE_FORCE_GUARD}")
-    cos_theta = math.cos(instance.theta)
-    dirs = instance.directions()
-    n = instance.n
-    out = [np.empty(0, dtype=np.int64)]
-    step = _row_step(n)
-    for lo in range(0, n, step):
-        gram = dirs[lo : lo + step] @ dirs.T
-        own = np.arange(gram.shape[0])
-        gram[own, own + lo] = -np.inf  # a vector is never its own pair
-        out.append(np.flatnonzero(gram >= cos_theta) + lo * n)
-    return np.concatenate(out)
+    return _close_keys(instance)
 
 
 def brute_force_pairs(instance: SieveInstance) -> set[tuple[int, int]]:
@@ -387,7 +375,7 @@ def sieve_step(
     """
     if instance.mode != "norm":
         raise DomainError("sieve_step needs a norm-mode instance")
-    keys = pair_keys(instance, family, alpha, beta, "query", QueryLedger())
+    keys, _ = pair_keys(instance, family, alpha, beta, "query", QueryLedger())
     bound = instance.shrink_factor * instance.radius
     out = []
     for x, y in zip(*np.divmod(keys, instance.n)):

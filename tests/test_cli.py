@@ -286,6 +286,12 @@ def test_invalid_input_exits_2(command):
 OVERSIZED_INPUTS = [
     "qsearch --experiment blocked --M 100000000000",
     "qsearch --experiment minfind --size 100000000000",
+    # the pair search ran past a 10 s timeout: 10^11 block pairs, then a 1.7e8 budget
+    "qsearch --experiment pair --M1 100000000000 --M2 1 --K 1 --S 1 --trials 1",
+    "qsearch --experiment pair --M1 100000 --M2 100000 --K 1000000 --S 100000 --trials 1",
+    # these exited 4, out of memory: a 10^14-point curve and 2^16 x 10^11 normals
+    "tradeoff --model lower --steps 100000000000000",
+    "geom --cap --d 100000000000 --alpha 0.5 --mc --samples 10",
 ]
 
 

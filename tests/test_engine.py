@@ -167,7 +167,7 @@ def test_product_code_family_matches_reference():
 def test_keys_are_ascending_and_match_the_pair_sets():
     inst = _instance(11, 200)
     fam = rpc.build_family("explicit", 12, 12, t=400)
-    keys = sieve.fas_keys(inst, fam, ALPHA, BETA, sieve.QueryLedger())
+    keys, _ = sieve.pair_keys(inst, fam, ALPHA, BETA, "fas", sieve.QueryLedger())
     assert keys.dtype == np.int64 and np.all(np.diff(keys) > 0)
     assert sieve.keys_to_pairs(keys, inst.n) == sieve.fas_method(
         inst, fam, ALPHA, BETA, sieve.QueryLedger()
@@ -339,7 +339,7 @@ def test_engine_property(seed, n, kind, mode, t, alpha, beta, theta):
     keys = sieve.query_keys(inst, fam, alpha, buckets, led)
     assert np.isin(keys, sieve.brute_force_keys(inst)).all()
     led, led_ref = sieve.QueryLedger(), sieve.QueryLedger()
-    got = sieve.keys_to_pairs(sieve.fas_keys(inst, fam, alpha, beta, led), inst.n)
+    got = sieve.keys_to_pairs(sieve.pair_keys(inst, fam, alpha, beta, "fas", led)[0], inst.n)
     assert got == ref_fas(inst, fam, alpha, beta, led_ref)
     assert led == led_ref
 
@@ -369,7 +369,10 @@ def test_pair_keys_property(seed, n, duplicates, kind, mode, t, alpha, beta, the
     inst = sieve.make_instance(vectors, mode, radius=2.0, theta=theta)
 
     led, led_ref = sieve.QueryLedger(), sieve.QueryLedger()
-    got = sieve.pair_keys(inst, fam, alpha, beta, "query", led)
+    got, close = sieve.pair_keys(inst, fam, alpha, beta, "query", led)
+    # the close keys are the brute-force answer, the pairs a sorted subset
+    assert np.array_equal(close, sieve.brute_force_keys(inst))
+    assert np.all(np.diff(got) > 0) and np.isin(got, close).all()
     buckets = sieve.preprocess(inst, fam, beta, led_ref)
     assert np.array_equal(got, sieve.query_keys(inst, fam, alpha, buckets, led_ref))
     assert led == led_ref
@@ -379,7 +382,8 @@ def test_pair_keys_property(seed, n, duplicates, kind, mode, t, alpha, beta, the
     )
 
     led, led_ref = sieve.QueryLedger(), sieve.QueryLedger()
-    got = sieve.pair_keys(inst, fam, alpha, beta, "fas", led)
+    got, fas_close = sieve.pair_keys(inst, fam, alpha, beta, "fas", led)
+    assert np.array_equal(fas_close, close) and np.isin(got, close).all()
     assert got.dtype == np.int64 and np.all(np.diff(got) > 0)
     assert np.array_equal(got, ref_fas_keys(inst, fam, alpha, beta, led_ref))
     assert led == led_ref

@@ -340,6 +340,8 @@ def test_pair_search_evals_closed_form(M, data, seed):
     K = data.draw(st.integers(0, M1 * M2))
     rep = Q.blocked_pair_search(M1, M2, K, S, seed)
     assert rep.oracle_evals == _pair_evals(M1, M2, K, S)
+    # the plan the CLI guard reads is the one the search reports
+    assert Q.pair_search_plan(M1, M2, K, S)[-2:] == (rep.qram_reloads, rep.oracle_evals)
 
 
 # --- minimum finding ----------------------------------------------------------
