@@ -28,6 +28,8 @@ SIEVE_N_GUARD = 10**5
 FAMILY_GUARD = 10**6
 # per trial: the blocked --M or minfind --size list, the pair --K and evaluations
 QSEARCH_SIZE_GUARD = 10**6
+# per run: --trials times the per-trial quantity above, summed over the windows
+QSEARCH_RUN_GUARD = 100 * QSEARCH_SIZE_GUARD
 # tradeoff curve points; the largest curve in use has 100
 STEPS_GUARD = 10**4
 # geom --cap --mc dimension: each sample shard holds 2^16 x d doubles
@@ -219,6 +221,11 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
+def _check_trials(trials: int, per_trial: int) -> None:
+    if trials * per_trial > QSEARCH_RUN_GUARD:
+        raise GuardError(f"{trials} trials of {per_trial} each exceed the run guard {QSEARCH_RUN_GUARD}")
+
+
 def cmd_qsearch(ns) -> list[dict]:
     if ns.trials < 1:
         raise DomainError(f"--trials must be >= 1, got {ns.trials}")
@@ -227,6 +234,7 @@ def cmd_qsearch(ns) -> list[dict]:
         if ns.M > QSEARCH_SIZE_GUARD:
             raise GuardError(f"M={ns.M} exceeds the search-size guard {QSEARCH_SIZE_GUARD}")
         s_values = _parse_int_list(ns.S, "--S")
+        _check_trials(ns.trials, ns.M * len(s_values))
         # about six marks; blocked_search_scaling refuses M < 1 and p outside (0, 1]
         p = ns.p if ns.p is not None else min(1.0, 6.0 / max(ns.M, 1))
         scaling = qsearch.blocked_search_scaling(ns.M, s_values, p, ns.trials, ns.seed)
@@ -241,6 +249,7 @@ def cmd_qsearch(ns) -> list[dict]:
             if max(cost, ns.K) > QSEARCH_SIZE_GUARD:
                 raise GuardError(f"S={S}, K={ns.K}: {cost} evaluations per trial; both "
                                  f"must stay within the search-size guard {QSEARCH_SIZE_GUARD}")
+        _check_trials(ns.trials, sum(evals))
         rows = []
         for S, cost in zip(s_values, evals):
             counts = []
@@ -262,6 +271,7 @@ def cmd_qsearch(ns) -> list[dict]:
         raise DomainError(f"--size must be >= 1, got {ns.size}")
     if ns.size > QSEARCH_SIZE_GUARD:
         raise GuardError(f"size={ns.size} exceeds the search-size guard {QSEARCH_SIZE_GUARD}")
+    _check_trials(ns.trials, ns.size)
     hits, evals = 0, []
     for i in range(ns.trials):
         values = make_rng(derive_seed(ns.seed, 900_000 + i)).standard_normal(ns.size)

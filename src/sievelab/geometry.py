@@ -22,13 +22,15 @@ import numpy as np
 from scipy.special import betainc, betaincinv
 
 from ._quadpack import qagse
-from .errors import DomainError
+from .errors import DomainError, GuardError
 from .rng import make_rng
 
 # Rate of the list size n = (4/3)^{d/2}: the fixed point of sieving.
 LIST_SIZE_RATE = 0.5 * math.log2(4.0 / 3.0)
 
 _MC_SHARD = 1 << 16
+# Monte-Carlo samples per estimate; the largest count in use is 10^6
+MC_SAMPLES_GUARD = 10**7
 
 
 class MCEstimate(NamedTuple):
@@ -175,13 +177,21 @@ def sample_sphere(d: int, rng: np.random.Generator, size: int | None = None) -> 
     return x[0] if size is None else x
 
 
+def _shards(samples: int, seed: int):
+    """(size, rng) for each shard of at most _MC_SHARD samples.
+
+    Shard i always draws from make_rng(seed, i), so an estimate is
+    bit-stable regardless of how shards are run.
+    """
+    if samples > MC_SAMPLES_GUARD:
+        raise GuardError(f"{samples} samples exceed the Monte-Carlo guard {MC_SAMPLES_GUARD}")
+    for i, lo in enumerate(range(0, samples, _MC_SHARD)):
+        yield min(_MC_SHARD, samples - lo), make_rng(seed, i)
+
+
 def cap_volume_mc(d: int, alpha: float, samples: int, seed: int) -> MCEstimate:
     """Direct Monte-Carlo cap volume: the fraction of uniform sphere
-    samples with first coordinate >= alpha.
-
-    Sampling is sharded into fixed blocks with per-shard derived seeds,
-    so the estimate is bit-stable regardless of how shards are run.
-    """
+    samples with first coordinate >= alpha."""
     if d < 1:
         raise DomainError("cap_volume_mc needs d >= 1")
     if samples < 1:
@@ -189,15 +199,10 @@ def cap_volume_mc(d: int, alpha: float, samples: int, seed: int) -> MCEstimate:
     if not -1.0 <= alpha <= 1.0:
         raise DomainError(f"cap_volume_mc needs alpha in [-1, 1], got {alpha}")
     hits = 0
-    done = 0
-    shard = 0
-    while done < samples:
-        m = min(_MC_SHARD, samples - done)
-        x = make_rng(seed, shard).standard_normal((m, d))
+    for m, rng in _shards(samples, seed):
+        x = rng.standard_normal((m, d))
         t = x[:, 0] / np.linalg.norm(x, axis=1)
         hits += int(np.count_nonzero(t >= alpha))
-        done += m
-        shard += 1
     p = hits / samples
     return MCEstimate(p, math.sqrt(p * (1.0 - p) / samples))
 
@@ -307,11 +312,7 @@ def wedge_volume_mc(
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     total = 0.0
     total_sq = 0.0
-    done = 0
-    shard = 0
-    while done < samples:
-        m = min(_MC_SHARD, samples - done)
-        rng = make_rng(seed, shard)
+    for m, rng in _shards(samples, seed):
         t = _truncated_cap_cosines(d, alpha, scale, m, rng)
         den = np.sqrt(np.maximum(0.0, 1.0 - t * t)) * sin_t
         num = beta - t * cos_t
@@ -320,8 +321,6 @@ def wedge_volume_mc(
         g = _cross_section_volume(d - 1, h)
         total += float(np.sum(g))
         total_sq += float(np.sum(g * g))
-        done += m
-        shard += 1
     mean = total / samples
     var = max(0.0, (total_sq - samples * mean * mean) / max(1, samples - 1))
     return MCEstimate(scale * mean, scale * math.sqrt(var / samples))

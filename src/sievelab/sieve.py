@@ -158,10 +158,11 @@ def _check_family(instance: SieveInstance, family: FilterFamily) -> None:
 #
 # Bucket membership is an (n, t) boolean CSR mask: row x lists the
 # filters close to x.  Its CSC columns are the buckets.  Pairs are int64
-# keys x * n + y, ascending, so (x, y) order is key order.  Score and
-# Gram blocks are built a row chunk at a time and hold at most
-# _BLOCK_FLOATS doubles (2 MB), which keeps the peak memory of a run
-# flat in n and t.
+# keys x * n + y, ascending, so (x, y) order is key order.  Both halves
+# of a run are one operation, _scan: a row chunk of the list times the
+# centers gives the masks, and times the list itself gives the close
+# pairs.  A chunk's block holds at most _BLOCK_FLOATS doubles (2 MB),
+# which keeps the peak memory of a run flat in n and t.
 
 _BLOCK_FLOATS = 1 << 18
 
@@ -178,17 +179,31 @@ def _mask(keys: np.ndarray, n: int, t: int) -> sparse.csr_array:
     return sparse.csr_array((np.ones(keys.size, dtype=bool), cols, indptr), shape=(n, t))
 
 
+def _scan(rows: np.ndarray, cols: np.ndarray, thresholds: list[float]) -> list[np.ndarray]:
+    """Per threshold, the ascending keys x * len(cols) + j of the entries
+    <rows[x], cols[j]> >= threshold, one block of rows @ cols.T per row
+    chunk, which serves every threshold."""
+    width = len(cols)
+    keys: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in thresholds]
+    step = _row_step(width)
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step] @ cols.T
+        for part, thr in zip(keys, thresholds):
+            part.append(np.flatnonzero(block >= thr) + lo * width)
+    return [np.concatenate(part) for part in keys]
+
+
 def _close_masks(
     instance: SieveInstance, family: FilterFamily, thresholds: dict[str, float]
 ) -> list[sparse.csr_array]:
     """Per named threshold, the mask of <x, c_j> >= threshold over the list.
 
-    Explicit families score a row chunk against their one block, the
-    (t, d) center matrix, and one score block serves all thresholds.
-    Product codes keep their per-vector branch-and-bound, one threshold
-    after the other.  Equal thresholds are compared once and share one
-    mask; thresholds are checked in the order given, and one out of
-    range is reported under its name.
+    Explicit families _scan the list against their one block, the
+    (t, d) center matrix.  Product codes keep their per-vector
+    branch-and-bound, one threshold after the other, and give the same
+    keys.  Equal thresholds are compared once and share one mask;
+    thresholds are checked in the order given, and one out of range is
+    reported under its name.
     """
     dirs = instance.directions()
     n, t = instance.n, family.t
@@ -199,20 +214,12 @@ def _close_masks(
         for thr, name in named.items():
             check_queries(family, dirs, thr, name)
     distinct = list(named)
-    keys: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in distinct]
     if family.kind == "explicit":
-        step = _row_step(t)
-        for lo in range(0, n, step):
-            scores = dirs[lo : lo + step] @ family.blocks[0].T
-            for k, thr in enumerate(distinct):
-                keys[k].append(np.flatnonzero(scores >= thr) + lo * t)
+        keys = _scan(dirs, family.blocks[0], distinct)
     else:
-        for k, thr in enumerate(distinct):
-            flat = [
-                x * t + j for x, v in enumerate(dirs) for j in relevant_filters(family, v, thr)
-            ]
-            keys[k].append(np.array(flat, dtype=np.int64))
-    masks = [_mask(np.concatenate(parts), n, t) for parts in keys]
+        keys = [np.array([x * t + j for x, v in enumerate(dirs) for j in relevant_filters(family, v, thr)],
+                         dtype=np.int64) for thr in distinct]
+    masks = [_mask(k, n, t) for k in keys]
     return [masks[distinct.index(thr)] for thr in thresholds.values()]
 
 
@@ -225,17 +232,9 @@ def _charge_filters(ledger: QueryLedger, mask: sparse.csr_array, insert: bool) -
 
 def _close_keys(instance: SieveInstance) -> np.ndarray:
     """Ascending keys of the pairs (x, y), x != y, at angle <= theta."""
-    cos_theta = math.cos(instance.theta)
     dirs = instance.directions()
-    n = instance.n
-    out = [np.empty(0, dtype=np.int64)]
-    step = _row_step(n)
-    for lo in range(0, n, step):
-        gram = dirs[lo : lo + step] @ dirs.T
-        own = np.arange(gram.shape[0])
-        gram[own, own + lo] = -np.inf  # a vector is never its own pair
-        out.append(np.flatnonzero(gram >= cos_theta) + lo * n)
-    return np.concatenate(out)
+    (keys,) = _scan(dirs, dirs, [math.cos(instance.theta)])
+    return keys[keys % (instance.n + 1) != 0]  # x * (n + 1) is the self pair (x, x)
 
 
 def _covered_close_keys(

@@ -25,6 +25,8 @@ from .rng import DEFAULT_SEED, derive_seed, make_rng
 # Bit-size guard: counts are materialized as integers per trial, and the
 # tolerance arguments assume the ceil() noise stays sub-bit.
 SYMKEY_N_GUARD = 22
+# _emulate holds one count per trial
+SYMKEY_TRIALS_GUARD = 10**6
 
 _QUARTER_PI = math.pi / 4.0
 
@@ -53,6 +55,8 @@ def _check_plan(plan: EmulationPlan) -> None:
         raise GuardError(f"n={plan.n} exceeds the emulation guard {SYMKEY_N_GUARD}")
     if plan.trials < 1:
         raise DomainError("plan needs at least one trial")
+    if plan.trials > SYMKEY_TRIALS_GUARD:
+        raise GuardError(f"{plan.trials} trials exceed the emulation guard {SYMKEY_TRIALS_GUARD}")
     if plan.r is None:
         raise DomainError("plan needs the prefix length r")
 

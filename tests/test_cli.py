@@ -292,6 +292,16 @@ OVERSIZED_INPUTS = [
     # these exited 4, out of memory: a 10^14-point curve and 2^16 x 10^11 normals
     "tradeoff --model lower --steps 100000000000000",
     "geom --cap --d 100000000000 --alpha 0.5 --mc --samples 10",
+    # these ran past a timeout: 1.5M sample shards, or 10^9 trials
+    "geom --cap --d 24 --alpha 0.5 --mc --samples 100000000000",
+    "geom --wedge --d 24 --alpha 0.5 --mc --samples 100000000000",
+    "sieve --d 12 --n 10 --wedge-samples 100000000000",
+    "qsearch --experiment pair --M1 64 --M2 64 --K 16 --S 8 --trials 1000000000",
+    "qsearch --experiment blocked --M 256 --S 4 --trials 1000000000",
+    "qsearch --experiment minfind --trials 1000000000",
+    # each would hold a 10^9-entry list of trial counts
+    "symkey --kind collision --trials 1000000000",
+    "tradeoff --model symkey-collision --steps 2 --trials 1000000000",
 ]
 
 

@@ -91,6 +91,36 @@ GOLDEN_QUAD = [
 ]
 
 
+# the README's CLI commands not pinned above, and two Monte-Carlo runs
+# of three shards (2 x 2^16 samples and one more)
+GOLDEN_README = [
+    ("12995d87ef993ab63776ea840680e27c0104b974e00fba4068185569b420d840",
+     "tradeoff --model t2 --steps 100"),
+    ("5448beb3e5bd0eddeaa1d940d758978c2a2515b82c05ed6c67f84429d732bcdd",
+     "tradeoff --model lower --s-max 0.155"),
+    ("e95b75c80f90cd10cd5a6c6cdbec6a834e640abd368232600ac7d57574d993de",
+     "sieve --d 12 --n 150 --t 400 --method fas"),
+    ("b74cde6386d63462e6c6c5b505a0e5a2a567cb891825789ea8a8b5c751998894",
+     "qsearch --experiment blocked --M 256 --S 1,4,16,64,256 --trials 300"),
+    ("dd10ef20cc9ef4c5fa735cf617357101408abbe65ba5776d5c06743b1961a5a1",
+     "qsearch --experiment pair --M1 64 --M2 64 --K 16 --S 32,8"),
+    ("f7de001c378b913ba5cc07aaa53b8130a2fbcdcbbbb2441052b22478d4bb4782",
+     "circuit --buckets 3,5,2,0 --d 4"),
+    ("598b57471e62f3f5c6975dbeec026f7032d4d87f9957343078dcb0fc769dce16",
+     "geom --cap --d 24 --alpha 0.5 --exact"),
+    ("2dcb4f8d8660253bc77bc61a78c445fe82cbcc868794c189bc11a3844ff67930",
+     "geom --wedge --d 24 --alpha 0.5 --mc --samples 1000000"),
+    ("ab09b42307f1ce2a7ac476eba234902fc9612f176e0bc12b9999164fb8c65c8a",
+     "tradeoff --model symkey-collision --n 16 --steps 4"),
+    ("ca18d0992c66d7c744b31f39b21fe61c40975b7622ecfb424458da350ed9d196",
+     "symkey --kind mtps --n 21 --t 6 --gamma 3"),
+    ("5b26d3db3258089438695ad4809f5dd8139dbeca94f0ec713f1cf775b2d796bf",
+     "geom --cap --d 24 --alpha 0.5 --mc --samples 131073"),
+    ("b41737455e010fa7c3b4f5fa2226895fdf688e272dd5333024c0458a3406f1ac",
+     "geom --wedge --d 8 --alpha 0.4 --beta 0.5 --mc --samples 131073"),
+]
+
+
 def _golden_ids(rows):
     """Test ids: the subcommand, plus its --model or --experiment value
     after the first row of that subcommand (pytest numbers any repeats)."""
@@ -122,6 +152,15 @@ def test_golden_curve_bytes(tmp_path, digest, command):
                          ids=["quad-readme", "quad-d2-step", "quad-obtuse", "quad-split-fas",
                               "quad-split-d6", "noqram-t-min-0.01"])
 def test_golden_quad_bytes(tmp_path, digest, command):
+    test_golden_bytes(tmp_path, digest, command)
+
+
+@pytest.mark.parametrize("digest, command", GOLDEN_README,
+                         ids=["readme-t2-100", "readme-lower", "readme-sieve-fas",
+                              "readme-blocked", "readme-pair", "readme-circuit",
+                              "readme-cap-exact", "readme-wedge-mc", "readme-symkey-collision",
+                              "readme-mtps", "cap-mc-3-shards", "wedge-mc-3-shards"])
+def test_golden_readme_bytes(tmp_path, digest, command):
     test_golden_bytes(tmp_path, digest, command)
 
 
