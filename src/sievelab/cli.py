@@ -308,8 +308,10 @@ def cmd_circuit(ns) -> list[dict]:
 
 def cmd_geom(ns) -> list[dict]:
     beta = ns.beta if ns.beta is not None else ns.alpha
+    # a cap or wedge at |alpha| = 1 or |beta| = 1 has a volume but no rate
+    # (empty cell); the volume routines refuse every other out-of-range input
     if ns.cap:
-        shape, rate = "cap", geometry.cap_rate(ns.alpha)
+        shape, rate = "cap", None if abs(ns.alpha) == 1.0 else geometry.cap_rate(ns.alpha)
         if ns.mc:
             if ns.d > CAP_MC_D_GUARD:
                 raise GuardError(f"d={ns.d} exceeds the Monte-Carlo guard {CAP_MC_D_GUARD}")
@@ -320,7 +322,8 @@ def cmd_geom(ns) -> list[dict]:
     else:
         if ns.exact:
             raise DomainError("wedge volumes have no exact evaluator here; use --mc")
-        shape, rate = "wedge", geometry.wedge_rate(ns.alpha, beta, ns.theta)
+        on_edge = 1.0 in (abs(ns.alpha), abs(beta))
+        shape, rate = "wedge", None if on_edge else geometry.wedge_rate(ns.alpha, beta, ns.theta)
         est = geometry.wedge_volume_mc(ns.d, ns.alpha, beta, ns.theta, ns.samples, ns.seed)
         value, stderr, samples = est.estimate, est.stderr, ns.samples
     row = {

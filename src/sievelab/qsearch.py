@@ -22,19 +22,25 @@ worked out in closed form from the first mark.
 Every scalar search draw goes through rng.Draws, which reads numpy's
 Generator.integers(0, n) and Generator.random() stream straight from the
 bit generator's C interface: the same values at a fraction of the call
-cost.
+cost.  A search pays its setup once: blocked_search, blocked_pair_search
+and min_find_with_cost each take one rng.search_draws stream (the
+thread's Philox, re-keyed to make_rng(seed)'s stream) and reuse it for
+every block, block pair and descent step.  The BBHT loop reads its
+attempt sizes from a cached schedule per space size and its hit
+probabilities from a cached table per (size, marked count).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .rng import Draws, derive_seed, make_rng
+from .rng import Draws, derive_seed, make_rng, search_draws
 
 # per-block cap inside blocked_search; the proof caps at O(sqrt(S))
 BLOCK_CAP_FACTOR = 3.0
@@ -48,6 +54,13 @@ PAIR_SWEEP_SURCHARGE = 1.5
 MINFIND_BUDGET_FACTOR = 8.0
 # least chance of a mark planted_instance accepts: its loop takes ~1/chance rounds
 PLANTED_MIN_MARK_CHANCE = 1e-3
+# BBHT caches: space sizes with a schedule, (size, marked count) keys with a
+# hit table, and the longest table kept (sqrt of the CLI's 10**6 search-size
+# guard; larger spaces, which only the pair search reaches, compute each
+# hit probability when it is drawn)
+SCHEDULE_CACHE_SIZE = 64
+HIT_CACHE_SIZE = 256
+HIT_TABLE_MAX_LEN = 1000
 
 
 @dataclass
@@ -110,35 +123,78 @@ def bbht_search(
     flags = np.asarray(flags, dtype=bool)
     if flags.ndim != 1 or flags.size < 1:
         raise DomainError(f"bbht_search needs a nonempty flag vector, got shape {flags.shape}")
+    return _bbht_flags(flags, Draws(rng), cap)
+
+
+def _bbht_flags(flags: np.ndarray, draws: Draws, cap: int) -> tuple[int | None, int]:
+    """bbht_search on a nonempty bool vector, drawing from draws."""
     k = int(np.count_nonzero(flags))
-    draws = Draws(rng)
     hit, evals = _bbht_two_class(flags.size, k, draws, cap)
     if hit is None:
         return None, evals
     return int(np.flatnonzero(flags)[draws.below(k)]), evals
 
 
+@lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
+def _bbht_schedule(S: int) -> tuple[int, ...]:
+    """ceil(m) for bbht_search's attempt sizes m = 1, then min(1.2 m,
+    sqrt(S)) per failure, up to the first m that reaches sqrt(S); every
+    later attempt repeats the last entry."""
+    m = 1.0
+    m_max = math.sqrt(S)
+    sched = [math.ceil(m)]
+    while m < m_max:
+        m = min(m * 1.2, m_max)
+        sched.append(math.ceil(m))
+    return tuple(sched)
+
+
+class _HitRow:
+    """A hit table too long to keep: each entry computed when read."""
+
+    __slots__ = ("theta",)
+
+    def __init__(self, theta: float):
+        self.theta = theta
+
+    def __getitem__(self, j: int) -> float:
+        return math.sin((2 * j + 1) * self.theta) ** 2
+
+
+@lru_cache(maxsize=HIT_CACHE_SIZE)
+def _hit_table(S: int, k: int) -> tuple[float, ...] | _HitRow:
+    """Chance that a j-iteration attempt hits, k marked of S, for every j
+    the schedule can draw (j < ceil(sqrt(S)))."""
+    # _qaa_success_prob's angle: k = 0 gives probability 0 at every j, and
+    # k = S hits on the first attempt, whose j is 0, with sin(pi/2)^2 = 1
+    theta = math.asin(math.sqrt(k / S))
+    n = math.ceil(math.sqrt(S))
+    if n > HIT_TABLE_MAX_LEN:
+        return _HitRow(theta)
+    return tuple(math.sin((2 * j + 1) * theta) ** 2 for j in range(n))
+
+
 def _bbht_two_class(S: int, k: int, draws: Draws, cap: int) -> tuple[bool | None, int]:
     """bbht_search over a space summarized by (size, marked count);
     returns (True on a verified hit, None on cap exhaustion)."""
     below, uniform = draws.below, draws.uniform
-    # _qaa_success_prob's angle: k = 0 gives probability 0 at every j, and
-    # k = S hits on the first attempt, whose j is 0, with sin(pi/2)^2 = 1
-    theta = math.asin(math.sqrt(k / S))
-    m = 1.0
-    m_max = math.sqrt(S)
+    sched = _bbht_schedule(S)
+    hit = _hit_table(S, k)
+    last = len(sched) - 1
+    i = 0
     evals = 0
     while evals < cap:
-        j = below(math.ceil(m))
-        cost = max(1, j)
+        j = below(sched[i])
+        cost = j or 1
         if evals + cost > cap:
             evals = cap  # truncated attempt burns the remaining budget
             break
         evals += cost
-        if uniform() < math.sin((2 * j + 1) * theta) ** 2:
+        if uniform() < hit[j]:
             return True, evals
         # measured an unmarked element; grow the iteration range
-        m = min(m * 1.2, m_max)
+        if i < last:
+            i += 1
     return None, evals
 
 
@@ -165,16 +221,17 @@ def blocked_search(
             i = int(marks[0])
             return SearchReport(i, i + 1, i + 1, True)
         return SearchReport(None, M, M, False)
-    rng = make_rng(seed)
+    draws = search_draws(seed)
     cap = math.ceil(BLOCK_CAP_FACTOR * math.sqrt(S))
     # the ragged tail is padded with unmarked dummies, so a hit is always < M
     blocks = np.zeros((-(-M // S), S), dtype=bool)
     blocks.flat[:M] = flags
     evals = 0
-    for b, block in enumerate(blocks):
-        local, spent = bbht_search(block, rng, cap)
+    for b, k in enumerate(np.count_nonzero(blocks, axis=1).tolist()):
+        hit, spent = _bbht_two_class(S, k, draws, cap)
         evals += spent
-        if local is not None:
+        if hit is not None:
+            local = int(np.flatnonzero(blocks[b])[draws.below(k)])
             return SearchReport(b * S + local, evals, b + 1, True)
     return SearchReport(None, evals, len(blocks), False)
 
@@ -220,10 +277,9 @@ def blocked_pair_search(
     and recorded once.
     """
     dense, budget, probe, reloads, evals = pair_search_plan(M1, M2, K_planted, S)
-    rng = make_rng(seed)
-    chosen = rng.choice(M1 * M2, size=K_planted, replace=False)
+    draws = search_draws(seed)
+    chosen = draws.generator.choice(M1 * M2, size=K_planted, replace=False)
     planted = frozenset((int(c) // M2, int(c) % M2) for c in chosen)
-    draws = Draws(rng)
     # each planted pair lies in exactly one block pair, so none is found
     # before its block pair is searched; lists keep the set's order
     live_in: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -269,12 +325,12 @@ def min_find_with_cost(values: Sequence[float], seed: int) -> tuple[int, int]:
     n = vals.size
     if n == 0:
         raise DomainError("min_find_with_cost needs a nonempty list")
-    rng = make_rng(seed)
+    draws = search_draws(seed)
     budget = math.ceil(MINFIND_BUDGET_FACTOR * math.sqrt(n))
     remaining = budget
     best = 0
     while remaining > 0:
-        idx, spent = bbht_search(vals < vals[best], rng, remaining)
+        idx, spent = _bbht_flags(vals < vals[best], draws, remaining)
         remaining -= spent  # a miss spends all that remains
         if idx is not None:
             best = idx

@@ -394,6 +394,31 @@ def test_geom_wedge_mc_and_exact_rejection(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, value", [
+    ("geom --cap --d 8 --alpha 1.0 --exact", "0"),
+    ("geom --cap --d 8 --alpha -1.0 --mc --samples 10", "1"),
+    ("geom --wedge --d 8 --alpha 1.0 --beta 0.5 --mc", "0"),
+])
+def test_geom_volume_without_a_rate(capsys, command, value):
+    # |alpha| = 1 or |beta| = 1: the volume is defined, its exponent is not
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out.splitlines()
+    row = dict(zip(out[0].split(","), out[1].split(",")))
+    assert (row["value"], row["rate"]) == (value, "")
+
+
+@pytest.mark.parametrize("command", [
+    "geom --cap --d 8 --alpha 1.5 --exact",
+    "geom --cap --d 8 --alpha nan --exact",
+    "geom --cap --d 1 --alpha 1.0 --exact",
+    "geom --wedge --d 8 --alpha 1.0 --beta 1.5 --mc",
+    "geom --wedge --d 8 --alpha 1.0 --beta 0.5 --theta 4 --mc",
+])
+def test_geom_other_domain_errors_still_exit_2(capsys, command):
+    assert main(command.split()) == 2
+    capsys.readouterr()
+
+
 def test_symkey_wrapper_rows(capsys):
     assert main(["symkey", "--kind", "collision", "--n", "16", "--trials", "8"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import sievelab
+from sievelab import qsearch
 from sievelab.cli import main
 
 GOLDEN = [
@@ -140,6 +141,16 @@ def test_golden_bytes(tmp_path, digest, command):
     out = tmp_path / "out"
     assert main(command.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_golden_minfind_through_hit_cache_eviction(tmp_path):
+    # recorded before the BBHT loop cached its hit tables: forty descents
+    # over 65,536 values meet more (size, marked count) keys than it keeps
+    qsearch._hit_table.cache_clear()
+    test_golden_bytes(tmp_path, "500be1b1d7cdf219d4d3a0188e6648b7b9f22287dd10d6b0efd4ffff5341acde",
+                      "qsearch --experiment minfind --size 65536 --trials 40 --seed 3")
+    info = qsearch._hit_table.cache_info()
+    assert info.misses > info.maxsize
 
 
 @pytest.mark.parametrize("digest, command", GOLDEN_CURVES,

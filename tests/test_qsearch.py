@@ -6,6 +6,8 @@ reproducible; windows come from the closed forms they shadow.
 
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sievelab import qsearch as Q
+from sievelab.cli import QSEARCH_SIZE_GUARD
 from sievelab.errors import DomainError
 from sievelab.rng import DEFAULT_SEED, derive_seed, make_rng
 
@@ -93,6 +96,108 @@ def test_bbht_returns_only_marked():
         found, _ = Q.bbht_search(np.arange(33) % 7 == 3, make_rng(3, t), 52)
         if found is not None:
             assert found % 7 == 3
+
+
+def _bbht_replay(flags, rng, cap):
+    """bbht_search's loop as written before its schedule and hit caches, on
+    Generator calls: float attempt sizes, each hit chance computed when drawn."""
+    S, k = flags.size, int(np.count_nonzero(flags))
+    theta = math.asin(math.sqrt(k / S))
+    m, evals = 1.0, 0
+    while evals < cap:
+        j = int(rng.integers(0, math.ceil(m)))
+        cost = max(1, j)
+        if evals + cost > cap:
+            return None, cap
+        evals += cost
+        if rng.random() < math.sin((2 * j + 1) * theta) ** 2:
+            return int(np.flatnonzero(flags)[rng.integers(0, k)]), evals
+        m = min(m * 1.2, math.sqrt(S))
+    return None, evals
+
+
+def test_bbht_search_advances_the_callers_generator_as_before():
+    for t in range(80):
+        case = make_rng(11, t)
+        S = int(case.integers(1, 400))
+        flags = case.random(S) < (0.0, 1.0 / S, 0.1, 1.0)[t % 4]
+        cap = int(case.integers(1, 120))
+        rng, twin = make_rng(12, t), make_rng(12, t)
+        got = Q.bbht_search(flags, rng, cap)
+        # a search on the thread's own stream leaves the caller's alone
+        Q.min_find_with_cost(case.random(50), t)
+        assert got == _bbht_replay(flags, twin, cap), t
+        assert rng.random() == twin.random(), t
+
+
+def _float_sizes(S, attempts):
+    m, sizes = 1.0, []
+    for _ in range(attempts):
+        sizes.append(m)
+        m = min(m * 1.2, math.sqrt(S))
+    return sizes
+
+
+def test_bbht_schedule_replays_the_float_loop():
+    for S in [*range(1, 5001), 10**6]:
+        sched = Q._bbht_schedule(S)
+        sizes = _float_sizes(S, len(sched) + 3)
+        assert [sched[min(i, len(sched) - 1)] for i in range(len(sizes))] == \
+            [math.ceil(m) for m in sizes], S
+        # it ends at the first saturated size
+        assert sizes[len(sched) - 1] == math.sqrt(S) > max(sizes[:len(sched) - 1], default=0.0), S
+
+
+@pytest.mark.parametrize("S", [1, 2, 3, 64, 1000, 65536, 10**6, 10**6 + 1, 10**10])
+def test_hit_table_matches_the_loop_expression(S):
+    n = math.ceil(math.sqrt(S))
+    for k in sorted({k for k in (0, 1, 2, S // 3, S - 1, S) if k <= S}):
+        theta = math.asin(math.sqrt(k / S))
+        table = Q._hit_table(S, k)
+        if n <= Q.HIT_TABLE_MAX_LEN:
+            assert isinstance(table, tuple) and len(table) == n
+        for j in range(n) if n <= 2000 else (0, 1, n // 2, n - 1):
+            assert table[j] == math.sin((2 * j + 1) * theta) ** 2, (k, j)
+    assert Q._hit_table(S, S)[0] == 1.0 and Q._hit_table(S, 0)[n - 1] == 0.0
+
+
+def test_bbht_caches_are_bounded():
+    for cache in (Q._bbht_schedule, Q._hit_table):
+        assert cache.cache_parameters()["maxsize"] is not None
+    # the longest table kept covers the CLI's largest blocked and minfind space
+    assert Q.HIT_TABLE_MAX_LEN == math.ceil(math.sqrt(QSEARCH_SIZE_GUARD))
+
+
+def test_searches_in_threads_match_their_serial_runs():
+    values = [make_rng(31, t).standard_normal(2000) for t in range(200)]
+
+    def scaling():
+        return [Q.blocked_search_scaling(256, [4, 16, 64], 6 / 256, 60, seed) for seed in range(6)]
+
+    def minfind():
+        return [Q.min_find_with_cost(v, t) for t, v in enumerate(values)]
+
+    jobs = (scaling, minfind) * 2  # four threads, two running each search
+    serial = [fn() for fn in jobs]
+    results = [None] * len(jobs)
+    barrier = threading.Barrier(len(jobs))
+
+    def run(i, fn):
+        barrier.wait()
+        results[i] = fn()
+
+    threads = [threading.Thread(target=run, args=(i, fn)) for i, fn in enumerate(jobs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads inside single searches
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == serial
 
 
 # --- blocked search ----------------------------------------------------------

@@ -1,11 +1,12 @@
-"""rng.Draws against the Generator whose stream it reads."""
+"""rng.Draws against the Generator whose stream it reads, and
+rng.search_draws against make_rng."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sievelab.errors import DomainError
-from sievelab.rng import Draws, make_rng
+from sievelab.rng import Draws, make_rng, search_draws
 
 BOUNDS = (1, 2, 3, 17, 1000, 2**31 + 5, 2**32)
 # (name, bound or None) steps; "below" and "uniform" go through Draws on
@@ -66,3 +67,45 @@ def test_draws_refuse_bounds_outside_the_32_bit_range():
             draws.below(bad)
     # a refusal draws nothing
     assert draws.below(2**32) == int(make_rng(3).integers(0, 2**32))
+
+
+# steps a search takes on its stream: Draws calls and the Generator calls
+# the pair search's plant and the CLI's value lists make
+SEARCH_STEP = st.one_of(
+    st.tuples(st.just("below"), st.sampled_from(BOUNDS)),
+    st.tuples(st.just("uniform"), st.none()),
+    st.tuples(st.just("choice"), st.tuples(st.integers(1, 300), st.integers(0, 5))),
+    st.tuples(st.just("normal"), st.integers(1, 9)),
+)
+
+
+def _search_step(draws, name, arg):
+    if name == "below":
+        return draws.below(arg)
+    if name == "uniform":
+        return draws.uniform()
+    if name == "choice":
+        n, size = arg
+        return draws.generator.choice(n, size=min(size, n), replace=False).tolist()
+    return draws.generator.standard_normal(arg).tolist()
+
+
+@given(
+    prefix_seed=st.integers(0, 2**64 - 1),
+    prefix=st.lists(SEARCH_STEP, max_size=20),
+    seed=st.integers(0, 2**64 - 1),
+    steps=st.lists(SEARCH_STEP, max_size=40),
+)
+def test_search_draws_restart_the_make_rng_stream(prefix_seed, prefix, seed, steps):
+    shared = search_draws(prefix_seed)
+    for name, arg in prefix:
+        _search_step(shared, name, arg)
+    if not shared.generator.bit_generator.state["has_uint32"]:
+        shared.below(3)  # one 32-bit draw: half of a 64-bit output stays buffered
+    assert shared.generator.bit_generator.state["has_uint32"] == 1
+
+    draws, plain = search_draws(seed), Draws(make_rng(seed))
+    assert draws is shared  # the thread's one Draws, re-keyed
+    for name, arg in steps:
+        assert _search_step(draws, name, arg) == _search_step(plain, name, arg), (name, arg)
+    assert repr(draws.generator.bit_generator.state) == repr(plain.generator.bit_generator.state)
