@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betainc, betaincinv
 
-from ._quadpack import qagse
 from .errors import DomainError, GuardError
 from .rng import make_rng
 
@@ -255,6 +254,34 @@ def _check_wedge(name: str, d: int, alpha: float, beta: float, theta: float) -> 
     return (beta, alpha) if alpha < beta else (alpha, beta)
 
 
+# Tanh-sinh quadrature (Takahasi and Mori, 1974): t runs over [-4, 4] in
+# steps of 2^-3, halved down to at most 2^-8 until two successive sums
+# agree to _TANH_SINH_TOL.  A node is placed from the nearer end of its
+# piece, so the nodes crowding an end keep their resolution, and its
+# weight is built from exp(-2|u|), where cosh(u)^2 would overflow.
+_TANH_SINH_TOL = 1e-14
+
+
+def _tanh_sinh_levels() -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per level, its new nodes: (in the left half, distance to the
+    nearer end as a fraction of the piece, weight times the step)."""
+    coarse, fine = 3, 8
+    j = np.arange(-4 << fine, (4 << fine) + 1)
+    t = j / float(1 << fine)
+    e = np.exp(-math.pi * np.abs(np.sinh(t)))  # exp(-2|u|), u = (pi/2) sinh t
+    frac = e / (1.0 + e)
+    weight = math.pi * np.cosh(t) * e / (1.0 + e) ** 2  # (pi/4) cosh t sech^2 u
+    levels = []
+    for k in range(fine - coarse + 1):
+        stride = 1 << (fine - coarse - k)
+        new = (j % stride == 0) & ((k == 0) | (j % (2 * stride) != 0))
+        levels.append((j[new] < 0, frac[new], weight[new] / float(1 << (coarse + k))))
+    return levels
+
+
+_TANH_SINH_LEVELS = _tanh_sinh_levels()
+
+
 def wedge_volume_quad(d: int, alpha: float, beta: float, theta: float) -> float:
     """Wedge volume W(alpha, beta, theta) by 1-D quadrature.
 
@@ -265,11 +292,10 @@ def wedge_volume_quad(d: int, alpha: float, beta: float, theta: float) -> float:
     So W = int_0^{acos alpha} sin^{d-2}(phi) C_{d-1}(h(phi)) dphi / B.
     The integrand vanishes where h >= 1, i.e. outside theta -+ acos
     beta, and the cross-section is the whole sphere where h <= -1,
-    i.e. below acos beta - theta; splitting there keeps the quadrature
-    on smooth pieces (for d = 2 the cross-section is a step).  Each
-    piece runs _quadpack.qagse, a bit-exact port of the QUADPACK routine
-    behind scipy.integrate.quad, with epsabs 0, epsrel 1e-11 and at most
-    200 subintervals.
+    i.e. below acos beta - theta and above 2 pi - theta - acos beta.
+    The interval is cut at those points, so every piece is smooth (for
+    d = 2 the cross-section is a step), and all pieces run one
+    tanh-sinh rule whose levels each evaluate the integrand once.
     """
     alpha, beta = _check_wedge("wedge_volume_quad", d, alpha, beta, theta)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -278,15 +304,18 @@ def wedge_volume_quad(d: int, alpha: float, beta: float, theta: float) -> float:
     if hi <= lo:
         return 0.0
     log_norm = math.lgamma(d / 2.0) - math.lgamma((d - 1) / 2.0) - math.lgamma(0.5)
-
-    def integrand(phi: float) -> float:
-        s = math.sin(phi)
-        h = (beta - math.cos(phi) * cos_t) / (s * sin_t)
-        return s ** (d - 2) * float(_cross_section_volume(d - 1, np.array([h]))[0])
-
-    full = b - theta  # below this angle the cross-section is all of S^{d-2}
-    pieces = [(lo, full), (full, hi)] if lo < full < hi else [(lo, hi)]
-    total = sum(qagse(integrand, x, y, 0.0, 1e-11, 200)[0] for x, y in pieces)
+    cuts = sorted({lo, hi} | {c for c in (b - theta, 2.0 * math.pi - theta - b) if lo < c < hi})
+    x, y = np.array(cuts[:-1])[:, None], np.array(cuts[1:])[:, None]
+    width = y - x
+    total = 0.0
+    for k, (left, frac, weight) in enumerate(_TANH_SINH_LEVELS):
+        phi = np.where(left, x + width * frac, y - width * frac)
+        s = np.sin(phi)
+        h = (beta - np.cos(phi) * cos_t) / (s * sin_t)
+        level = float(np.sum(width * weight * s ** (d - 2) * _cross_section_volume(d - 1, h)))
+        prev, total = total, 0.5 * total + level
+        if k and abs(total - prev) <= _TANH_SINH_TOL * abs(total):
+            break
     return math.exp(log_norm) * total
 
 

@@ -247,17 +247,25 @@ def _covered_close_keys(
 
     Each x is charged one inner product per entry of each of its
     buckets, duplicates included: that is what a query tests.  The
-    sharing test gathers mask rows one row chunk of keys at a time.
+    sharing test gathers the rows x and y of a chunk of keys at a time,
+    at most _BLOCK_FLOATS mask entries per chunk (or one key), so dense
+    masks do not make the gathered rows grow with n^2.
     """
     n, t = insert_mask.shape
     sizes = np.bincount(insert_mask.indices, minlength=t)
     ledger.inner_product_queries += int(sizes[query_mask.indices].sum())
-    step = _row_step(n)
+    row_sizes = np.diff(query_mask.indptr)[close // n] + np.diff(insert_mask.indptr)[close % n]
+    gathered = np.cumsum(row_sizes)  # mask entries gathered up to each key
     out = [np.empty(0, dtype=np.int64)]
-    for keys in np.split(close, np.searchsorted(close, np.arange(step, n, step) * n)):
+    lo = 0
+    while lo < close.size:
+        done = gathered[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(gathered, done + _BLOCK_FLOATS, side="right")))
+        keys = close[lo:hi]
         x, y = np.divmod(keys, n)
         shared = np.diff(query_mask[x].multiply(insert_mask[y]).indptr) > 0
         out.append(keys[shared])
+        lo = hi
     return np.concatenate(out)
 
 
@@ -391,17 +399,25 @@ def sieve_step(
 class ExpectedLedger:
     insert_coverage: float  # n t C(beta): bucket insertions
     query_coverage: float  # n t C(alpha): query-side filter hits
-    inner_products: float  # n^2 t C(alpha) C(beta): pairwise tests
+    inner_products: float  # t (n (n-1) C(alpha) C(beta) + n C(max(alpha, beta))): pairwise tests
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.insert_coverage, self.query_coverage, self.inner_products)
 
 
 def expected_ledger(n: int, t: int, alpha: float, beta: float, d: int) -> ExpectedLedger:
-    """Mean-field counter forecast from exact cap volumes."""
+    """Mean-field counter forecast from exact cap volumes.
+
+    A query x tests every entry of its alpha-close buckets, itself
+    included wherever it was inserted too: for the n (n - 1) ordered
+    pairs of distinct vectors a filter covers both with probability
+    C(alpha) C(beta), and it covers x at both thresholds with
+    probability C(max(alpha, beta)).
+    """
     ca = cap_volume_exact(d, alpha)
     cb = cap_volume_exact(d, beta)
-    return ExpectedLedger(n * t * cb, n * t * ca, float(n) * n * t * ca * cb)
+    both = min(ca, cb)  # C(max(alpha, beta)): the cap shrinks as its threshold grows
+    return ExpectedLedger(n * t * cb, n * t * ca, t * (float(n) * (n - 1) * ca * cb + n * both))
 
 
 # --- serialization -----------------------------------------------------------

@@ -437,7 +437,7 @@ def test_symkey_wrapper_rows(capsys):
 
 
 def test_import_loads_neither_scipy_optimize_nor_integrate():
-    # _quadpack and _brent_bounded replace the only two calls into them;
+    # geometry's tanh-sinh rule and _brent_bounded replace the only two calls into them;
     # scipy.sparse and scipy.special stay, and so does sievelab.cli
     src = Path(sievelab.__file__).resolve().parent.parent
     code = ("import sys, sievelab; "

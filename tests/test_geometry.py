@@ -5,10 +5,20 @@ oracles computed independently of the implementation under test.
 """
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
+
+import sievelab
 
 from sievelab import geometry as G
 from sievelab.errors import DomainError
@@ -21,12 +31,15 @@ def arc_cap(alpha):
 
 
 def arc_wedge(alpha, beta, theta):
-    # d=2: x = (cos phi, sin phi); cap around angle 0 and around theta
+    # d=2: x = (cos phi, sin phi); cap around angle 0 and around theta.
+    # The arc around theta can reach past the antipode pi, where it meets
+    # the cap around 0 again from below: overlap it shifted by -2pi, 0, 2pi
     a = math.acos(alpha)
     b = math.acos(beta)
-    lo = max(-a, theta - b)
-    hi = min(a, theta + b)
-    return max(0.0, hi - lo) / (2.0 * math.pi)
+    overlap = 0.0
+    for shift in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
+        overlap += max(0.0, min(a, theta + b + shift) - max(-a, theta - b + shift))
+    return overlap / (2.0 * math.pi)
 
 
 # --- rates -----------------------------------------------------------------
@@ -268,6 +281,62 @@ def test_wedge_volume_quad_arc_oracle():
     for alpha, beta, theta in cases:
         exact = arc_wedge(alpha, beta, theta)
         assert G.wedge_volume_quad(2, alpha, beta, theta) == pytest.approx(exact, abs=1e-12)
+
+
+def test_wedge_volume_quad_arc_oracle_past_the_antipode():
+    # the CLI's default thresholds alpha = beta = cos theta: past theta =
+    # 2 pi / 3 the cross-section is the whole circle again near phi = theta
+    for theta in (2.2, 2.5128520972937682, 3.0):
+        c = math.cos(theta)
+        exact = arc_wedge(c, c, theta)
+        assert exact == pytest.approx((2.0 * theta - math.pi) / math.pi, abs=1e-15)
+        assert G.wedge_volume_quad(2, c, c, theta) == pytest.approx(exact, abs=1e-12)
+    assert G.wedge_volume_quad(2, -0.3, 0.6, 2.2) == pytest.approx(arc_wedge(-0.3, 0.6, 2.2),
+                                                                   abs=1e-12)
+
+
+def _scipy_wedge(d, alpha, beta, theta):
+    """W by scipy.integrate.quad on the pieces wedge_volume_quad cuts."""
+    alpha, beta = max(alpha, beta), min(alpha, beta)
+    a, b = math.acos(alpha), math.acos(beta)
+    lo, hi = max(0.0, theta - b), min(a, theta + b)
+    if hi <= lo:
+        return 0.0
+    cuts = sorted({lo, hi} | {c for c in (b - theta, 2 * math.pi - theta - b) if lo < c < hi})
+
+    def integrand(phi):
+        s = math.sin(phi)
+        h = (beta - math.cos(phi) * math.cos(theta)) / (s * math.sin(theta))
+        if h <= -1.0 or h >= 1.0:
+            cross = float(h <= -1.0)
+        elif d == 2:
+            cross = 0.5
+        else:
+            half = 0.5 * sps.betainc((d - 2) / 2.0, 0.5, 1.0 - h * h)
+            cross = half if h >= 0.0 else 1.0 - half
+        return s ** (d - 2) * cross
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        total = sum(quad(integrand, x, y, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                    for x, y in zip(cuts, cuts[1:]))
+    return total / sps.beta((d - 1) / 2.0, 0.5)
+
+
+@given(d=st.integers(2, 64), alpha=st.floats(-0.95, 0.95), beta=st.floats(-0.95, 0.95),
+       theta=st.floats(0.05, math.pi - 0.05))
+def test_wedge_volume_quad_matches_scipy_quad(d, alpha, beta, theta):
+    assert G.wedge_volume_quad(d, alpha, beta, theta) == pytest.approx(
+        _scipy_wedge(d, alpha, beta, theta), rel=1e-12, abs=0.0)
+
+
+def test_import_raises_no_warning():
+    # the tanh-sinh node table is built at import
+    src = Path(sievelab.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", "import sievelab"],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_wedge_volume_quad_is_exactly_symmetric():

@@ -19,17 +19,17 @@ from sievelab import qsearch
 from sievelab.cli import main
 
 GOLDEN = [
-    ("d9dbc87deb25b4bb733a55b8e49cbcd33f651cf17f9d90a4a183a9d9c64cc127",
+    ("ca66f7a19e89fde7b1efb936b53be1a65e38822099e25203a2ae2cbb2c38b010",
      "sieve --d 24 --n 2000 --t 3000 --seed 2 --alpha 0.45 --beta 0.55 --theta 1.1"
      " --wedge-samples 1000000"),
-    ("8639c060f37e9f4c7de0629064a417b6762ff0d20dcbd1c59c5741bffe9e95c1",
+    ("8acbbea488a47e4273c43bc9fb19a31ed406f557afb3a1af3339f056f466b556",
      "sieve --d 24 --n 2000 --t 3000 --seed 2 --alpha 0.45 --beta 0.55 --theta 1.1"
      " --method fas --wedge-samples 1000000"),
-    ("38ee113671a6b6dcb1f94e3605ecf9c368c46be6c8b967bb9c04fb43d3e5493e",
+    ("356c9c62cd7e56f1f8ae65a37878ff8006bedfcef5310951c0b24b5e3b727a49",
      "sieve --d 12 --n 300 --t 400 --seed 3 --wedge-samples 1000000"),
-    ("258c4c9f1f4d3e0944512e89b62e4dc656fee6cf28c439cdab578581deefabf6",
+    ("19fe4167a54895d771d1927ede05bdc8cd4df467ceec5efc6f8011c08dd9e97c",
      "sieve --d 12 --n 300 --t 400 --seed 3 --method fas --wedge-samples 1000000"),
-    ("8e1e777a574d2af23fd2fbc43cd7f703f0bd3c154bd52806a3f9e851c5e852e6",
+    ("5f6bef2dc2568d5edda9586e3761cae2adbd544b5c848c22f6756bb9ee4f4178",
      "sieve --d 12 --n 300 --seed 1 --wedge-samples 20000"),
     ("c0758a529259e1c47b41558ee273519926e4f69734d7d7ce38dfdd4058dbbad9",
      "qsearch --experiment blocked --M 64 --S 1,4,16 --trials 20 --seed 7"),
@@ -77,15 +77,15 @@ GOLDEN_CURVES = [
 # cross-section becomes the whole sphere (one of them a fas run); plus a
 # noqram curve from a small t
 GOLDEN_QUAD = [
-    ("8887be14da442e2c5e488a4dee3aeb1aa9013944c0da3038881f47c27b558eba",
+    ("18141864685fb88b1911a20fad221113a9e9c2f08062979bf2f6f5fefb4c43f1",
      "sieve --d 24 --n 4000 --seed 1"),
-    ("cc1172ff2153515d81ad8108204bca7f0dec189cd171b77a38e2dbcaa710a20d",
+    ("235da048147d55349c286c2785a9f7fff4476aa305a94a8ad760f6638b2f51c1",
      "sieve --d 2 --n 200 --seed 3"),
-    ("4d23f74ec059436d937a5679bba3395e8776e869922383836a95741e081c6225",
+    ("4f0ad0532da3b45b954a38be0bb4a48e74e22d476fb7483896d1f1870b06205f",
      "sieve --d 16 --n 500 --seed 5 --theta 2.2 --alpha -0.3 --beta 0.6"),
-    ("7ba26e792d44e2e6633107e914b63e3a129ce00c9694abf2e25ea2649fc9f510",
+    ("e908e17a91ba400bfc496388c41c716aae36ef94d4d85a730acecf681f78c578",
      "sieve --d 40 --n 300 --seed 6 --theta 1.3 --alpha 0.2 --beta 0.25 --method fas"),
-    ("41881120b1ab0693cb3dcf6b1d333c7d59c7795d7695048f1380ba3cfbc16ad7",
+    ("37ae09cabd8c64cd9c862dd3e9277f5a27705863788cc87eb567d32f913e8e75",
      "sieve --d 6 --n 300 --seed 2 --theta 0.7 --alpha 0.9 --beta 0.6"),
     ("ecabe72fa1f5dcf2bc21508c34c8b5db56505bd7a82d20f5152525c13bf36f7f",
      "tradeoff --model noqram --steps 13 --t-min 0.01 --seed 9"),
@@ -99,7 +99,7 @@ GOLDEN_README = [
      "tradeoff --model t2 --steps 100"),
     ("5448beb3e5bd0eddeaa1d940d758978c2a2515b82c05ed6c67f84429d732bcdd",
      "tradeoff --model lower --s-max 0.155"),
-    ("e95b75c80f90cd10cd5a6c6cdbec6a834e640abd368232600ac7d57574d993de",
+    ("c977e39a4465ca8e1112834d6c1dcc6e01c877f4d45e759ab11e4ef91c07620e",
      "sieve --d 12 --n 150 --t 400 --method fas"),
     ("b74cde6386d63462e6c6c5b505a0e5a2a567cb891825789ea8a8b5c751998894",
      "qsearch --experiment blocked --M 256 --S 1,4,16,64,256 --trials 300"),
