@@ -16,7 +16,7 @@ beta-cap whose axes are at angle theta.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import betainc, betaincinv
@@ -282,6 +282,25 @@ def _tanh_sinh_levels() -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
 _TANH_SINH_LEVELS = _tanh_sinh_levels()
 
 
+def _tanh_sinh(f: Callable[[np.ndarray, np.ndarray], np.ndarray], cuts: list[float]) -> float:
+    """Integral from cuts[0] to cuts[-1], one tanh-sinh rule on each piece
+    between successive cuts.  f(nodes, weights) returns the weights times
+    the integrand at the nodes; it is called once per level, on every
+    piece's nodes at once.  The integrand should be smooth between the
+    cuts.  It may be singular at a cut, but the nodes stop about 1e-37
+    of a piece's width short of its ends: x^-0.9 on (0, 1] loses the
+    2e-3 of its integral that lies below them."""
+    x, y = np.array(cuts[:-1])[:, None], np.array(cuts[1:])[:, None]
+    width = y - x
+    total = 0.0
+    for k, (left, frac, weight) in enumerate(_TANH_SINH_LEVELS):
+        level = float(np.sum(f(np.where(left, x + width * frac, y - width * frac), width * weight)))
+        prev, total = total, 0.5 * total + level
+        if k and abs(total - prev) <= _TANH_SINH_TOL * abs(total):
+            break
+    return total
+
+
 def wedge_volume_quad(d: int, alpha: float, beta: float, theta: float) -> float:
     """Wedge volume W(alpha, beta, theta) by 1-D quadrature.
 
@@ -305,18 +324,13 @@ def wedge_volume_quad(d: int, alpha: float, beta: float, theta: float) -> float:
         return 0.0
     log_norm = math.lgamma(d / 2.0) - math.lgamma((d - 1) / 2.0) - math.lgamma(0.5)
     cuts = sorted({lo, hi} | {c for c in (b - theta, 2.0 * math.pi - theta - b) if lo < c < hi})
-    x, y = np.array(cuts[:-1])[:, None], np.array(cuts[1:])[:, None]
-    width = y - x
-    total = 0.0
-    for k, (left, frac, weight) in enumerate(_TANH_SINH_LEVELS):
-        phi = np.where(left, x + width * frac, y - width * frac)
+
+    def integrand(phi: np.ndarray, weight: np.ndarray) -> np.ndarray:
         s = np.sin(phi)
         h = (beta - np.cos(phi) * cos_t) / (s * sin_t)
-        level = float(np.sum(width * weight * s ** (d - 2) * _cross_section_volume(d - 1, h)))
-        prev, total = total, 0.5 * total + level
-        if k and abs(total - prev) <= _TANH_SINH_TOL * abs(total):
-            break
-    return math.exp(log_norm) * total
+        return weight * s ** (d - 2) * _cross_section_volume(d - 1, h)
+
+    return math.exp(log_norm) * _tanh_sinh(integrand, cuts)
 
 
 def wedge_volume_mc(
