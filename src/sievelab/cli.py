@@ -68,8 +68,11 @@ def _emit(ns: argparse.Namespace, rows: list[dict]) -> None:
         # the header is the first row's keys; only an empty sieve has no row
         text = render_csv(rows, list(rows[0]) if rows else _SIEVE_COLS)
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {ns.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -168,6 +171,9 @@ def cmd_sieve(ns) -> list[dict]:
         raise DomainError(f"theta must lie in (0, pi], got {theta}")
     alpha = ns.alpha if ns.alpha is not None else math.cos(theta)
     beta = ns.beta if ns.beta is not None else math.cos(theta)
+    for name, thr in (("beta", beta), ("alpha", alpha)):  # before the wedge, in pair_keys' order
+        if not -1.0 <= thr < 1.0:
+            raise DomainError(f"{name} must lie in [-1, 1), got {thr}")
 
     # t = ceil(3 / W) covers a close pair with probability about 1 - e^-3
     if ns.t is not None:

@@ -6,13 +6,14 @@ concatenation of one vector per block, picked by the base-m digits of
 i, so t = m^B codewords exist without ever materializing them.  An
 explicit family of t random centers is the one-block case, m = t, B = 1.
 
-Two queries matter downstream.  relevant_filters(v, alpha) returns every
-center with <v, c> >= alpha, by a branch-and-bound over blocks that
-scans the last block as one vector.  sample_alpha_close draws a
-near-uniform qualifying center from a bounded string of random coins,
-using a dynamic-programming tree over discretized block scores.  The
-discretization only ever widens the qualifying set, so a sampled center
-is guaranteed (alpha - epsilon)-close with the documented epsilon.
+Two queries matter downstream.  decode(scores, alpha) finds, for a
+batch of rows, every codeword reaching alpha by one branch-and-bound
+over the block scores; relevant_filters(v, alpha) is its one-row case.
+sample_alpha_close draws a near-uniform qualifying center from a
+bounded string of random coins, using a dynamic-programming tree over
+discretized block scores.  The discretization only ever widens the
+qualifying set, so a sampled center is guaranteed (alpha -
+epsilon)-close with the documented epsilon.
 """
 
 from __future__ import annotations
@@ -148,37 +149,37 @@ def relevant_filters(family: FilterFamily, v: np.ndarray, alpha: float) -> list[
 def relevant_filters_with_cost(
     family: FilterFamily, v: np.ndarray, alpha: float
 ) -> tuple[list[int], int]:
-    """relevant_filters plus the number of search nodes visited.
+    """relevant_filters plus the number of search nodes visited: decode
+    on v as one row.  A one-block (explicit) family is a plain scan of
+    t nodes; the node count never exceeds t*B."""
+    keys, nodes = decode([s[None] for s in _block_scores(family, v, alpha)], alpha)
+    return keys.tolist(), nodes
 
-    A depth-first branch-and-bound over the blocks, the same for every
-    family: a child is pruned when its partial score plus the best
-    achievable remaining block scores cannot reach alpha, and the last
-    block is scanned as one vector of m nodes.  A one-block (explicit)
-    family is that scan alone, t nodes; node count never exceeds t*B.
-    """
-    scores = _block_scores(family, v, alpha)
-    m, B = family.m, family.B
-    best_tail = np.zeros(B + 1)
-    for b in range(B - 1, -1, -1):
-        best_tail[b] = best_tail[b + 1] + float(np.max(scores[b]))
 
-    out: list[int] = []
+def decode(scores: Sequence[np.ndarray], alpha: float) -> tuple[np.ndarray, int]:
+    """The ascending keys x * m^B + i of the codewords i whose block-order
+    sum ((0.0 + s_0) + s_1) + ... of the (rows, m) scores[b] reaches alpha
+    for row x, and the nodes expanded: m per kept prefix, the root
+    included.  A prefix is dropped when its partial sum plus its row's best
+    remaining block scores falls short; the last block is one array test."""
+    *head, last = scores
+    rows, m = last.shape
+    if not head:  # one block: a plain threshold, no partial sums
+        return np.flatnonzero(last >= alpha), rows * m
+    tails = [np.zeros(rows)]  # tails[b]: per row, best scores of blocks b + 1.. summed
+    for s in scores[:0:-1]:
+        tails.append(tails[-1] + s.max(axis=1))
+    tails.reverse()
+    row, prefix, partial = np.arange(rows), np.zeros(rows, dtype=np.int64), np.zeros(rows)
     nodes = 0
-
-    def descend(b: int, partial: float, prefix: int) -> None:
-        nonlocal nodes
-        nodes += m
-        if b + 1 == B:
-            out.extend((prefix * m + np.flatnonzero(partial + scores[b] >= alpha)).tolist())
-            return
-        for j in range(m):
-            s = partial + scores[b][j]
-            if s + best_tail[b + 1] < alpha:
-                continue
-            descend(b + 1, s, prefix * m + j)
-
-    descend(0, 0.0, 0)
-    return out, nodes
+    for s, tail in zip(head, tails):
+        nodes += row.size * m
+        sums = partial[:, None] + s[row]
+        r, j = np.nonzero(sums + tail[row, None] >= alpha)
+        row, prefix, partial = row[r], prefix[r] * m + j, sums[r, j]
+    nodes += row.size * m
+    r, j = np.nonzero(partial[:, None] + last[row] >= alpha)
+    return (row[r] * m ** len(head) + prefix[r]) * m + j, nodes
 
 
 # --- bounded-coin sampling of alpha-close centers ----------------------------

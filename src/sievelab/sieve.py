@@ -35,7 +35,8 @@ from .binfile import BinaryReader
 from .errors import DomainError, GuardError
 from .geometry import cap_volume_exact, sample_sphere
 from .rng import make_rng
-from .rpc import FilterFamily, check_queries, relevant_filters
+# relevant_filters is bound, not called: the bench tracer patches it under this name
+from .rpc import FilterFamily, check_queries, decode, relevant_filters  # noqa: F401
 
 BRUTE_FORCE_GUARD = 10**5
 
@@ -159,10 +160,10 @@ def _check_family(instance: SieveInstance, family: FilterFamily) -> None:
 # Bucket membership is an (n, t) boolean CSR mask: row x lists the
 # filters close to x.  Its CSC columns are the buckets.  Pairs are int64
 # keys x * n + y, ascending, so (x, y) order is key order.  Both halves
-# of a run are one operation, _scan: a row chunk of the list times the
-# centers gives the masks, and times the list itself gives the close
-# pairs.  A chunk's block holds at most _BLOCK_FLOATS doubles (2 MB),
-# which keeps the peak memory of a run flat in n and t.
+# of a run are one operation, _scan: a row chunk of the list, decoded
+# against the family's blocks, gives the masks, and against the list
+# itself, a one-block code, the close pairs.  A chunk's score block holds
+# at most _BLOCK_FLOATS doubles (2 MB), keeping peak memory flat in n and t.
 
 _BLOCK_FLOATS = 1 << 18
 
@@ -179,17 +180,19 @@ def _mask(keys: np.ndarray, n: int, t: int) -> sparse.csr_array:
     return sparse.csr_array((np.ones(keys.size, dtype=bool), cols, indptr), shape=(n, t))
 
 
-def _scan(rows: np.ndarray, cols: np.ndarray, thresholds: list[float]) -> list[np.ndarray]:
-    """Per threshold, the ascending keys x * len(cols) + j of the entries
-    <rows[x], cols[j]> >= threshold, one block of rows @ cols.T per row
-    chunk, which serves every threshold."""
-    width = len(cols)
+def _scan(rows: np.ndarray, blocks: tuple, thresholds: list[float]) -> list[np.ndarray]:
+    """Per threshold, rpc.decode's keys x * m^B + i over the product code
+    blocks (B blocks of m vectors).  Each row chunk is scored once
+    against every block, which serves every threshold."""
+    m, w = len(blocks[0]), rows.shape[1] // len(blocks)
+    width = m ** len(blocks)
     keys: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in thresholds]
-    step = _row_step(width)
+    step = _row_step(m)
     for lo in range(0, len(rows), step):
-        block = rows[lo : lo + step] @ cols.T
+        chunk = rows[lo : lo + step]
+        scores = [chunk[:, b * w : (b + 1) * w] @ blk.T for b, blk in enumerate(blocks)]
         for part, thr in zip(keys, thresholds):
-            part.append(np.flatnonzero(block >= thr) + lo * width)
+            part.append(decode(scores, thr)[0] + lo * width)
     return [np.concatenate(part) for part in keys]
 
 
@@ -198,28 +201,20 @@ def _close_masks(
 ) -> list[sparse.csr_array]:
     """Per named threshold, the mask of <x, c_j> >= threshold over the list.
 
-    Explicit families _scan the list against their one block, the
-    (t, d) center matrix.  Product codes keep their per-vector
-    branch-and-bound, one threshold after the other, and give the same
-    keys.  Equal thresholds are compared once and share one mask;
-    thresholds are checked in the order given, and one out of range is
-    reported under its name.
+    Every family is _scanned block by block, so explicit families and
+    product codes are decoded alike.  Equal thresholds are compared once
+    and share one mask; thresholds are checked in the order given, and
+    one out of range is reported under its name.
     """
     dirs = instance.directions()
-    n, t = instance.n, family.t
     named: dict[float, str] = {}  # each distinct threshold under its first name
     for name, thr in thresholds.items():
         named.setdefault(thr, name)
-    if n:
+    if instance.n:
         for thr, name in named.items():
             check_queries(family, dirs, thr, name)
     distinct = list(named)
-    if family.kind == "explicit":
-        keys = _scan(dirs, family.blocks[0], distinct)
-    else:
-        keys = [np.array([x * t + j for x, v in enumerate(dirs) for j in relevant_filters(family, v, thr)],
-                         dtype=np.int64) for thr in distinct]
-    masks = [_mask(k, n, t) for k in keys]
+    masks = [_mask(k, instance.n, family.t) for k in _scan(dirs, family.blocks, distinct)]
     return [masks[distinct.index(thr)] for thr in thresholds.values()]
 
 
@@ -233,7 +228,7 @@ def _charge_filters(ledger: QueryLedger, mask: sparse.csr_array, insert: bool) -
 def _close_keys(instance: SieveInstance) -> np.ndarray:
     """Ascending keys of the pairs (x, y), x != y, at angle <= theta."""
     dirs = instance.directions()
-    (keys,) = _scan(dirs, dirs, [math.cos(instance.theta)])
+    (keys,) = _scan(dirs, (dirs,), [math.cos(instance.theta)])
     return keys[keys % (instance.n + 1) != 0]  # x * (n + 1) is the self pair (x, x)
 
 

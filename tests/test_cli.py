@@ -261,6 +261,12 @@ BAD_INPUTS = [
     "qsearch --experiment blocked --M 1000 --S 4 --p 1e-9",
     # exit 4: padding one (1, S) block ran out of memory; the window exceeds the list
     "qsearch --experiment blocked --M 256 --S 100000000000 --trials 1",
+    # exit 4: an unwritable --out raised Errno 2 and Errno 21 past the handler
+    "circuit --buckets 3,2 --out /nonexistent_sievelab_dir/x.csv",
+    "circuit --buckets 3,2 --out .",
+    # exit 3: a threshold of 1 emptied the wedge before the range check
+    "sieve --d 24 --n 10 --alpha 1.0",
+    "sieve --d 24 --n 10 --beta 1.0",
 ]
 
 
@@ -280,6 +286,13 @@ def test_invalid_input_exits_2(command):
     proc = _run_cli(command)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(b"error: ")
+
+
+def test_empty_wedge_exits_3():
+    # thresholds inside [-1, 1) whose wedge really is empty
+    proc = _run_cli("sieve --d 24 --n 10 --alpha 0.9999999 --beta 0.9999999")
+    assert proc.returncode == 3, proc.stderr
+    assert b"wedge estimate vanished" in proc.stderr
 
 
 # exit 4: lists this long ran out of memory; the size guard refuses them

@@ -141,22 +141,28 @@ def test_engine_matches_reference_on_one_row_blocks(monkeypatch):
     base = _instance(7, 120)
     inst = sieve.make_instance(np.vstack([base.vectors, base.vectors[40]]), theta=base.theta)
     n = inst.n
-    fam = rpc.build_family("explicit", 12, 70, t=300)
+    families = [
+        rpc.build_family("explicit", 12, 70, t=300),
+        rpc.build_family("rpc", 12, 71, m=5, B=2),
+        rpc.build_family("rpc", 12, 72, m=3, B=3),
+    ]
     gram = inst.vectors @ inst.vectors.T
     x, y = np.nonzero((gram >= math.cos(inst.theta)) & ~np.eye(n, dtype=bool))
     assert {(40, 120), (120, 40)} <= set(zip(x.tolist(), y.tolist()))
     # a block cap below one row forces one row per score and Gram block;
-    # 2100 floats give 7-row score and 17-row Gram blocks, both ragged at n = 121
-    for block_floats in (1, 2100):
+    # 100 floats give 20-row and 33-row product-code chunks; 2100 floats
+    # give 7-row score and 17-row Gram blocks; all ragged at n = 121
+    for block_floats in (1, 100, 2100):
         monkeypatch.setattr(sieve, "_BLOCK_FLOATS", block_floats)
-        led_ref, led = sieve.QueryLedger(), sieve.QueryLedger()
-        want_b = ref_buckets(inst, fam, BETA, led_ref)
-        want = ref_query(inst, fam, ALPHA, want_b, led_ref)
-        got = sieve.preprocess(inst, fam, BETA, led)
-        assert all(np.array_equal(g, w) for g, w in zip(got.B, want_b))
-        assert sieve.query_method(inst, fam, ALPHA, got, led) == want
-        assert led == led_ref
-        assert sieve.fas_method(inst, fam, ALPHA, BETA, sieve.QueryLedger()) == want
+        for fam in families:
+            led_ref, led = sieve.QueryLedger(), sieve.QueryLedger()
+            want_b = ref_buckets(inst, fam, BETA, led_ref)
+            want = ref_query(inst, fam, ALPHA, want_b, led_ref)
+            got = sieve.preprocess(inst, fam, BETA, led)
+            assert all(np.array_equal(g, w) for g, w in zip(got.B, want_b))
+            assert sieve.query_method(inst, fam, ALPHA, got, led) == want
+            assert led == led_ref
+            assert sieve.fas_method(inst, fam, ALPHA, BETA, sieve.QueryLedger()) == want
         assert np.array_equal(sieve.brute_force_keys(inst), x * n + y)
 
 

@@ -63,7 +63,7 @@ def test_relevant_filters_alpha_minus_one_returns_all():
 
 
 def test_relevant_filters_matches_brute_force():
-    rng = make_rng(0xABC)
+    rng, batch_rng = make_rng(0xABC), make_rng(0xDEF)
     worst_ratio, total_nodes = 0.0, 0
     for trial in range(100):
         if trial % 2 == 0:
@@ -87,6 +87,16 @@ def test_relevant_filters_matches_brute_force():
             assert nodes == fam.t  # a one-block family is a plain scan
         worst_ratio = max(worst_ratio, nodes / fam.t)
         total_nodes += nodes
+        # one batched decode of several rows; its own generator keeps the pin below
+        V = geometry.sample_sphere(fam.d, batch_rng, size=int(batch_rng.integers(2, 8)))
+        w = fam.d // fam.B
+        scores = [V[:, b * w : (b + 1) * w] @ blk.T for b, blk in enumerate(fam.blocks)]
+        dots = V @ fam.all_centers().T
+        for thr in (alpha, -1.0, 0.999):  # -1 keeps every codeword, 0.999 (nearly) none
+            keys, nodes = rpc.decode(scores, thr)
+            assert np.array_equal(keys, np.flatnonzero(dots >= thr))
+            assert nodes <= len(V) * fam.t * fam.B
+        assert rpc.decode(scores, -1.0)[0].size == len(V) * fam.t
     assert worst_ratio <= 3.0  # pruning keeps the walk near scan cost
     assert total_nodes == 12330  # the walk's cost is pinned, not only bounded
 
