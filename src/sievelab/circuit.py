@@ -13,30 +13,39 @@ lanes with t - 1 selector nodes.  The circuit itself is evaluated
 classically here; quantum behavior enters only through the minimum-
 finding emulator driving it.
 
-The pipeline evaluates each qualifying filter of a query once, in leaf
-rank order, into a per-filter table.  A coin string indexes that table
-through the rank it selects, so up to PIPELINE_COIN_GUARD coin strings
-form the search space; beyond the guard the search space switches to
-the leaves themselves.
+The pipeline takes one batched pass per step.  rpc.sample_leaves lists
+the qualifying leaves of every query at once, in each query's leaf rank
+order, and every (query, leaf) chain is evaluated together, in chunks of
+bounded size, into one per-filter table per query.  The batch keeps
+circuit_eval_index's first-minimum rule and np.linalg.norm's bits.  A
+coin string indexes a query's table through the rank it selects, so up
+to PIPELINE_COIN_GUARD coin strings form the search space; beyond the
+guard the search space switches to the leaves themselves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DomainError
 from .qsearch import min_find_with_cost
 from .rng import DEFAULT_SEED, derive_seed
-from .rpc import FilterFamily, SampleTree, build_sample_tree, leaf_index, sample_alpha_close
+from .rpc import (
+    FilterFamily, SampleTree, coin_count, coin_rank, sample_alpha_close, sample_leaves)
 from .sieve import QueryLedger, SieveInstance, preprocess
 
 # largest coin space the pipeline searches per query; beyond this the
 # qualifying leaves are the search space (there are at most 2^R / 16)
 PIPELINE_COIN_GUARD = 2**14
+# chain coordinates one chunk of the pipeline's batched evaluation gathers;
+# each chunk holds a few blocks this size at once, and rpc's 2^18 raised the
+# pipeline benchmark's peak RSS by about 3 MB without making it faster
+_GATHER_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,37 +174,83 @@ class PipelineReport:
         }
 
 
-def _query_values(
-    circuit: ComparatorCircuit,
-    tree: SampleTree,
-    bucket_indices: Sequence[np.ndarray],
-    vectors: np.ndarray,
-    q: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distance seen by each point of the search space, with the list
-    index of the partner it would report.
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, bit for bit: norm takes the sqrt of a
+    dot, and a stacked (1, d) @ (d, 1) matmul is that same dot."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
 
-    Every qualifying leaf is unranked and evaluated once; below the coin
-    guard each coin string then reads the entry of the rank it selects.
-    Self-hits and empty chains are lifted to +inf with partner -1: the
-    oracle returned nothing usable for reduction there.
+
+def _leaf_values(
+    vectors: np.ndarray, members: sparse.csc_array, query: np.ndarray, leaf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per (query, leaf) entry: the distance from vectors[query] to what
+    chain leaf of the circuit reports, and that partner's list index.
+
+    Chain j holds the rows of bucket column j of members in insertion
+    order.  Its output is circuit_eval_index's: the first position at the
+    least np.sum((chain - w) ** 2, axis=1).  The entries are evaluated in
+    chunks that gather at most _GATHER_FLOATS chain coordinates (or one
+    chain); partner distances come from _row_norms.  Self-hits and empty
+    chains are lifted to +inf with partner -1: the oracle returned nothing
+    usable for reduction there.
     """
-    w = vectors[q]
-    values = np.full(tree.root_count, math.inf)
-    partner = np.full(tree.root_count, -1, dtype=np.int64)
-    for rank in range(tree.root_count):
-        j = leaf_index(tree, rank)
-        chain_pos = circuit_eval_index(circuit, j, w)
-        if chain_pos is None:
+    ptr, rows = members.indptr, members.indices
+    sizes = np.diff(ptr)[leaf]
+    values = np.full(query.size, math.inf)
+    partner = np.full(query.size, -1, dtype=np.int64)
+    live = np.flatnonzero(sizes)  # entries whose chain is not empty
+    gathered = np.cumsum(sizes[live])  # chain rows gathered up to each entry
+    budget = max(1, _GATHER_FLOATS // vectors.shape[1])
+    lo = 0
+    while lo < live.size:
+        done = gathered[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(gathered, done + budget, side="right")))
+        entry = live[lo:hi]
+        size = sizes[entry]
+        starts = np.cumsum(size) - size
+        at = np.arange(int(size.sum())) + np.repeat(ptr[leaf[entry]] - starts, size)
+        chain_rows = rows[at]
+        diff = vectors[chain_rows]
+        diff -= vectors[np.repeat(query[entry], size)]
+        diff *= diff
+        d2 = np.sum(diff, axis=1)
+        low = np.minimum.reduceat(d2, starts)
+        hit = np.flatnonzero(d2 == np.repeat(low, size))
+        u = chain_rows[hit[np.searchsorted(hit, starts)]].astype(np.int64)
+        dist = _row_norms(vectors[u] - vectors[query[entry]])
+        keep = (u != query[entry]) & (dist > 1e-12)
+        values[entry[keep]], partner[entry[keep]] = dist[keep], u[keep]
+        lo = hi
+    return values, partner
+
+
+def _search_spaces(
+    instance: SieveInstance, family: FilterFamily, alpha: float, members: sparse.csc_array
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per query vector q with a qualifying leaf, in list order: the
+    distance each point of its search space sees, with the list index of
+    the partner it would report.
+
+    Every qualifying leaf of every query comes from one rpc.sample_leaves
+    call and is evaluated once; below the coin guard each coin string then
+    reads the entry of the rank it selects.  Each query's table is built
+    when it is reached, so no table for all queries is held.
+    """
+    keys = sample_leaves(family, instance.directions(), alpha)
+    query, leaf = np.divmod(keys, family.t)
+    values, partner = _leaf_values(instance.vectors, members, query, leaf)
+    lo = 0
+    for q, root in enumerate(np.bincount(query, minlength=instance.n).tolist()):
+        if root == 0:
             continue
-        u_idx = int(bucket_indices[j][chain_pos])
-        dist = float(np.linalg.norm(vectors[u_idx] - w))
-        if u_idx != q and dist > 1e-12:
-            values[rank], partner[rank] = dist, u_idx
-    if 2**tree.coin_count > PIPELINE_COIN_GUARD:
-        return values, partner
-    ranks = tree.coin_rank(np.arange(2**tree.coin_count, dtype=np.int64))
-    return values[ranks], partner[ranks]
+        hi = lo + root
+        coins = coin_count(root)
+        if 2**coins > PIPELINE_COIN_GUARD:
+            yield q, values[lo:hi], partner[lo:hi]
+        else:
+            ranks = lo + coin_rank(np.arange(2**coins, dtype=np.int64), root, coins)
+            yield q, values[ranks], partner[ranks]
+        lo = hi
 
 
 def pipeline_step(
@@ -209,12 +264,14 @@ def pipeline_step(
 ) -> PipelineReport:
     """One reduction pass of the memory-free sieve.
 
-    Buckets the whole list at beta and hardcodes it into a circuit.
-    Per query vector w, the qualifying-filter tree at alpha defines the
-    coin space; the reported candidate is the reducing pair of smallest
-    distance over all coins (exhaustive mode) or the one min_find_with_cost
-    lands on (minfind mode, simulated on the materialized value list).  A
-    pair qualifies when 0 < ||w - u|| <= shrink_factor * radius.
+    Buckets the whole list at beta; each bucket is a comparator chain of
+    the circuit.  Per query vector w, the qualifying-filter tree at alpha
+    defines the coin space; the reported candidate is the reducing pair
+    of smallest distance over all coins (exhaustive mode) or the one
+    min_find_with_cost lands on (minfind mode, simulated on the
+    materialized value list).  A pair qualifies when 0 < ||w - u|| <=
+    shrink_factor * radius.  The list's directions are checked once per
+    threshold, and an empty list gives an empty report.
     """
     if instance.mode != "norm":
         raise DomainError("pipeline_step needs a norm-mode instance")
@@ -222,20 +279,14 @@ def pipeline_step(
         raise DomainError(f"mode must be exhaustive or minfind, got {mode}")
     if minfind_runs < 1:
         raise DomainError("minfind_runs must be >= 1")
-    ledger = QueryLedger()
-    bucket_indices = preprocess(instance, family, beta, ledger).B
-    circ = build_circuit([instance.vectors[idx] for idx in bucket_indices], d=instance.d)
-    dirs = instance.directions()
+    members = preprocess(instance, family, beta, QueryLedger()).members
     bound = instance.shrink_factor * instance.radius
 
     pairs: set[tuple[int, int]] = set()
     total_calls = 0
     max_calls = 0
-    for q in range(instance.n):
-        tree = build_sample_tree(family, dirs[q], alpha)
-        if tree.root_count == 0:
-            continue
-        values, partner = _query_values(circ, tree, bucket_indices, instance.vectors, q)
+    spaces = _search_spaces(instance, family, alpha, members) if instance.n else ()
+    for q, values, partner in spaces:
         if mode == "exhaustive":
             calls = values.size
             best = int(np.argmin(values))

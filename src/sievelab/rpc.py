@@ -13,7 +13,10 @@ sample_alpha_close draws a near-uniform qualifying center from a
 bounded string of random coins, using a dynamic-programming tree over
 discretized block scores.  The discretization only ever widens the
 qualifying set, so a sampled center is guaranteed (alpha -
-epsilon)-close with the documented epsilon.
+epsilon)-close with the documented epsilon.  sample_levels puts a batch
+of rows on that grid with one product per block and row chunk;
+build_sample_tree is its one-row case, and sample_leaves lists every
+row's qualifying leaves, in rank order, by one decode of the levels.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +38,10 @@ DEFAULT_GRID_SIZE = 64
 # headroom coins beyond ceil(log2(root count)), keeps the coin-to-leaf
 # map within ~1% of uniform instead of the worst-case factor 2
 COIN_MARGIN = 4
+
+# one chunk of scores or partial sums holds at most this many doubles
+# (2 MB), which keeps peak memory flat in the number of rows and prefixes
+_BLOCK_FLOATS = 1 << 18
 
 _MAGIC = b"SLF1"
 _KIND_CODES = {"explicit": 0, "rpc": 1}
@@ -141,6 +148,22 @@ def _block_scores(family: FilterFamily, v: np.ndarray, alpha: float) -> list[np.
     return [blk @ v[b * w : (b + 1) * w] for b, blk in enumerate(family.blocks)]
 
 
+def _row_step(width: int) -> int:
+    return max(1, _BLOCK_FLOATS // max(1, width))
+
+
+def score_chunks(
+    rows: np.ndarray, blocks: Sequence[np.ndarray]
+) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """Per chunk of _row_step(m) rows: the chunk's first row index and its
+    (chunk rows, m) score matrix against each block, one product each."""
+    m, w = len(blocks[0]), rows.shape[1] // len(blocks)
+    step = _row_step(m)
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo : lo + step]
+        yield lo, [chunk[:, b * w : (b + 1) * w] @ blk.T for b, blk in enumerate(blocks)]
+
+
 def relevant_filters(family: FilterFamily, v: np.ndarray, alpha: float) -> list[int]:
     """Sorted indices of every center with <v, c_i> >= alpha."""
     return relevant_filters_with_cost(family, v, alpha)[0]
@@ -161,7 +184,9 @@ def decode(scores: Sequence[np.ndarray], alpha: float) -> tuple[np.ndarray, int]
     sum ((0.0 + s_0) + s_1) + ... of the (rows, m) scores[b] reaches alpha
     for row x, and the nodes expanded: m per kept prefix, the root
     included.  A prefix is dropped when its partial sum plus its row's best
-    remaining block scores falls short; the last block is one array test."""
+    remaining block scores falls short.  Every block tests the kept
+    prefixes in runs of _row_step(m), so no test holds more than
+    _BLOCK_FLOATS sums however many prefixes survive."""
     *head, last = scores
     rows, m = last.shape
     if not head:  # one block: a plain threshold, no partial sums
@@ -171,18 +196,42 @@ def decode(scores: Sequence[np.ndarray], alpha: float) -> tuple[np.ndarray, int]
         tails.append(tails[-1] + s.max(axis=1))
     tails.reverse()
     row, prefix, partial = np.arange(rows), np.zeros(rows, dtype=np.int64), np.zeros(rows)
-    nodes = 0
+    nodes, step = 0, _row_step(m)
     for s, tail in zip(head, tails):
         nodes += row.size * m
-        sums = partial[:, None] + s[row]
-        r, j = np.nonzero(sums + tail[row, None] >= alpha)
-        row, prefix, partial = row[r], prefix[r] * m + j, sums[r, j]
+        kept = [(row[:0], prefix[:0], partial[:0])]
+        for lo in range(0, row.size, step):
+            run = row[lo : lo + step]
+            sums = partial[lo : lo + step, None] + s[run]
+            r, j = np.nonzero(sums + tail[run, None] >= alpha)
+            kept.append((run[r], prefix[lo + r] * m + j, sums[r, j]))
+        row, prefix, partial = (np.concatenate(part) for part in zip(*kept))
     nodes += row.size * m
-    r, j = np.nonzero(partial[:, None] + last[row] >= alpha)
-    return (row[r] * m ** len(head) + prefix[r]) * m + j, nodes
+    keys = [row[:0]]
+    for lo in range(0, row.size, step):
+        run = row[lo : lo + step]
+        r, j = np.nonzero(partial[lo : lo + step, None] + last[run] >= alpha)
+        keys.append((run[r] * m ** len(head) + prefix[lo + r]) * m + j)
+    return np.concatenate(keys), nodes
 
 
 # --- bounded-coin sampling of alpha-close centers ----------------------------
+
+
+def coin_count(root: int) -> int:
+    """Coins that index root_count leaves: ceil(log2(root)) + COIN_MARGIN,
+    none for an empty tree."""
+    return (root - 1).bit_length() + COIN_MARGIN if root > 0 else 0
+
+
+def coin_rank(x, root: int, coins: int):
+    """Leaf rank that coin integer x selects among root leaves: [0, 2^coins)
+    scaled onto [0, root), rounded down.
+
+    x is a Python int or an int64 array; the array form is exact while
+    x * root stays below 2^63.
+    """
+    return (x * root) >> coins
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,13 +257,8 @@ class SampleTree:
     coin_count: int
 
     def coin_rank(self, x):
-        """Leaf rank that coin integer x selects: [0, 2^R) scaled onto
-        [0, root_count), rounded down.
-
-        x is a Python int or an int64 array; the array form is exact
-        while x * root_count stays below 2^63.
-        """
-        return (x * self.root_count) >> self.coin_count
+        """coin_rank(x, root_count, coin_count): the leaf rank coins x select."""
+        return coin_rank(x, self.root_count, self.coin_count)
 
 
 def _tail_lookup(tail: np.ndarray, need: int) -> int:
@@ -225,41 +269,69 @@ def _tail_lookup(tail: np.ndarray, need: int) -> int:
     return int(tail[need])
 
 
+def sample_levels(
+    family: FilterFamily, V: np.ndarray, alpha: float, grid_size: int = DEFAULT_GRID_SIZE
+) -> tuple[list[np.ndarray], int, float]:
+    """The sample-tree grid for a batch of query rows: per block, the
+    (rows, m) integer levels of the rows' block scores, the least level sum
+    level_min that qualifies at alpha, and epsilon.
+
+    The rows are checked once, as one check_queries call, and scored by
+    score_chunks, one product per block and row chunk.  A codeword
+    qualifies for a row when its level sum reaches level_min, i.e. when
+    step * sum - sqrt(B) > alpha - epsilon.
+    """
+    if family.kind != "rpc":
+        raise DomainError("sample trees need a product-code family")
+    if grid_size < 2:
+        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
+    V = np.asarray(V, dtype=float)
+    check_queries(family, V, alpha)
+    B = family.B
+    step = (2.0 / math.sqrt(B)) / grid_size
+    epsilon = B * step
+    smin = -1.0 / math.sqrt(B)
+    levels: list[list[np.ndarray]] = [[np.empty((0, family.m), dtype=np.int64)] for _ in range(B)]
+    for _, scores in score_chunks(V, family.blocks):
+        for part, s in zip(levels, scores):
+            lv = np.floor((s - smin) / step + 1e-12).astype(np.int64)
+            part.append(np.clip(lv, 0, grid_size))
+    level_min = int(math.floor((alpha - epsilon + math.sqrt(B)) / step + 1e-12)) + 1
+    return [np.concatenate(part) for part in levels], level_min, epsilon
+
+
+def sample_leaves(
+    family: FilterFamily, V: np.ndarray, alpha: float, grid_size: int = DEFAULT_GRID_SIZE
+) -> np.ndarray:
+    """Ascending keys x * t + i of every leaf build_sample_tree(family,
+    V[x], alpha) counts: for each row, its codewords in leaf_index's rank
+    order, found by one decode of the levels.  Level sums of small
+    integers are exact in floats, so decode's test is the tree's."""
+    levels, level_min, _ = sample_levels(family, V, alpha, grid_size)
+    return decode([lv.astype(float) for lv in levels], level_min)[0]
+
+
 def build_sample_tree(
     family: FilterFamily,
     v: np.ndarray,
     alpha: float,
     grid_size: int = DEFAULT_GRID_SIZE,
 ) -> SampleTree:
-    """Precompute leaf counts for qualifying codewords under v, alpha."""
-    if family.kind != "rpc":
-        raise DomainError("sample trees need a product-code family")
-    if grid_size < 2:
-        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
+    """Precompute leaf counts for qualifying codewords under v, alpha:
+    sample_levels for v as one row, then per block a histogram of its
+    levels convolved into the completion counts."""
     v = np.asarray(v, dtype=float)
-    scores = _block_scores(family, v, alpha)
-    B = family.B
-    step = (2.0 / math.sqrt(B)) / grid_size
-    epsilon = B * step
-    smin = -1.0 / math.sqrt(B)
-
-    levels = []
-    for s in scores:
-        lv = np.floor((s - smin) / step + 1e-12).astype(np.int64)
-        levels.append(np.clip(lv, 0, grid_size))
-    # qualify iff the level sum L satisfies step*L - sqrt(B) > alpha - epsilon
-    level_min = int(math.floor((alpha - epsilon + math.sqrt(B)) / step + 1e-12)) + 1
-
+    levels, level_min, epsilon = sample_levels(family, v[None], alpha, grid_size)
+    levels = [lv[0] for lv in levels]
     counts = np.ones(1, dtype=np.int64)
     tails: list[np.ndarray] = [np.ones(1, dtype=np.int64)]
-    for b in range(B - 1, -1, -1):
+    for b in range(family.B - 1, -1, -1):
         hist = np.bincount(levels[b], minlength=grid_size + 1).astype(np.int64)
         counts = np.convolve(hist, counts)
         tails.append(np.cumsum(counts[::-1])[::-1])
     tails.reverse()
 
     root = _tail_lookup(tails[0], level_min)
-    coins = (root - 1).bit_length() + COIN_MARGIN if root > 0 else 0
     return SampleTree(
         family=family,
         v=v,
@@ -269,7 +341,7 @@ def build_sample_tree(
         levels=tuple(levels),
         tails=tuple(tails),
         root_count=root,
-        coin_count=coins,
+        coin_count=coin_count(root),
     )
 
 

@@ -36,7 +36,8 @@ from .errors import DomainError, GuardError
 from .geometry import cap_volume_exact, sample_sphere
 from .rng import make_rng
 # relevant_filters is bound, not called: the bench tracer patches it under this name
-from .rpc import FilterFamily, check_queries, decode, relevant_filters  # noqa: F401
+from .rpc import (  # noqa: F401
+    _BLOCK_FLOATS, FilterFamily, check_queries, decode, relevant_filters, score_chunks)
 
 BRUTE_FORCE_GUARD = 10**5
 
@@ -163,13 +164,8 @@ def _check_family(instance: SieveInstance, family: FilterFamily) -> None:
 # of a run are one operation, _scan: a row chunk of the list, decoded
 # against the family's blocks, gives the masks, and against the list
 # itself, a one-block code, the close pairs.  A chunk's score block holds
-# at most _BLOCK_FLOATS doubles (2 MB), keeping peak memory flat in n and t.
-
-_BLOCK_FLOATS = 1 << 18
-
-
-def _row_step(width: int) -> int:
-    return max(1, _BLOCK_FLOATS // max(1, width))
+# at most rpc's _BLOCK_FLOATS doubles (2 MB), keeping peak memory flat in n
+# and t; the sharing test of the pair pass keeps to the same budget.
 
 
 def _mask(keys: np.ndarray, n: int, t: int) -> sparse.csr_array:
@@ -184,13 +180,9 @@ def _scan(rows: np.ndarray, blocks: tuple, thresholds: list[float]) -> list[np.n
     """Per threshold, rpc.decode's keys x * m^B + i over the product code
     blocks (B blocks of m vectors).  Each row chunk is scored once
     against every block, which serves every threshold."""
-    m, w = len(blocks[0]), rows.shape[1] // len(blocks)
-    width = m ** len(blocks)
+    width = len(blocks[0]) ** len(blocks)
     keys: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in thresholds]
-    step = _row_step(m)
-    for lo in range(0, len(rows), step):
-        chunk = rows[lo : lo + step]
-        scores = [chunk[:, b * w : (b + 1) * w] @ blk.T for b, blk in enumerate(blocks)]
+    for lo, scores in score_chunks(rows, blocks):
         for part, thr in zip(keys, thresholds):
             part.append(decode(scores, thr)[0] + lo * width)
     return [np.concatenate(part) for part in keys]

@@ -207,9 +207,11 @@ def test_oracle_prime_rejects_mismatched_query(oracle_setup):
 
 
 def test_query_values_match_the_coin_oracle(oracle_setup):
-    _, inst, buckets, circ, w, tree = oracle_setup
-    q = inst.n  # w joins the list as its last vector
-    values, partner = ccirc._query_values(circ, tree, buckets.B, np.vstack([inst.vectors, w]), q)
+    fam, inst, buckets, circ, w, tree = oracle_setup
+    q = inst.n  # w joins the list as its last vector; the buckets stay as they are
+    grown = sieve.make_instance(np.vstack([inst.vectors, w]), mode="norm", radius=1.0)
+    spaces = {k: (v, p) for k, v, p in ccirc._search_spaces(grown, fam, 0.35, buckets.members)}
+    values, partner = spaces[q]
     R = tree.coin_count
     assert values.size == partner.size == 2**R
     assert partner.dtype == np.int64
@@ -227,18 +229,114 @@ def test_query_values_match_the_coin_oracle(oracle_setup):
 
 
 def test_query_values_mark_missing_partners_with_minus_one(oracle_setup):
-    fam, inst, buckets, circ, _, _ = oracle_setup
-    dirs = inst.directions()
+    fam, inst, buckets, _, _, _ = oracle_setup
     missing = 0
-    for q in range(inst.n):  # list vectors see themselves in their own buckets
-        tree = rpc.build_sample_tree(fam, dirs[q], 0.35)
-        if tree.root_count == 0:
-            continue
-        values, partner = ccirc._query_values(circ, tree, buckets.B, inst.vectors, q)
+    # list vectors see themselves in their own buckets
+    for q, values, partner in ccirc._search_spaces(inst, fam, 0.35, buckets.members):
         assert np.array_equal(partner == -1, values == math.inf)
         assert np.all(partner != q)
         missing += int(np.sum(partner == -1))
     assert missing > 0
+
+
+def _reference_spaces(inst, fam, alpha, buckets):
+    # the per-query walk the batched pass replaced: one sample tree per
+    # query, every leaf unranked and its chain evaluated on its own
+    bucket_rows = buckets.B
+    circ = ccirc.build_circuit([inst.vectors[idx] for idx in bucket_rows], d=inst.d)
+    for q, v in enumerate(inst.directions()):
+        tree = rpc.build_sample_tree(fam, v, alpha)
+        if tree.root_count == 0:
+            continue
+        w = inst.vectors[q]
+        values = np.full(tree.root_count, math.inf)
+        partner = np.full(tree.root_count, -1, dtype=np.int64)
+        for rank in range(tree.root_count):
+            j = rpc.leaf_index(tree, rank)
+            pos = ccirc.circuit_eval_index(circ, j, w)
+            if pos is None:
+                continue
+            u = int(bucket_rows[j][pos])
+            dist = float(np.linalg.norm(inst.vectors[u] - w))
+            if u != q and dist > 1e-12:
+                values[rank], partner[rank] = dist, u
+        if 2**tree.coin_count <= ccirc.PIPELINE_COIN_GUARD:
+            ranks = tree.coin_rank(np.arange(2**tree.coin_count, dtype=np.int64))
+            values, partner = values[ranks], partner[ranks]
+        yield q, values, partner
+
+
+def _tie_instance():
+    # every vector three times: each chain holding one holds its copies,
+    # so chain minima tie and the first position must win
+    base = sieve.random_instance(8, 20, seed=23, mode="norm", radius=1.0).vectors
+    return sieve.make_instance(np.vstack([base, base[::-1], base]), mode="norm", radius=1.0)
+
+
+@pytest.mark.parametrize("case", ["m5B2", "m5B3", "guard-0.3", "guard0.1", "ties"])
+def test_search_spaces_match_the_per_query_walk(monkeypatch, case):
+    fam, inst, alpha, beta = {
+        "m5B2": lambda: (rpc.build_family("rpc", 12, 31, m=5, B=2),
+                         sieve.random_instance(12, 60, seed=404, mode="norm", radius=1.0),
+                         0.40, 0.55),
+        "m5B3": lambda: (rpc.build_family("rpc", 12, 33, m=5, B=3),
+                         sieve.random_instance(12, 60, seed=405, mode="norm", radius=1.0),
+                         0.40, 0.55),
+        "guard-0.3": lambda: (rpc.build_family("rpc", 8, 21, m=48, B=2),
+                              sieve.random_instance(8, 8, seed=22, mode="norm", radius=1.0),
+                              -0.3, 0.3),
+        "guard0.1": lambda: (rpc.build_family("rpc", 8, 21, m=48, B=2),
+                             sieve.random_instance(8, 8, seed=22, mode="norm", radius=1.0),
+                             0.1, 0.3),
+        "ties": lambda: (rpc.build_family("rpc", 8, 11, m=4, B=2), _tie_instance(), 0.1, 0.4),
+    }[case]()
+    buckets = sieve.preprocess(inst, fam, beta, sieve.QueryLedger())
+    want = list(_reference_spaces(inst, fam, alpha, buckets))
+    if case == "ties":
+        assert sum(np.isfinite(v).sum() for _, v, _ in want) > 0
+    # small budgets make the score, decode and gather chunks ragged; one
+    # float forces one row, one prefix and one chain per chunk
+    for block_floats, gather_floats in [(None, None), (50, 40), (1, 1)]:
+        if block_floats is not None:
+            monkeypatch.setattr(rpc, "_BLOCK_FLOATS", block_floats)
+            monkeypatch.setattr(ccirc, "_GATHER_FLOATS", gather_floats)
+        got = list(ccirc._search_spaces(inst, fam, alpha, buckets.members))
+        assert [q for q, _, _ in got] == [q for q, _, _ in want]
+        for (_, v, p), (_, v_ref, p_ref) in zip(got, want):
+            assert v.tobytes() == v_ref.tobytes()
+            assert p.tobytes() == p_ref.tobytes()
+    monkeypatch.undo()
+    # the batched grid is each query's own tree, leaf for leaf
+    dirs = inst.directions()
+    levels, level_min, epsilon = rpc.sample_levels(fam, dirs, alpha)
+    keys = rpc.sample_leaves(fam, dirs, alpha)
+    roots = np.bincount(keys // fam.t, minlength=inst.n)
+    for q, v in enumerate(dirs):
+        tree = rpc.build_sample_tree(fam, v, alpha)
+        assert (level_min, epsilon) == (tree.level_min, tree.epsilon)
+        assert all(np.array_equal(lv[q], t_lv) for lv, t_lv in zip(levels, tree.levels))
+        assert roots[q] == tree.root_count
+        assert rpc.coin_count(int(roots[q])) == tree.coin_count
+        leaves = keys[keys // fam.t == q] % fam.t
+        assert leaves.tolist() == [rpc.leaf_index(tree, r) for r in range(tree.root_count)]
+
+
+def test_row_norms_are_numpys_norm():
+    rng = make_rng(0x5EED)
+    for d in (1, 2, 3, 5, 8, 12, 16, 17, 24, 33, 48, 64):
+        a = geometry.sample_sphere(d, rng, size=2000) * rng.uniform(0.1, 3.0, size=(2000, 1))
+        b = geometry.sample_sphere(d, rng, size=2000)
+        rows = a - b
+        want = np.array([np.linalg.norm(r) for r in rows])
+        assert ccirc._row_norms(rows).tobytes() == want.tobytes()
+
+
+def test_pipeline_on_an_empty_list():
+    fam = rpc.build_family("rpc", 8, 1, m=3, B=2)
+    empty = sieve.make_instance(np.empty((0, 8)), mode="norm", radius=1.0)
+    for mode in ("exhaustive", "minfind"):
+        rep = ccirc.pipeline_step(empty, fam, 0.3, 0.3, mode=mode)
+        assert (rep.pairs, rep.oracle_calls, rep.max_calls_per_query) == (frozenset(), 0, 0)
 
 
 def test_pipeline_adds_no_pair_without_a_partner():
@@ -317,7 +415,7 @@ def _digest(report):
     return hashlib.sha256(json.dumps(report.as_dict(), sort_keys=True).encode()).hexdigest()
 
 
-# sha256 of each report's sorted-key JSON: how _query_values lays out
+# sha256 of each report's sorted-key JSON: how _search_spaces lays out
 # the search space must not move the pairs or the call counts
 def test_pipeline_golden_reports(pipeline_runs):
     _, _, exh, mf1, mf3 = pipeline_runs
@@ -325,6 +423,19 @@ def test_pipeline_golden_reports(pipeline_runs):
         "a73db500eeef467149a01fb031b604fe2e1d664c83deac89c6ba4612b631f397",
         "017fd60525f5e5068782dd4a981e4b8fc5fad2e09410d9681547ff781ccf8e12",
         "ca9ea718d87ed0a4a457cf01ce919c0538e58de3bee7520374d0b6589fdee0e5",
+    ]
+
+
+# a three-block code, with 9 of the 96 queries qualifying nowhere; recorded
+# from the per-query walk before the batched pass replaced it
+def test_pipeline_golden_reports_three_blocks():
+    fam = rpc.build_family("rpc", 12, 33, m=5, B=3)
+    inst = sieve.random_instance(12, 96, seed=405, mode="norm", radius=1.0)
+    exh = ccirc.pipeline_step(inst, fam, 0.40, 0.55, mode="exhaustive")
+    mf = ccirc.pipeline_step(inst, fam, 0.40, 0.55, mode="minfind", seed=3, minfind_runs=2)
+    assert [_digest(rep) for rep in (exh, mf)] == [
+        "2724298e8ae7643a7931e5e04b60e44265ec2f67f5f830f1b5c97fa24abe6501",
+        "fae097f0a762a7c941d44abe57c2a80c8e5de5eabfd81311f08703a622ba128f",
     ]
 
 

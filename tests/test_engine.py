@@ -80,7 +80,7 @@ def ref_covered_close_keys(inst, query_mask, bucket_mask, led):
     cos_theta = math.cos(inst.theta)
     members = bucket_mask.T
     out = [np.empty(0, dtype=np.int64)]
-    step = sieve._row_step(n)
+    step = rpc._row_step(n)
     for lo in range(0, n, step):
         cand = query_mask[lo : lo + step] @ members
         rows = np.repeat(np.arange(cand.shape[0]), np.diff(cand.indptr))
@@ -153,6 +153,7 @@ def test_engine_matches_reference_on_one_row_blocks(monkeypatch):
     # 100 floats give 20-row and 33-row product-code chunks; 2100 floats
     # give 7-row score and 17-row Gram blocks; all ragged at n = 121
     for block_floats in (1, 100, 2100):
+        monkeypatch.setattr(rpc, "_BLOCK_FLOATS", block_floats)
         monkeypatch.setattr(sieve, "_BLOCK_FLOATS", block_floats)
         for fam in families:
             led_ref, led = sieve.QueryLedger(), sieve.QueryLedger()

@@ -101,6 +101,24 @@ def test_relevant_filters_matches_brute_force():
     assert total_nodes == 12330  # the walk's cost is pinned, not only bounded
 
 
+@pytest.mark.parametrize("B", [2, 3])
+def test_decode_keys_do_not_depend_on_the_budget(monkeypatch, B):
+    # kept prefixes are tested in runs of _BLOCK_FLOATS // m; the runs must
+    # concatenate to the one-array keys, in the same ascending order
+    rng = make_rng(0xDEC0 + B)
+    for _ in range(20):
+        rows, m = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        scores = [rng.uniform(-1.0, 1.0, size=(rows, m)) / math.sqrt(B) for _ in range(B)]
+        alpha = float(rng.uniform(-0.5, 0.6))
+        want = rpc.decode(scores, alpha)
+        for block_floats in (1, 3, 2 * m + 1):
+            monkeypatch.setattr(rpc, "_BLOCK_FLOATS", block_floats)
+            keys, nodes = rpc.decode(scores, alpha)
+            assert keys.tobytes() == want[0].tobytes() and nodes == want[1]
+        monkeypatch.undo()
+        assert np.all(np.diff(want[0]) > 0)
+
+
 def test_relevant_filters_expected_count():
     # over random unit v the qualifying count has mean t * cap fraction,
     # whatever the family structure; 200 draws land within factor 2
