@@ -36,7 +36,7 @@ from .errors import DomainError
 from .qsearch import min_find_with_cost
 from .rng import DEFAULT_SEED, derive_seed
 from .rpc import (
-    FilterFamily, SampleTree, coin_count, coin_rank, sample_alpha_close, sample_leaves)
+    FilterFamily, SampleTree, coin_count, coin_rank, sample_alpha_close, sample_leaves, spans)
 from .sieve import QueryLedger, SieveInstance, preprocess
 
 # largest coin space the pipeline searches per query; beyond this the
@@ -189,23 +189,18 @@ def _leaf_values(
     Chain j holds the rows of bucket column j of members in insertion
     order.  Its output is circuit_eval_index's: the first position at the
     least np.sum((chain - w) ** 2, axis=1).  The entries are evaluated in
-    chunks that gather at most _GATHER_FLOATS chain coordinates (or one
-    chain); partner distances come from _row_norms.  Self-hits and empty
-    chains are lifted to +inf with partner -1: the oracle returned nothing
-    usable for reduction there.
+    spans chunks against _GATHER_FLOATS, an entry weighing the d coordinates
+    of each row of its chain; partner distances come from _row_norms.
+    Self-hits and empty chains are lifted to +inf with partner -1: the
+    oracle returned nothing usable for reduction there.
     """
     ptr, rows = members.indptr, members.indices
     sizes = np.diff(ptr)[leaf]
     values = np.full(query.size, math.inf)
     partner = np.full(query.size, -1, dtype=np.int64)
     live = np.flatnonzero(sizes)  # entries whose chain is not empty
-    gathered = np.cumsum(sizes[live])  # chain rows gathered up to each entry
-    budget = max(1, _GATHER_FLOATS // vectors.shape[1])
-    lo = 0
-    while lo < live.size:
-        done = gathered[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(gathered, done + budget, side="right")))
-        entry = live[lo:hi]
+    for run in spans(sizes[live] * vectors.shape[1], _GATHER_FLOATS):
+        entry = live[run]
         size = sizes[entry]
         starts = np.cumsum(size) - size
         at = np.arange(int(size.sum())) + np.repeat(ptr[leaf[entry]] - starts, size)
@@ -220,7 +215,6 @@ def _leaf_values(
         dist = _row_norms(vectors[u] - vectors[query[entry]])
         keep = (u != query[entry]) & (dist > 1e-12)
         values[entry[keep]], partner[entry[keep]] = dist[keep], u[keep]
-        lo = hi
     return values, partner
 
 

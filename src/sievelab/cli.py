@@ -30,6 +30,8 @@ FAMILY_GUARD = 10**6
 QSEARCH_SIZE_GUARD = 10**6
 # per run: --trials times the per-trial quantity above, summed over the windows
 QSEARCH_RUN_GUARD = 100 * QSEARCH_SIZE_GUARD
+# least charge per trial: even a trial of a one-item search takes 35-55 us
+QSEARCH_TRIAL_FLOOR = 1000
 # tradeoff curve points; the largest curve in use has 100
 STEPS_GUARD = 10**4
 # geom --cap --mc dimension: each sample shard holds 2^16 x d doubles
@@ -208,7 +210,8 @@ def cmd_sieve(ns) -> list[dict]:
         "expected_insert_coverage": expected.insert_coverage,
         "expected_query_coverage": expected.query_coverage,
         "expected_inner_products": expected.inner_products,
-        "ratio_inner_products": ledger.inner_product_queries / expected.inner_products,
+        "ratio_inner_products": (ledger.inner_product_queries / expected.inner_products
+                                 if expected.inner_products else None),
         "seed": ns.seed,
     }
     return [row]
@@ -228,8 +231,9 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _check_trials(trials: int, per_trial: int) -> None:
-    if trials * per_trial > QSEARCH_RUN_GUARD:
-        raise GuardError(f"{trials} trials of {per_trial} each exceed the run guard {QSEARCH_RUN_GUARD}")
+    charge = max(per_trial, QSEARCH_TRIAL_FLOOR)
+    if trials * charge > QSEARCH_RUN_GUARD:
+        raise GuardError(f"{trials} trials charged {charge} each exceed the run guard {QSEARCH_RUN_GUARD}")
 
 
 def cmd_qsearch(ns) -> list[dict]:

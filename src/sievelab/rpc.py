@@ -39,8 +39,8 @@ DEFAULT_GRID_SIZE = 64
 # map within ~1% of uniform instead of the worst-case factor 2
 COIN_MARGIN = 4
 
-# one chunk of scores or partial sums holds at most this many doubles
-# (2 MB), which keeps peak memory flat in the number of rows and prefixes
+# spans' default budget: a chunk of scores, partial sums or mask entries holds
+# at most this many (2 MB of doubles), keeping peak memory flat in rows and prefixes
 _BLOCK_FLOATS = 1 << 18
 
 _MAGIC = b"SLF1"
@@ -140,28 +140,30 @@ def check_queries(
         raise DomainError(f"{name} must lie in [-1, 1), got {alpha}")
 
 
-def _block_scores(family: FilterFamily, v: np.ndarray, alpha: float) -> list[np.ndarray]:
-    """Per block b, the m scores <blocks[b][j], v's b-th slice>."""
-    v = np.asarray(v, dtype=float)
-    check_queries(family, v[None], alpha)
-    w = family.d // family.B
-    return [blk @ v[b * w : (b + 1) * w] for b, blk in enumerate(family.blocks)]
-
-
-def _row_step(width: int) -> int:
-    return max(1, _BLOCK_FLOATS // max(1, width))
+def spans(weights: np.ndarray, budget: int | None = None) -> list[slice]:
+    """The filter engine's one chunk rule: consecutive slices of range(len(weights)),
+    each the longest whose weights sum to at most budget (_BLOCK_FLOATS, read at
+    call time, by default) or one heavier item; for a uniform weight m, max(1,
+    budget // m) items.  A list, so the running sums are freed before any chunk."""
+    budget = _BLOCK_FLOATS if budget is None else budget
+    before = np.concatenate(([0], np.cumsum(weights)))  # before[i]: weight of items < i
+    cuts, lo = [], 0
+    while lo < before.size - 1:
+        hi = max(lo + 1, int(before.searchsorted(before[lo] + budget, side="right")) - 1)
+        cuts.append(slice(lo, hi))
+        lo = hi
+    return cuts
 
 
 def score_chunks(
     rows: np.ndarray, blocks: Sequence[np.ndarray]
 ) -> Iterator[tuple[int, list[np.ndarray]]]:
-    """Per chunk of _row_step(m) rows: the chunk's first row index and its
-    (chunk rows, m) score matrix against each block, one product each."""
+    """Per spans chunk of rows, m scores to a row: the chunk's first row index
+    and its (chunk rows, m) score matrix against each block, one product each."""
     m, w = len(blocks[0]), rows.shape[1] // len(blocks)
-    step = _row_step(m)
-    for lo in range(0, len(rows), step):
-        chunk = rows[lo : lo + step]
-        yield lo, [chunk[:, b * w : (b + 1) * w] @ blk.T for b, blk in enumerate(blocks)]
+    for run in spans(np.broadcast_to(m, len(rows))):
+        chunk = rows[run]
+        yield run.start, [chunk[:, b * w : (b + 1) * w] @ blk.T for b, blk in enumerate(blocks)]
 
 
 def relevant_filters(family: FilterFamily, v: np.ndarray, alpha: float) -> list[int]:
@@ -172,10 +174,13 @@ def relevant_filters(family: FilterFamily, v: np.ndarray, alpha: float) -> list[
 def relevant_filters_with_cost(
     family: FilterFamily, v: np.ndarray, alpha: float
 ) -> tuple[list[int], int]:
-    """relevant_filters plus the number of search nodes visited: decode
-    on v as one row.  A one-block (explicit) family is a plain scan of
-    t nodes; the node count never exceeds t*B."""
-    keys, nodes = decode([s[None] for s in _block_scores(family, v, alpha)], alpha)
+    """relevant_filters plus the number of search nodes visited: score_chunks
+    and decode on v as one row.  A one-block (explicit) family is a plain
+    scan of t nodes; the node count never exceeds t*B."""
+    V = np.asarray(v, dtype=float)[None]
+    check_queries(family, V, alpha)
+    ((_, scores),) = score_chunks(V, family.blocks)
+    keys, nodes = decode(scores, alpha)
     return keys.tolist(), nodes
 
 
@@ -185,8 +190,8 @@ def decode(scores: Sequence[np.ndarray], alpha: float) -> tuple[np.ndarray, int]
     for row x, and the nodes expanded: m per kept prefix, the root
     included.  A prefix is dropped when its partial sum plus its row's best
     remaining block scores falls short.  Every block tests the kept
-    prefixes in runs of _row_step(m), so no test holds more than
-    _BLOCK_FLOATS sums however many prefixes survive."""
+    prefixes in spans runs, each prefix weighing its m sums, so no test
+    holds more than _BLOCK_FLOATS sums however many prefixes survive."""
     *head, last = scores
     rows, m = last.shape
     if not head:  # one block: a plain threshold, no partial sums
@@ -196,22 +201,22 @@ def decode(scores: Sequence[np.ndarray], alpha: float) -> tuple[np.ndarray, int]
         tails.append(tails[-1] + s.max(axis=1))
     tails.reverse()
     row, prefix, partial = np.arange(rows), np.zeros(rows, dtype=np.int64), np.zeros(rows)
-    nodes, step = 0, _row_step(m)
+    nodes = 0
     for s, tail in zip(head, tails):
         nodes += row.size * m
         kept = [(row[:0], prefix[:0], partial[:0])]
-        for lo in range(0, row.size, step):
-            run = row[lo : lo + step]
-            sums = partial[lo : lo + step, None] + s[run]
-            r, j = np.nonzero(sums + tail[run, None] >= alpha)
-            kept.append((run[r], prefix[lo + r] * m + j, sums[r, j]))
+        for run in spans(np.broadcast_to(m, row.size)):
+            at = row[run]
+            sums = partial[run, None] + s[at]
+            r, j = np.nonzero(sums + tail[at, None] >= alpha)
+            kept.append((at[r], prefix[run][r] * m + j, sums[r, j]))
         row, prefix, partial = (np.concatenate(part) for part in zip(*kept))
     nodes += row.size * m
     keys = [row[:0]]
-    for lo in range(0, row.size, step):
-        run = row[lo : lo + step]
-        r, j = np.nonzero(partial[lo : lo + step, None] + last[run] >= alpha)
-        keys.append((run[r] * m ** len(head) + prefix[lo + r]) * m + j)
+    for run in spans(np.broadcast_to(m, row.size)):
+        at = row[run]
+        r, j = np.nonzero(partial[run, None] + last[at] >= alpha)
+        keys.append((at[r] * m ** len(head) + prefix[run][r]) * m + j)
     return np.concatenate(keys), nodes
 
 

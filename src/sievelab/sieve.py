@@ -37,7 +37,7 @@ from .geometry import cap_volume_exact, sample_sphere
 from .rng import make_rng
 # relevant_filters is bound, not called: the bench tracer patches it under this name
 from .rpc import (  # noqa: F401
-    _BLOCK_FLOATS, FilterFamily, check_queries, decode, relevant_filters, score_chunks)
+    FilterFamily, check_queries, decode, relevant_filters, score_chunks, spans)
 
 BRUTE_FORCE_GUARD = 10**5
 
@@ -163,9 +163,10 @@ def _check_family(instance: SieveInstance, family: FilterFamily) -> None:
 # keys x * n + y, ascending, so (x, y) order is key order.  Both halves
 # of a run are one operation, _scan: a row chunk of the list, decoded
 # against the family's blocks, gives the masks, and against the list
-# itself, a one-block code, the close pairs.  A chunk's score block holds
-# at most rpc's _BLOCK_FLOATS doubles (2 MB), keeping peak memory flat in n
-# and t; the sharing test of the pair pass keeps to the same budget.
+# itself, a one-block code, the close pairs.  Every chunk is cut by
+# rpc.spans at rpc's budget: a score block holds at most 2^18 doubles
+# (2 MB), keeping peak memory flat in n and t, and the sharing test of the
+# pair pass gathers at most as many mask entries.
 
 
 def _mask(keys: np.ndarray, n: int, t: int) -> sparse.csr_array:
@@ -234,25 +235,20 @@ def _covered_close_keys(
 
     Each x is charged one inner product per entry of each of its
     buckets, duplicates included: that is what a query tests.  The
-    sharing test gathers the rows x and y of a chunk of keys at a time,
-    at most _BLOCK_FLOATS mask entries per chunk (or one key), so dense
+    sharing test gathers the rows x and y of one spans chunk of keys at a
+    time, each key weighing the mask entries of its two rows, so dense
     masks do not make the gathered rows grow with n^2.
     """
     n, t = insert_mask.shape
     sizes = np.bincount(insert_mask.indices, minlength=t)
     ledger.inner_product_queries += int(sizes[query_mask.indices].sum())
     row_sizes = np.diff(query_mask.indptr)[close // n] + np.diff(insert_mask.indptr)[close % n]
-    gathered = np.cumsum(row_sizes)  # mask entries gathered up to each key
     out = [np.empty(0, dtype=np.int64)]
-    lo = 0
-    while lo < close.size:
-        done = gathered[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(gathered, done + _BLOCK_FLOATS, side="right")))
-        keys = close[lo:hi]
+    for run in spans(row_sizes):
+        keys = close[run]
         x, y = np.divmod(keys, n)
         shared = np.diff(query_mask[x].multiply(insert_mask[y]).indptr) > 0
         out.append(keys[shared])
-        lo = hi
     return np.concatenate(out)
 
 

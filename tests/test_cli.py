@@ -187,6 +187,20 @@ def test_sieve_reports_beta_before_alpha(capsys, method):
         assert capsys.readouterr().err == f"error: {name} must lie in [-1, 1), got {shown}\n"
 
 
+def test_sieve_with_no_forecast_reports_a_null_ratio(capsys):
+    # both caps underflow to 0.0 at d = 64, so expected_inner_products is 0;
+    # the ratio was a division by zero (exit 4)
+    argv = ["sieve", "--d", "64", "--n", "10", "--t", "5",
+            "--alpha", "0.99999999999", "--beta", "0.99999999999"]
+    assert main(argv) == 0
+    (rep,) = json.loads(capsys.readouterr().out)["results"]
+    assert rep["expected_inner_products"] == 0.0 and rep["ratio_inner_products"] is None
+    assert main(argv + ["--format", "csv"]) == 0
+    header, values = capsys.readouterr().out.splitlines()
+    row = dict(zip(header.split(","), values.split(",")))
+    assert row["ratio_inner_products"] == "" and row["wedge_estimate"] == ""
+
+
 def test_sieve_empty_and_guards(capsys):
     assert main(["sieve", "--d", "24", "--n", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["results"] == []
@@ -312,6 +326,11 @@ OVERSIZED_INPUTS = [
     "qsearch --experiment pair --M1 64 --M2 64 --K 16 --S 8 --trials 1000000000",
     "qsearch --experiment blocked --M 256 --S 4 --trials 1000000000",
     "qsearch --experiment minfind --trials 1000000000",
+    # one or two units a trial passed the run guard, yet each would run for
+    # 30 to 90 minutes; a trial is now charged at least QSEARCH_TRIAL_FLOOR
+    "qsearch --experiment minfind --size 1 --trials 100000000",
+    "qsearch --experiment blocked --M 1 --S 1 --trials 100000000",
+    "qsearch --experiment pair --M1 1 --M2 1 --K 0 --S 1 --trials 50000000",
     # each would hold a 10^9-entry list of trial counts
     "symkey --kind collision --trials 1000000000",
     "tradeoff --model symkey-collision --steps 2 --trials 1000000000",

@@ -80,7 +80,7 @@ def ref_covered_close_keys(inst, query_mask, bucket_mask, led):
     cos_theta = math.cos(inst.theta)
     members = bucket_mask.T
     out = [np.empty(0, dtype=np.int64)]
-    step = rpc._row_step(n)
+    step = max(1, rpc._BLOCK_FLOATS // max(1, n))  # Gram rows of n floats each
     for lo in range(0, n, step):
         cand = query_mask[lo : lo + step] @ members
         rows = np.repeat(np.arange(cand.shape[0]), np.diff(cand.indptr))
@@ -154,7 +154,6 @@ def test_engine_matches_reference_on_one_row_blocks(monkeypatch):
     # give 7-row score and 17-row Gram blocks; all ragged at n = 121
     for block_floats in (1, 100, 2100):
         monkeypatch.setattr(rpc, "_BLOCK_FLOATS", block_floats)
-        monkeypatch.setattr(sieve, "_BLOCK_FLOATS", block_floats)
         for fam in families:
             led_ref, led = sieve.QueryLedger(), sieve.QueryLedger()
             want_b = ref_buckets(inst, fam, BETA, led_ref)

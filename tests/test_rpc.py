@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sievelab import geometry, rpc
 from sievelab.errors import DomainError
@@ -101,10 +103,51 @@ def test_relevant_filters_matches_brute_force():
     assert total_nodes == 12330  # the walk's cost is pinned, not only bounded
 
 
+def _runs(weights, budget=None):
+    # rpc.spans, checked against its contract: the runs partition [0, n) in
+    # order; each sums to at most the budget or is one item; none could take
+    # the next item
+    budget_used = rpc._BLOCK_FLOATS if budget is None else budget
+    runs = rpc.spans(np.asarray(weights, dtype=np.int64), budget)
+    assert [0] + [r.stop for r in runs] == [r.start for r in runs] + [len(weights)]
+    for r in runs:
+        total = sum(weights[r])
+        assert r.stop - r.start == 1 or (r.stop > r.start and total <= budget_used)
+        if r.stop < len(weights):
+            assert total + weights[r.stop] > budget_used
+    return [(r.start, r.stop) for r in runs]
+
+
+@given(st.lists(st.integers(0, 40), max_size=60), st.integers(1, 120))
+def test_spans_are_maximal_runs_within_the_budget(weights, budget):
+    _runs(weights, budget)
+
+
+def test_spans_edge_cases():
+    assert _runs([], 5) == []
+    assert _runs([0, 0, 0], 1) == [(0, 3)]  # weightless items all fit
+    assert _runs([0, 0, 5, 0, 2], 3) == [(0, 2), (2, 3), (3, 5)]  # a heavy item alone
+    assert _runs([1, 1, 1], 1) == [(0, 1), (1, 2), (2, 3)]
+    assert _runs([0, 1, 0, 1, 1], 1) == [(0, 3), (3, 4), (4, 5)]
+    assert _runs([7, 2], 1) == [(0, 1), (1, 2)]
+
+
+def test_spans_of_a_uniform_weight(monkeypatch):
+    # m floats to an item: max(1, budget // m) items to a run, the last one
+    # holding the rest; the default budget is rpc's, read at call time
+    for n, m, budget in [(10, 3, 10), (7, 5, 4), (9, 1, 9), (100, 7, 1 << 18), (5, 2, 1)]:
+        step = max(1, budget // m)
+        want = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+        assert _runs([m] * n, budget) == want
+        monkeypatch.setattr(rpc, "_BLOCK_FLOATS", budget)
+        assert _runs([m] * n) == want
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("B", [2, 3])
 def test_decode_keys_do_not_depend_on_the_budget(monkeypatch, B):
-    # kept prefixes are tested in runs of _BLOCK_FLOATS // m; the runs must
-    # concatenate to the one-array keys, in the same ascending order
+    # kept prefixes are tested in spans runs of _BLOCK_FLOATS // m; the runs
+    # must concatenate to the one-array keys, in the same ascending order
     rng = make_rng(0xDEC0 + B)
     for _ in range(20):
         rows, m = int(rng.integers(1, 40)), int(rng.integers(1, 12))
