@@ -122,6 +122,25 @@ GOLDEN_README = [
 ]
 
 
+# the symkey trade-off points: the optimizer's defaults, a given (l, r)
+# past the optimizer's gamma bound, the saturation t, a t past saturation
+# used as given, and two preimage sweeps
+GOLDEN_SYMKEY = [
+    ("e6e3f7f530e9de5a8e3ed94d4d84623a0f9fee9904c66140fbd59c739bcf240d",
+     "symkey --kind collision"),
+    ("21a0a7fc123f6ff40aaa7d0d4c73454d5d26b6bc3a50388dba5dad5a0eca0bbb",
+     "symkey --kind collision --n 16 --gamma 6 --l 7 --r 2"),
+    ("d50a9aa6b46972227858494e44a8a8451bb2cbb64f706d94a508b7c79c22fc03",
+     "symkey --kind mtps"),
+    ("58523c4676b85ba9b8853410962c7e0145d75de753f71bc22af3b469d439ca01",
+     "symkey --kind mtps --n 20 --t 19 --gamma 2"),
+    ("082b9a602d849e52209216c3bf5f2dcc1392b57705aa2d2e7b465d0976ea1a59",
+     "tradeoff --model symkey-mtps --steps 5"),
+    ("029ad0e5dab0abcebfc85a1d94c0c1d4619096c8082751c984f03e4111ccfa75",
+     "tradeoff --model symkey-mtps --n 21 --t 7 --steps 6 --seed 3"),
+]
+
+
 def _golden_ids(rows):
     """Test ids: the subcommand, plus its --model or --experiment value
     after the first row of that subcommand (pytest numbers any repeats)."""
@@ -172,6 +191,13 @@ def test_golden_quad_bytes(tmp_path, digest, command):
                               "readme-cap-exact", "readme-wedge-mc", "readme-symkey-collision",
                               "readme-mtps", "cap-mc-3-shards", "wedge-mc-3-shards"])
 def test_golden_readme_bytes(tmp_path, digest, command):
+    test_golden_bytes(tmp_path, digest, command)
+
+
+@pytest.mark.parametrize("digest, command", GOLDEN_SYMKEY,
+                         ids=["collision-default", "collision-given-l-r", "mtps-saturation",
+                              "mtps-t-past-saturation", "mtps-sweep", "mtps-sweep-t7"])
+def test_golden_symkey_bytes(tmp_path, digest, command):
     test_golden_bytes(tmp_path, digest, command)
 
 
