@@ -177,7 +177,8 @@ def cmd_sieve(ns) -> list[dict]:
         if not -1.0 <= thr < 1.0:
             raise DomainError(f"{name} must lie in [-1, 1), got {thr}")
 
-    # t = ceil(3 / W) covers a close pair with probability about 1 - e^-3
+    # t = ceil(3 / W) covers a close pair with probability about 1 - e^-3; a 3 / W
+    # within 1e-12 relative of an integer is that integer, whatever W's last ulp
     if ns.t is not None:
         t, wedge_est = ns.t, None
     else:
@@ -189,7 +190,8 @@ def cmd_sieve(ns) -> list[dict]:
             ).estimate
         if wedge_est <= 0.0:
             raise GuardError("wedge estimate vanished; pass --t explicitly")
-        t = math.ceil(3.0 / wedge_est)
+        ratio = 3.0 / wedge_est
+        t = round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else math.ceil(ratio)
     if t > FAMILY_GUARD:
         raise GuardError(f"filter count {t} exceeds the family guard {FAMILY_GUARD}")
 
@@ -351,35 +353,10 @@ def cmd_geom(ns) -> list[dict]:
 
 def cmd_symkey(ns) -> list[dict]:
     if ns.kind == "collision":
-        # the optimizer only fills in what was not given; its gamma <= n/3
-        # bound does not hold for an explicit (l, r)
-        l, r = ns.l, ns.r
-        if l is None or r is None:
-            opt = exponents.collision_optimize(ns.n, ns.gamma)
-            l = l if l is not None else opt.l
-            r = r if r is not None else opt.r
-        formula = exponents.collision_cost(ns.n, l, r, ns.gamma)
-        queries = symkey.emulate_collision_queries(
-            symkey.EmulationPlan(n=ns.n, l=l, r=r, gamma=ns.gamma,
-                                 trials=ns.trials, seed=ns.seed)
-        )
-        t_field, mem = None, l
+        point = symkey.collision_point(ns.n, ns.gamma, ns.trials, ns.seed, ns.l, ns.r)
     else:
-        t = ns.t if ns.t is not None else exponents.mtps_optimize(ns.n, ns.n, ns.gamma).t_effective
-        r = ns.r if ns.r is not None else exponents.mtps_optimize(ns.n, t, ns.gamma).r
-        formula = exponents.mtps_cost(ns.n, t, r, ns.gamma)
-        queries = symkey.emulate_mtps_queries(
-            symkey.EmulationPlan(n=ns.n, t=t, r=r, gamma=ns.gamma,
-                                 trials=ns.trials, seed=ns.seed)
-        )
-        l, t_field, mem = t, t, t
-    row = {
-        "kind": ns.kind, "n": ns.n, "t": t_field, "gamma": ns.gamma,
-        "l": l, "r": r, "T_bits_formula": formula,
-        "T_bits_emulated": math.log2(queries), "mem_bits": mem,
-        "queries": queries, "seed": ns.seed,
-    }
-    return [row]
+        point = symkey.mtps_point(ns.n, ns.gamma, ns.t, ns.trials, ns.seed, ns.r)
+    return [{"kind": ns.kind, "n": ns.n, "t": None, **point, "seed": ns.seed}]
 
 
 # --- parser ------------------------------------------------------------------

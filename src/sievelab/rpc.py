@@ -33,8 +33,8 @@ from .errors import DomainError
 from .geometry import sample_sphere
 from .rng import make_rng
 
-# levels per block in the sampling tree; epsilon = 2 sqrt(B) / grid_size
-DEFAULT_GRID_SIZE = 64
+# levels per block in the sampling tree; epsilon = 2 sqrt(B) / GRID_SIZE
+GRID_SIZE = 64
 # headroom coins beyond ceil(log2(root count)), keeps the coin-to-leaf
 # map within ~1% of uniform instead of the worst-case factor 2
 COIN_MARGIN = 4
@@ -243,27 +243,22 @@ def coin_rank(x, root: int, coins: int):
 class SampleTree:
     """DP tables for drawing near-uniform qualifying product codewords.
 
-    Block scores are floored onto a grid of grid_size levels spanning
+    Block scores are floored onto a grid of GRID_SIZE levels spanning
     [-1/sqrt(B), 1/sqrt(B)], so a codeword's discretized score
     underestimates the true one by less than epsilon = 2 sqrt(B) /
-    grid_size.  Leaves counted at the root are the pseudo-close set:
+    GRID_SIZE.  Leaves counted at the root are the pseudo-close set:
     it contains every alpha-close center and only (alpha -
     epsilon)-close ones.
     """
 
     family: FilterFamily
     v: np.ndarray
-    grid_size: int
     epsilon: float
     level_min: int
     levels: tuple[np.ndarray, ...]  # per block, per vector integer level
     tails: tuple[np.ndarray, ...]  # tails[b][L] = completions of blocks b.. with sum >= L
     root_count: int
     coin_count: int
-
-    def coin_rank(self, x):
-        """coin_rank(x, root_count, coin_count): the leaf rank coins x select."""
-        return coin_rank(x, self.root_count, self.coin_count)
 
 
 def _tail_lookup(tail: np.ndarray, need: int) -> int:
@@ -275,7 +270,7 @@ def _tail_lookup(tail: np.ndarray, need: int) -> int:
 
 
 def sample_levels(
-    family: FilterFamily, V: np.ndarray, alpha: float, grid_size: int = DEFAULT_GRID_SIZE
+    family: FilterFamily, V: np.ndarray, alpha: float
 ) -> tuple[list[np.ndarray], int, float]:
     """The sample-tree grid for a batch of query rows: per block, the
     (rows, m) integer levels of the rows' block scores, the least level sum
@@ -288,50 +283,41 @@ def sample_levels(
     """
     if family.kind != "rpc":
         raise DomainError("sample trees need a product-code family")
-    if grid_size < 2:
-        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
     V = np.asarray(V, dtype=float)
     check_queries(family, V, alpha)
     B = family.B
-    step = (2.0 / math.sqrt(B)) / grid_size
+    step = (2.0 / math.sqrt(B)) / GRID_SIZE
     epsilon = B * step
     smin = -1.0 / math.sqrt(B)
     levels: list[list[np.ndarray]] = [[np.empty((0, family.m), dtype=np.int64)] for _ in range(B)]
     for _, scores in score_chunks(V, family.blocks):
         for part, s in zip(levels, scores):
             lv = np.floor((s - smin) / step + 1e-12).astype(np.int64)
-            part.append(np.clip(lv, 0, grid_size))
+            part.append(np.clip(lv, 0, GRID_SIZE))
     level_min = int(math.floor((alpha - epsilon + math.sqrt(B)) / step + 1e-12)) + 1
     return [np.concatenate(part) for part in levels], level_min, epsilon
 
 
-def sample_leaves(
-    family: FilterFamily, V: np.ndarray, alpha: float, grid_size: int = DEFAULT_GRID_SIZE
-) -> np.ndarray:
+def sample_leaves(family: FilterFamily, V: np.ndarray, alpha: float) -> np.ndarray:
     """Ascending keys x * t + i of every leaf build_sample_tree(family,
     V[x], alpha) counts: for each row, its codewords in leaf_index's rank
     order, found by one decode of the levels.  Level sums of small
     integers are exact in floats, so decode's test is the tree's."""
-    levels, level_min, _ = sample_levels(family, V, alpha, grid_size)
+    levels, level_min, _ = sample_levels(family, V, alpha)
     return decode([lv.astype(float) for lv in levels], level_min)[0]
 
 
-def build_sample_tree(
-    family: FilterFamily,
-    v: np.ndarray,
-    alpha: float,
-    grid_size: int = DEFAULT_GRID_SIZE,
-) -> SampleTree:
+def build_sample_tree(family: FilterFamily, v: np.ndarray, alpha: float) -> SampleTree:
     """Precompute leaf counts for qualifying codewords under v, alpha:
     sample_levels for v as one row, then per block a histogram of its
     levels convolved into the completion counts."""
     v = np.asarray(v, dtype=float)
-    levels, level_min, epsilon = sample_levels(family, v[None], alpha, grid_size)
+    levels, level_min, epsilon = sample_levels(family, v[None], alpha)
     levels = [lv[0] for lv in levels]
     counts = np.ones(1, dtype=np.int64)
     tails: list[np.ndarray] = [np.ones(1, dtype=np.int64)]
     for b in range(family.B - 1, -1, -1):
-        hist = np.bincount(levels[b], minlength=grid_size + 1).astype(np.int64)
+        hist = np.bincount(levels[b], minlength=GRID_SIZE + 1).astype(np.int64)
         counts = np.convolve(hist, counts)
         tails.append(np.cumsum(counts[::-1])[::-1])
     tails.reverse()
@@ -340,7 +326,6 @@ def build_sample_tree(
     return SampleTree(
         family=family,
         v=v,
-        grid_size=grid_size,
         epsilon=epsilon,
         level_min=level_min,
         levels=tuple(levels),
@@ -353,9 +338,9 @@ def build_sample_tree(
 def sample_alpha_close(tree: SampleTree, coins: str | Sequence[int]) -> int:
     """Map a coin string of length tree.coin_count to a qualifying center.
 
-    The coins form an integer x; rank u = tree.coin_rank(x) selects a
-    leaf, which the DP tables unrank to a codeword index.
-    Every leaf receives an equal share of coin strings up to one, so
+    The coins form an integer x; rank u = coin_rank(x, root_count,
+    coin_count) selects a leaf, which the DP tables unrank to a codeword
+    index.  Every leaf receives an equal share of coin strings up to one, so
     the worst-case hit-count ratio between leaves is 2 and shrinks as
     COIN_MARGIN adds headroom.
     """
@@ -370,7 +355,7 @@ def sample_alpha_close(tree: SampleTree, coins: str | Sequence[int]) -> int:
     x = 0
     for b in bits:
         x = (x << 1) | b
-    return leaf_index(tree, tree.coin_rank(x))
+    return leaf_index(tree, coin_rank(x, tree.root_count, tree.coin_count))
 
 
 def leaf_index(tree: SampleTree, rank: int) -> int:

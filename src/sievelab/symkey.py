@@ -9,6 +9,10 @@ measured mean lands within fractions of a bit of the idealized sum.  Nested
 statevector simulation of the full search is out of scope: the state space
 (2^n times the block structure) is infeasible and the count structure is
 what the equations assert.
+
+:func:`collision_point` and :func:`mtps_point` compute one trade-off point
+each; the ``symkey`` command prints one, and :func:`collision_table` and
+:func:`mtps_table` sweep them over gamma.
 """
 
 from __future__ import annotations
@@ -114,60 +118,59 @@ def emulate_mtps_queries(plan: EmulationPlan) -> float:
     return _emulate(plan, math.ceil(2**plan.t), chain_cost, membership, space)
 
 
-def collision_table(
-    n: float, gammas, trials: int = 10, seed: int = DEFAULT_SEED
-) -> list[dict]:
-    """Rows (gamma, l, r, T_bits_formula, T_bits_emulated, mem_bits) along a
-    gamma sweep, parameters chosen by the closed-form optimizer."""
-    rows = []
-    for i, gamma in enumerate(gammas):
+def collision_point(n: float, gamma: float, trials: int = 10, seed: int = DEFAULT_SEED,
+                    l: float | None = None, r: float | None = None) -> dict:
+    """One collision trade-off point: n, gamma, l, r, T_bits_formula,
+    T_bits_emulated, mem_bits and the emulated mean ``queries``.  The
+    optimizer fills in only what was not given; its gamma <= n/3 bound
+    does not hold for an explicit (l, r)."""
+    if l is None or r is None:
         opt = exponents.collision_optimize(n, gamma)
-        formula = exponents.collision_cost(n, opt.l, opt.r, gamma)
-        measured = emulate_collision_queries(
-            EmulationPlan(
-                n=n, l=opt.l, r=opt.r, gamma=gamma,
-                trials=trials, seed=derive_seed(seed, i),
-            )
-        )
-        rows.append(
-            {
-                "n": n,
-                "gamma": gamma,
-                "l": opt.l,
-                "r": opt.r,
-                "T_bits_formula": formula,
-                "T_bits_emulated": math.log2(measured),
-                "mem_bits": opt.memory_bits,
-            }
-        )
-    return rows
+        l = l if l is not None else opt.l
+        r = r if r is not None else opt.r
+    formula = exponents.collision_cost(n, l, r, gamma)
+    plan = EmulationPlan(n=n, l=l, r=r, gamma=gamma, trials=trials, seed=seed)
+    queries = emulate_collision_queries(plan)
+    return {"n": n, "gamma": gamma, "l": l, "r": r, "T_bits_formula": formula,
+            "T_bits_emulated": math.log2(queries), "mem_bits": l, "queries": queries}
 
 
-def mtps_table(
-    n: float, t: float, gammas, trials: int = 10, seed: int = DEFAULT_SEED
-) -> list[dict]:
+def mtps_point(n: float, gamma: float, t: float | None = None, trials: int = 10,
+               seed: int = DEFAULT_SEED, r: float | None = None) -> dict:
+    """One preimage trade-off point: n, t, gamma, then the collision
+    point's columns, with the target table as the stored data (l and
+    mem_bits are t).  Without ``t`` the point takes the saturation t for
+    2^n targets; a given ``t`` is used as is."""
+    if t is None:
+        t = exponents.mtps_optimize(n, n, gamma).t_effective
+    if r is None:
+        r = exponents.mtps_optimize(n, t, gamma).r
+    formula = exponents.mtps_cost(n, t, r, gamma)
+    plan = EmulationPlan(n=n, t=t, r=r, gamma=gamma, trials=trials, seed=seed)
+    queries = emulate_mtps_queries(plan)
+    return {"n": n, "t": t, "gamma": gamma, "l": t, "r": r, "T_bits_formula": formula,
+            "T_bits_emulated": math.log2(queries), "mem_bits": t, "queries": queries}
+
+
+def _rows(points) -> list[dict]:
+    """The sweep rows: each point without its ``queries``."""
+    return [{k: v for k, v in point.items() if k != "queries"} for point in points]
+
+
+def collision_table(n: float, gammas, trials: int = 10, seed: int = DEFAULT_SEED) -> list[dict]:
+    """:func:`collision_point` at each gamma, point i seeded with derive_seed(seed, i)."""
+    return _rows(collision_point(n, gamma, trials, derive_seed(seed, i))
+                 for i, gamma in enumerate(gammas))
+
+
+def mtps_table(n: float, t: float, gammas, trials: int = 10,
+               seed: int = DEFAULT_SEED) -> list[dict]:
     """Preimage analogue of :func:`collision_table`; ``t`` is capped at the
     saturation point by the optimizer and the effective value is reported."""
-    rows = []
+    points = []
     for i, gamma in enumerate(gammas):
+        # r comes with the capped t: at gamma = n/3 the cap can round below
+        # gamma, where a second optimizer call would raise its own error first
         opt = exponents.mtps_optimize(n, t, gamma)
-        formula = exponents.mtps_cost(n, opt.t_effective, opt.r, gamma)
-        measured = emulate_mtps_queries(
-            EmulationPlan(
-                n=n, t=opt.t_effective, r=opt.r, gamma=gamma,
-                trials=trials, seed=derive_seed(seed, i),
-            )
-        )
-        rows.append(
-            {
-                "n": n,
-                "t": opt.t_effective,
-                "gamma": gamma,
-                "l": opt.t_effective,  # stored data: the target table
-                "r": opt.r,
-                "T_bits_formula": formula,
-                "T_bits_emulated": math.log2(measured),
-                "mem_bits": opt.t_effective,
-            }
-        )
-    return rows
+        points.append(mtps_point(n, gamma, opt.t_effective, trials, derive_seed(seed, i), opt.r))
+    return _rows(points)

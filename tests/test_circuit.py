@@ -261,7 +261,8 @@ def _reference_spaces(inst, fam, alpha, buckets):
             if u != q and dist > 1e-12:
                 values[rank], partner[rank] = dist, u
         if 2**tree.coin_count <= ccirc.PIPELINE_COIN_GUARD:
-            ranks = tree.coin_rank(np.arange(2**tree.coin_count, dtype=np.int64))
+            ranks = rpc.coin_rank(np.arange(2**tree.coin_count, dtype=np.int64),
+                                  tree.root_count, tree.coin_count)
             values, partner = values[ranks], partner[ranks]
         yield q, values, partner
 

@@ -153,6 +153,17 @@ def test_sieve_t_defaults_to_the_wedge_quadrature(capsys):
     assert doc["config"]["wedge_samples"] is None
 
 
+def test_sieve_t_does_not_depend_on_the_last_ulp_of_the_wedge(capsys):
+    # the caps cover the sphere, so W = 1; the quadrature gives
+    # 0.9999999999999999, where ceil(3 / W) would be 4
+    c = "-0.9622884380027782"
+    assert main(["sieve", "--d", "44", "--n", "10", "--alpha", c, "--beta", c,
+                 "--theta", "2.86608947062977"]) == 0
+    (rep,) = json.loads(capsys.readouterr().out)["results"]
+    assert rep["wedge_estimate"] <= 1.0
+    assert rep["t"] == 3
+
+
 def test_sieve_wedge_samples_opts_into_monte_carlo(capsys):
     from sievelab.geometry import wedge_volume_mc
     from sievelab.rng import derive_seed

@@ -350,6 +350,13 @@ def test_wedge_volume_quad_agrees_with_monte_carlo():
         assert abs(G.wedge_volume_quad(d, a, b, theta) - est.estimate) <= 4 * est.stderr + 1e-9
 
 
+def test_wedge_volume_quad_never_exceeds_one():
+    # a wedge that is the whole sphere, whose unclamped sum is 1 + 7e-16
+    w = G.wedge_volume_quad(52, -0.9389358568328889, -0.867779482853561, 0.09682992843833851)
+    assert 0.0 <= w <= 1.0
+    assert w == pytest.approx(1.0, abs=1e-12)
+
+
 def test_wedge_volume_quad_degenerate_caps():
     # two hemispheres at angle theta overlap in a lune of (pi - theta) / (2 pi)
     for d, theta in ((3, 0.7), (40, 1e-6), (64, 2.5)):

@@ -79,7 +79,9 @@ GOLDEN_CURVES = [
 GOLDEN_QUAD = [
     ("18141864685fb88b1911a20fad221113a9e9c2f08062979bf2f6f5fefb4c43f1",
      "sieve --d 24 --n 4000 --seed 1"),
-    ("235da048147d55349c286c2785a9f7fff4476aa305a94a8ad760f6638b2f51c1",
+    # W = 0.16666666666666655 for the exact 1/6: 3 / W = 18.000000000000014
+    # is taken as t = 18, not ceil's 19
+    ("8d9c7d230d75a23d3fe889698dc347ef51bab8e5478c74b7dca3cb8f7f2581a7",
      "sieve --d 2 --n 200 --seed 3"),
     ("4f0ad0532da3b45b954a38be0bb4a48e74e22d476fb7483896d1f1870b06205f",
      "sieve --d 16 --n 500 --seed 5 --theta 2.2 --alpha -0.3 --beta 0.6"),

@@ -215,23 +215,16 @@ def test_tree_counts_bracketed_by_enumeration(tiny_family):
     for _ in range(50):
         v = geometry.sample_sphere(8, br)
         alpha = float(br.uniform(-0.1, 0.6))
-        t64 = rpc.build_sample_tree(tiny_family, v, alpha, grid_size=64)
-        t128 = rpc.build_sample_tree(tiny_family, v, alpha, grid_size=128)
+        tree = rpc.build_sample_tree(tiny_family, v, alpha)
         lo = len(rpc.relevant_filters(tiny_family, v, alpha))
-        assert lo <= t64.root_count <= len(
-            rpc.relevant_filters(tiny_family, v, alpha - t64.epsilon)
+        assert lo <= tree.root_count <= len(
+            rpc.relevant_filters(tiny_family, v, alpha - tree.epsilon)
         )
-        assert lo <= t128.root_count <= len(
-            rpc.relevant_filters(tiny_family, v, alpha - t128.epsilon)
-        )
-        # doubling the grid halves epsilon and never widens the count
-        assert t128.epsilon == pytest.approx(t64.epsilon / 2, rel=1e-12)
-        assert t128.root_count <= t64.root_count
 
 
 def test_tree_epsilon_formula(tiny_family):
     v = geometry.sample_sphere(8, make_rng(2))
-    tree = rpc.build_sample_tree(tiny_family, v, 0.3, grid_size=64)
+    tree = rpc.build_sample_tree(tiny_family, v, 0.3)
     assert tree.epsilon == pytest.approx(2 * math.sqrt(2) / 64, rel=1e-12)
 
 
