@@ -330,7 +330,8 @@ def wedge_volume_quad(d: int, alpha: float, beta: float, theta: float) -> float:
         h = (beta - np.cos(phi) * cos_t) / (s * sin_t)
         return weight * s ** (d - 2) * _cross_section_volume(d - 1, h)
 
-    # the rule's rounding can carry a whole-sphere wedge a few ulps past 1
+    # the rule's rounding can carry a wedge of nearly the whole sphere a few
+    # ulps past 1
     return min(1.0, math.exp(log_norm) * _tanh_sinh(integrand, cuts))
 
 

@@ -154,8 +154,9 @@ def test_sieve_t_defaults_to_the_wedge_quadrature(capsys):
 
 
 def test_sieve_t_does_not_depend_on_the_last_ulp_of_the_wedge(capsys):
-    # the caps cover the sphere, so W = 1; the quadrature gives
-    # 0.9999999999999999, where ceil(3 / W) would be 4
+    # each cap misses about 3e-26 of the sphere, so W is 1 to double
+    # precision; the quadrature gives 0.9999999999999999, where ceil(3 / W)
+    # would be 4
     c = "-0.9622884380027782"
     assert main(["sieve", "--d", "44", "--n", "10", "--alpha", c, "--beta", c,
                  "--theta", "2.86608947062977"]) == 0

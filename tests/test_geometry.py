@@ -351,7 +351,8 @@ def test_wedge_volume_quad_agrees_with_monte_carlo():
 
 
 def test_wedge_volume_quad_never_exceeds_one():
-    # a wedge that is the whole sphere, whose unclamped sum is 1 + 7e-16
+    # the caps miss at most 3e-17 of the sphere, and the unclamped sum
+    # read 1 + 7e-16
     w = G.wedge_volume_quad(52, -0.9389358568328889, -0.867779482853561, 0.09682992843833851)
     assert 0.0 <= w <= 1.0
     assert w == pytest.approx(1.0, abs=1e-12)
