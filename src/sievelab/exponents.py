@@ -89,42 +89,88 @@ def _ops(x):
     return max, _select
 
 
+# The term table.  Per model, its gamma bound, the largest useful memory
+# rate as a function of (t, ca, cb, mx), and its term rates as a function
+# of (t, ca, cb, sigma, mx, sel), at filter rate t, cap rates ca, cb and
+# used budget sigma; mx and sel are _ops' max and select.  space is
+# n + t + ca + cb, the pair search the third term runs over.
+
+
+def _no_budget(t, ca, cb, mx):
+    return 0.0
+
+
+def _classical_terms(t, ca, cb, sigma, mx, sel):
+    n = N_RATE
+    space = n + t + ca + cb
+    return (n + t + cb, n + t + ca, n + space)
+
+
+def _t1_terms(t, ca, cb, sigma, mx, sel):
+    n = N_RATE
+    space = n + t + ca + cb
+    return (n + t + cb, n + t + ca, n + space / 2.0)
+
+
+def _t2_terms(t, ca, cb, sigma, mx, sel):
+    n = N_RATE
+    space = n + t + ca + cb
+    return (n + t + cb, n + t + ca, n + space - sigma / 2.0)
+
+
+def _t3_terms(t, ca, cb, sigma, mx, sel):
+    n = N_RATE
+    space = n + t + ca + cb
+    third = sel(sigma <= space / 2.0, n + space - sigma, n + space / 2.0)
+    return (n + t + cb, n + t + ca, third)
+
+
+def _t4_terms(t, ca, cb, sigma, mx, sel):
+    n = N_RATE
+    space = n + t + ca + cb
+    return (n + t + cb, n + (t + ca) / 2.0, n + space / 2.0)
+
+
+def _t5_terms(t, ca, cb, sigma, mx, sel):
+    n = N_RATE
+    space = n + t + ca + cb
+    return (n + t + cb, n + t + ca - sigma / 2.0, n + space - sigma / 2.0)
+
+
+def _noqram_terms(t, ca, cb, sigma, mx, sel):
+    n = N_RATE
+    return (n + t + cb, n + (t + ca) / 2.0 + mx(0.0, n + cb))
+
+
+_TERM_TABLE = {
+    "classical": (_no_budget, _classical_terms),
+    "t1": (_no_budget, _t1_terms),
+    "t2": (lambda t, ca, cb, mx: mx(N_RATE + t + ca + cb, 0.0), _t2_terms),
+    "t3": (lambda t, ca, cb, mx: mx((N_RATE + t + ca + cb) / 2.0, 0.0), _t3_terms),
+    "t4": (_no_budget, _t4_terms),
+    "t5": (lambda t, ca, cb, mx: mx(mx(t + ca, N_RATE + t + ca + cb), 0.0), _t5_terms),
+    "noqram": (_no_budget, _noqram_terms),
+}
+
+
+def _row(model: str) -> tuple[Callable, Callable]:
+    """The model's (gamma bound, term rates) pair from the term table."""
+    row = _TERM_TABLE.get(model)
+    if row is None:
+        raise DomainError(f"unknown model {model!r}")
+    return row
+
+
 def _gamma_bound(model: str, t, ca, cb):
     """Largest useful memory rate for the model at this (alpha, beta);
     0 for the models that take no budget."""
-    space = N_RATE + t + ca + cb
-    mx = _ops(t)[0]
-    if model == "t2":
-        return mx(space, 0.0)
-    if model == "t3":
-        return mx(space / 2.0, 0.0)
-    if model == "t5":
-        return mx(mx(t + ca, space), 0.0)
-    return 0.0
+    return _row(model)[0](t, ca, cb, _ops(t)[0])
 
 
 def _terms(model: str, t, ca, cb, sigma) -> tuple:
     """Term rates at filter rate t, cap rates ca, cb and used budget sigma
     (floats, or arrays of one shape)."""
-    n = N_RATE
-    space = n + t + ca + cb
-    mx, select = _ops(t)
-    if model == "classical":
-        return (n + t + cb, n + t + ca, n + space)
-    if model == "t1":
-        return (n + t + cb, n + t + ca, n + space / 2.0)
-    if model == "t2":
-        return (n + t + cb, n + t + ca, n + space - sigma / 2.0)
-    if model == "t3":
-        third = select(sigma <= space / 2.0, n + space - sigma, n + space / 2.0)
-        return (n + t + cb, n + t + ca, third)
-    if model == "t4":
-        return (n + t + cb, n + (t + ca) / 2.0, n + space / 2.0)
-    if model == "t5":
-        return (n + t + cb, n + t + ca - sigma / 2.0, n + space - sigma / 2.0)
-    if model == "noqram":
-        return (n + t + cb, n + (t + ca) / 2.0 + mx(0.0, n + cb))
-    raise DomainError(f"unknown model {model!r}")
+    return _row(model)[1](t, ca, cb, sigma, *_ops(t))
 
 
 def model_terms(
@@ -153,6 +199,8 @@ def model_terms(
 
 
 def _objective(model: str, sigma: float) -> Callable[[float, float], float]:
+    bound, terms = _row(model)
+
     def f(a: float, b: float) -> float:
         if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
             return math.inf
@@ -162,7 +210,7 @@ def _objective(model: str, sigma: float) -> Callable[[float, float], float]:
         t = -0.5 * math.log2(u)
         ca = 0.5 * math.log2(1.0 - a * a)
         cb = 0.5 * math.log2(1.0 - b * b)
-        return max(_terms(model, t, ca, cb, min(sigma, _gamma_bound(model, t, ca, cb))))
+        return max(terms(t, ca, cb, min(sigma, bound(t, ca, cb, max)), max, _select))
 
     return f
 
@@ -633,12 +681,16 @@ class MTPSPlan:
 
 def mtps_optimize(n: float, t: float, gamma: float) -> MTPSPlan:
     """Balanced prefix r = 2(t-gamma)/3, ignoring targets beyond the
-    saturation point t = 3n/7 - 2 gamma / 7."""
+    saturation point t = 3n/7 - 2 gamma / 7.
+
+    The saturation point is at least gamma, as it is in the reals for
+    gamma <= n/3; in floats it can round an ulp below gamma = n/3, which
+    would make r negative."""
     if not (n > 0 and 0.0 <= t <= n):
         raise DomainError("mtps_optimize needs 0 <= t <= n, n > 0")
     if not 0.0 <= gamma <= min(t, n / 3.0):
         raise RangeError("mtps memory gamma must be in [0, min(t, n/3)]", bound=min(t, n / 3.0))
-    t_cap = 3.0 * n / 7.0 - 2.0 * gamma / 7.0
+    t_cap = max(3.0 * n / 7.0 - 2.0 * gamma / 7.0, gamma)
     if t >= t_cap:
         t_eff = t_cap
         time_bits = t_cap

@@ -166,7 +166,9 @@ def _check_family(instance: SieveInstance, family: FilterFamily) -> None:
 # itself, a one-block code, the close pairs.  Every chunk is cut by
 # rpc.spans at rpc's budget: a score block holds at most 2^18 doubles
 # (2 MB), keeping peak memory flat in n and t, and the sharing test of the
-# pair pass gathers at most as many mask entries.
+# pair pass gathers at most as many mask entries.  When one mask serves
+# both sides (alpha = beta), the pair pass tests each unordered close pair
+# once.
 
 
 def _mask(keys: np.ndarray, n: int, t: int) -> sparse.csr_array:
@@ -234,21 +236,52 @@ def _covered_close_keys(
     """The close keys (x, y) whose query row x and insert row y share a filter.
 
     Each x is charged one inner product per entry of each of its
-    buckets, duplicates included: that is what a query tests.  The
-    sharing test gathers the rows x and y of one spans chunk of keys at a
-    time, each key weighing the mask entries of its two rows, so dense
-    masks do not make the gathered rows grow with n^2.
+    buckets, duplicates included: that is what a query tests.  When one
+    mask serves both sides, (x, y) shares a filter exactly when (y, x)
+    does, so each unordered close pair is tested once: a key x > y takes
+    the answer of its mirror (y, x), and is tested itself only when that
+    mirror is not a close key, which the Gram scan's rounding allows.
     """
     n, t = insert_mask.shape
     sizes = np.bincount(insert_mask.indices, minlength=t)
     ledger.inner_product_queries += int(sizes[query_mask.indices].sum())
-    row_sizes = np.diff(query_mask.indptr)[close // n] + np.diff(insert_mask.indptr)[close % n]
-    out = [np.empty(0, dtype=np.int64)]
+    if query_mask is not insert_mask:
+        return close[_shares_filter(close, query_mask, insert_mask)]
+    # each temporary is freed once spent, to keep the heap the pass leaves small
+    x, y = np.divmod(close, n)
+    upper = np.flatnonzero(x > y)
+    mirror = y[upper]
+    mirror *= n
+    mirror += x[upper]
+    del x, y
+    pos = np.searchsorted(close, mirror)
+    twin = close[np.minimum(pos, close.size - 1)] == mirror
+    del mirror
+    upper, pos = upper[twin], pos[twin]
+    del twin
+    tested = np.ones(close.size, dtype=bool)
+    tested[upper] = False
+    shared = np.zeros(close.size, dtype=bool)
+    shared[tested] = _shares_filter(close[tested], query_mask, insert_mask)
+    shared[upper] = shared[pos]
+    return close[shared]
+
+
+def _shares_filter(
+    keys: np.ndarray, query_mask: sparse.csr_array, insert_mask: sparse.csr_array
+) -> np.ndarray:
+    """Per key x * n + y, whether query row x and insert row y share a filter.
+
+    The rows x and y of one spans chunk of keys are gathered at a time,
+    each key weighing the mask entries of its two rows, so dense masks
+    do not make the gathered rows grow with n^2.
+    """
+    n = insert_mask.shape[0]
+    row_sizes = np.diff(query_mask.indptr)[keys // n] + np.diff(insert_mask.indptr)[keys % n]
+    out = [np.empty(0, dtype=bool)]
     for run in spans(row_sizes):
-        keys = close[run]
-        x, y = np.divmod(keys, n)
-        shared = np.diff(query_mask[x].multiply(insert_mask[y]).indptr) > 0
-        out.append(keys[shared])
+        x, y = np.divmod(keys[run], n)
+        out.append(np.diff(query_mask[x].multiply(insert_mask[y]).indptr) > 0)
     return np.concatenate(out)
 
 

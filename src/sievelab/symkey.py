@@ -167,10 +167,6 @@ def mtps_table(n: float, t: float, gammas, trials: int = 10,
                seed: int = DEFAULT_SEED) -> list[dict]:
     """Preimage analogue of :func:`collision_table`; ``t`` is capped at the
     saturation point by the optimizer and the effective value is reported."""
-    points = []
-    for i, gamma in enumerate(gammas):
-        # r comes with the capped t: at gamma = n/3 the cap can round below
-        # gamma, where a second optimizer call would raise its own error first
-        opt = exponents.mtps_optimize(n, t, gamma)
-        points.append(mtps_point(n, gamma, opt.t_effective, trials, derive_seed(seed, i), opt.r))
-    return _rows(points)
+    return _rows(mtps_point(n, gamma, exponents.mtps_optimize(n, t, gamma).t_effective,
+                            trials, derive_seed(seed, i))
+                 for i, gamma in enumerate(gammas))

@@ -69,6 +69,20 @@ def test_tradeoff_symkey_rows(tmp_path):
         assert float(row["mem_bits"]) == pytest.approx(float(row["l"]))
 
 
+def test_tradeoff_symkey_mtps_default_sweep_reaches_n_over_3(tmp_path):
+    # the sweep ends at gamma = n/3, where 3n/7 - 2 gamma/7 equals gamma in
+    # the reals but can round an ulp below it; the saturated t then stops
+    # at gamma, with no prefix left
+    out = tmp_path / "mtps.csv"
+    for quarters in range(1, 89):
+        n = quarters / 4
+        assert main(["tradeoff", "--model", "symkey-mtps", "--n", str(n),
+                     "--out", str(out)]) == 0, n
+        last = _csv_rows(out)[-1]
+        assert float(last["gamma"]) == pytest.approx(n / 3.0)
+        assert float(last["r"]) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_tradeoff_usage_errors(capsys):
     assert main(["tradeoff", "--model", "bogus"]) == 2
     assert "usage" in capsys.readouterr().err

@@ -404,6 +404,43 @@ def test_pair_keys_property(seed, n, duplicates, kind, mode, t, alpha, beta, the
     assert led == led_ref
 
 
+def _one_mask_and_two(close, mask):
+    # one mask object on both sides takes the path that tests each
+    # unordered pair once; an equal copy takes the two-sided path
+    led_one, led_two = sieve.QueryLedger(), sieve.QueryLedger()
+    one = sieve._covered_close_keys(close, mask, mask, led_one)
+    two = sieve._covered_close_keys(close, mask, mask.copy(), led_two)
+    assert one.dtype == two.dtype == np.int64
+    assert np.array_equal(one, two)
+    assert led_one == led_two
+    return one
+
+
+def test_one_mask_on_both_sides_gives_the_two_sided_answer():
+    # a dense list whose last 30 vectors repeat its first 30
+    base = sieve.random_instance(12, 150, seed=5, theta=1.5)
+    inst = sieve.make_instance(np.vstack([base.vectors, base.vectors[:30]]), theta=1.5)
+    n = inst.n
+    fam = rpc.build_family("explicit", 12, 5, t=60)
+    (mask,) = sieve._close_masks(inst, fam, {"alpha": 0.45})
+    close = sieve._close_keys(inst)
+    full = _one_mask_and_two(close, mask)
+    assert 0 < full.size < close.size  # some close pairs share a filter, some do not
+    covered = np.flatnonzero(np.diff(mask.indptr[:31]))
+    assert np.isin(covered * n + covered + 150, full).all()  # a duplicate shares its filters
+
+    # delete the mirrors of some keys x > y and of some keys x < y: a key
+    # whose mirror is not close is tested itself, neither assumed nor dropped
+    x, y = np.divmod(close, n)
+    orphans = close[(x > y) & ((x + y) % 3 == 0)]
+    keep = ~((x < y) & ((x + y) % 3 == 0)) & ~((x > y) & ((x + y) % 3 == 1))
+    got = _one_mask_and_two(close[keep], mask)
+    assert np.array_equal(got, np.intersect1d(full, close[keep]))
+    assert 0 < np.isin(orphans, got).sum() < orphans.size
+
+    assert _one_mask_and_two(np.empty(0, dtype=np.int64), mask).size == 0
+
+
 def test_pair_keys_refuses_an_unknown_method():
     inst = _instance(1, 10)
     with pytest.raises(DomainError):

@@ -126,7 +126,7 @@ GOLDEN_README = [
 
 # the symkey trade-off points: the optimizer's defaults, a given (l, r)
 # past the optimizer's gamma bound, the saturation t, a t past saturation
-# used as given, and two preimage sweeps
+# used as given, and three preimage sweeps
 GOLDEN_SYMKEY = [
     ("e6e3f7f530e9de5a8e3ed94d4d84623a0f9fee9904c66140fbd59c739bcf240d",
      "symkey --kind collision"),
@@ -140,6 +140,10 @@ GOLDEN_SYMKEY = [
      "tradeoff --model symkey-mtps --steps 5"),
     ("029ad0e5dab0abcebfc85a1d94c0c1d4619096c8082751c984f03e4111ccfa75",
      "tradeoff --model symkey-mtps --n 21 --t 7 --steps 6 --seed 3"),
+    # it ends at gamma = n/3 = 20/3, where 3n/7 - 2 gamma/7 rounds an ulp
+    # below gamma: the last row holds t at gamma, with r = 0
+    ("cad2878c3902a6f85d720067b21ab98ef8ba44d92caecc49c9b3f43542218430",
+     "tradeoff --model symkey-mtps --n 20 --steps 3"),
 ]
 
 
@@ -198,7 +202,8 @@ def test_golden_readme_bytes(tmp_path, digest, command):
 
 @pytest.mark.parametrize("digest, command", GOLDEN_SYMKEY,
                          ids=["collision-default", "collision-given-l-r", "mtps-saturation",
-                              "mtps-t-past-saturation", "mtps-sweep", "mtps-sweep-t7"])
+                              "mtps-t-past-saturation", "mtps-sweep", "mtps-sweep-t7",
+                              "mtps-sweep-n20-endpoint"])
 def test_golden_symkey_bytes(tmp_path, digest, command):
     test_golden_bytes(tmp_path, digest, command)
 
