@@ -147,6 +147,19 @@ GOLDEN_SYMKEY = [
 ]
 
 
+# rows that reach the budget clamp, where qram_rate falls below gamma_rate
+# once the t3 and t5 curves saturate, and the sparse pair probe at S = 1,
+# whose 1 x 1 block pairs are either empty or all marked (k = S^2)
+GOLDEN_CLAMPS = [
+    ("7a788b5cd7b61cfa22fbd54333bb809c7ac607588232bab2ecea3b74ed36f0b4",
+     "tradeoff --model t3 --gamma-max 1.2 --steps 4"),
+    ("044a00eb8e5a71f640493b22c6bdc2b56ba5951579a60e389176f90661632927",
+     "tradeoff --model t5 --gamma-max 1.2 --steps 4"),
+    ("6941946aa4355141744a7a729ddb40f2f3586abeba42a8123fbee828551b18f8",
+     "qsearch --experiment pair --M1 8 --M2 8 --K 4 --S 1,2,4 --trials 50"),
+]
+
+
 def _golden_ids(rows):
     """Test ids: the subcommand, plus its --model or --experiment value
     after the first row of that subcommand (pytest numbers any repeats)."""
@@ -205,6 +218,12 @@ def test_golden_readme_bytes(tmp_path, digest, command):
                               "mtps-t-past-saturation", "mtps-sweep", "mtps-sweep-t7",
                               "mtps-sweep-n20-endpoint"])
 def test_golden_symkey_bytes(tmp_path, digest, command):
+    test_golden_bytes(tmp_path, digest, command)
+
+
+@pytest.mark.parametrize("digest, command", GOLDEN_CLAMPS,
+                         ids=["t3-past-saturation", "t5-past-saturation", "pair-full-1x1-blocks"])
+def test_golden_clamp_bytes(tmp_path, digest, command):
     test_golden_bytes(tmp_path, digest, command)
 
 
