@@ -90,54 +90,49 @@ def _ops(x):
 
 
 # The term table.  Per model, its gamma bound, the largest useful memory
-# rate as a function of (t, ca, cb, mx), and its term rates as a function
-# of (t, ca, cb, sigma, mx, sel), at filter rate t, cap rates ca, cb and
-# used budget sigma; mx and sel are _ops' max and select.  space is
-# n + t + ca + cb, the pair search the third term runs over.
+# rate as a function of (t, ca, cb, space, mx), and its term rates as a
+# function of (t, ca, cb, space, sigma, mx, sel), at filter rate t, cap
+# rates ca, cb, pair-search rate space = n + t + ca + cb (the search the
+# third term runs over, computed once by each caller) and used budget
+# sigma; mx and sel are _ops' max and select.
 
 
-def _no_budget(t, ca, cb, mx):
+def _no_budget(t, ca, cb, space, mx):
     return 0.0
 
 
-def _classical_terms(t, ca, cb, sigma, mx, sel):
+def _classical_terms(t, ca, cb, space, sigma, mx, sel):
     n = N_RATE
-    space = n + t + ca + cb
     return (n + t + cb, n + t + ca, n + space)
 
 
-def _t1_terms(t, ca, cb, sigma, mx, sel):
+def _t1_terms(t, ca, cb, space, sigma, mx, sel):
     n = N_RATE
-    space = n + t + ca + cb
     return (n + t + cb, n + t + ca, n + space / 2.0)
 
 
-def _t2_terms(t, ca, cb, sigma, mx, sel):
+def _t2_terms(t, ca, cb, space, sigma, mx, sel):
     n = N_RATE
-    space = n + t + ca + cb
     return (n + t + cb, n + t + ca, n + space - sigma / 2.0)
 
 
-def _t3_terms(t, ca, cb, sigma, mx, sel):
+def _t3_terms(t, ca, cb, space, sigma, mx, sel):
     n = N_RATE
-    space = n + t + ca + cb
     third = sel(sigma <= space / 2.0, n + space - sigma, n + space / 2.0)
     return (n + t + cb, n + t + ca, third)
 
 
-def _t4_terms(t, ca, cb, sigma, mx, sel):
+def _t4_terms(t, ca, cb, space, sigma, mx, sel):
     n = N_RATE
-    space = n + t + ca + cb
     return (n + t + cb, n + (t + ca) / 2.0, n + space / 2.0)
 
 
-def _t5_terms(t, ca, cb, sigma, mx, sel):
+def _t5_terms(t, ca, cb, space, sigma, mx, sel):
     n = N_RATE
-    space = n + t + ca + cb
     return (n + t + cb, n + t + ca - sigma / 2.0, n + space - sigma / 2.0)
 
 
-def _noqram_terms(t, ca, cb, sigma, mx, sel):
+def _noqram_terms(t, ca, cb, space, sigma, mx, sel):
     n = N_RATE
     return (n + t + cb, n + (t + ca) / 2.0 + mx(0.0, n + cb))
 
@@ -145,12 +140,16 @@ def _noqram_terms(t, ca, cb, sigma, mx, sel):
 _TERM_TABLE = {
     "classical": (_no_budget, _classical_terms),
     "t1": (_no_budget, _t1_terms),
-    "t2": (lambda t, ca, cb, mx: mx(N_RATE + t + ca + cb, 0.0), _t2_terms),
-    "t3": (lambda t, ca, cb, mx: mx((N_RATE + t + ca + cb) / 2.0, 0.0), _t3_terms),
+    "t2": (lambda t, ca, cb, space, mx: mx(space, 0.0), _t2_terms),
+    "t3": (lambda t, ca, cb, space, mx: mx(space / 2.0, 0.0), _t3_terms),
     "t4": (_no_budget, _t4_terms),
-    "t5": (lambda t, ca, cb, mx: mx(mx(t + ca, N_RATE + t + ca + cb), 0.0), _t5_terms),
+    "t5": (lambda t, ca, cb, space, mx: mx(mx(t + ca, space), 0.0), _t5_terms),
     "noqram": (_no_budget, _noqram_terms),
 }
+
+# t1 and t4 take no budget: they address all that the bounds of t2 and
+# t5, their budgeted forms, allow
+_FULL_QRAM = {"t1": "t2", "t4": "t5"}
 
 
 def _row(model: str) -> tuple[Callable, Callable]:
@@ -164,13 +163,13 @@ def _row(model: str) -> tuple[Callable, Callable]:
 def _gamma_bound(model: str, t, ca, cb):
     """Largest useful memory rate for the model at this (alpha, beta);
     0 for the models that take no budget."""
-    return _row(model)[0](t, ca, cb, _ops(t)[0])
+    return _row(model)[0](t, ca, cb, N_RATE + t + ca + cb, _ops(t)[0])
 
 
 def _terms(model: str, t, ca, cb, sigma) -> tuple:
     """Term rates at filter rate t, cap rates ca, cb and used budget sigma
     (floats, or arrays of one shape)."""
-    return _row(model)[1](t, ca, cb, sigma, *_ops(t))
+    return _row(model)[1](t, ca, cb, N_RATE + t + ca + cb, sigma, *_ops(t))
 
 
 def model_terms(
@@ -210,7 +209,8 @@ def _objective(model: str, sigma: float) -> Callable[[float, float], float]:
         t = -0.5 * math.log2(u)
         ca = 0.5 * math.log2(1.0 - a * a)
         cb = 0.5 * math.log2(1.0 - b * b)
-        return max(terms(t, ca, cb, min(sigma, bound(t, ca, cb, max)), max, _select))
+        space = N_RATE + t + ca + cb
+        return max(terms(t, ca, cb, space, min(sigma, bound(t, ca, cb, space, max)), max, _select))
 
     return f
 
@@ -464,12 +464,7 @@ def optimize(model: str, gamma_rate: float = 0.0) -> TradeoffPoint:
     ca, cb = cap_rate(a), cap_rate(b)
     s_eff = min(gamma_rate, _gamma_bound(model, t, ca, cb))
     terms = _terms(model, t, ca, cb, s_eff)
-    if model == "t1":
-        qram = N_RATE + t + ca + cb
-    elif model == "t4":
-        qram = max(t + ca, N_RATE + t + ca + cb)
-    else:
-        qram = s_eff
+    qram = _gamma_bound(_FULL_QRAM[model], t, ca, cb) if model in _FULL_QRAM else s_eff
     return TradeoffPoint(
         model=model,
         gamma_rate=gamma_rate,

@@ -26,8 +26,9 @@ cost.  A search pays its setup once: blocked_search, blocked_pair_search
 and min_find_with_cost each take one rng.search_draws stream (the
 thread's Philox, re-keyed to make_rng(seed)'s stream) and reuse it for
 every block, block pair and descent step.  The BBHT loop reads its
-attempt sizes from a cached schedule per space size and its hit
-probabilities from a cached table per (size, marked count).
+attempt sizes from a cached schedule per space size, and it and the
+sparse pair probe read their hit probabilities from one cached table per
+(size, marked count).
 """
 
 from __future__ import annotations
@@ -97,17 +98,6 @@ def qaa_run(S: int, marked: Iterable[int], N: int) -> tuple[float, np.ndarray]:
     return mass, psi
 
 
-def _qaa_success_prob(S: int, k: int, j: int) -> float:
-    """Probability that a j-iteration QAA measurement lands on a marked
-    element, k marked of S.  Exact for the uniform two-class state."""
-    if k <= 0:
-        return 0.0
-    if k >= S:
-        return 1.0
-    theta = math.asin(math.sqrt(k / S))
-    return math.sin((2 * j + 1) * theta) ** 2
-
-
 def bbht_search(
     flags: np.ndarray, rng: np.random.Generator, cap: int
 ) -> tuple[int | None, int]:
@@ -164,9 +154,10 @@ class _HitRow:
 @lru_cache(maxsize=HIT_CACHE_SIZE)
 def _hit_table(S: int, k: int) -> tuple[float, ...] | _HitRow:
     """Chance that a j-iteration attempt hits, k marked of S, for every j
-    the schedule can draw (j < ceil(sqrt(S)))."""
-    # _qaa_success_prob's angle: k = 0 gives probability 0 at every j, and
-    # k = S hits on the first attempt, whose j is 0, with sin(pi/2)^2 = 1
+    the schedule can draw (j < ceil(sqrt(S))): sin((2j+1) theta)^2 with
+    theta = asin(sqrt(k/S)), exact for the uniform two-class state."""
+    # k = 0 gives probability 0 at every j, and k = S, theta = pi/2, gives
+    # exactly 1 at every j the table holds
     theta = math.asin(math.sqrt(k / S))
     n = math.ceil(math.sqrt(S))
     if n > HIT_TABLE_MAX_LEN:
@@ -302,7 +293,7 @@ def blocked_pair_search(
                         found.add(live.pop(draws.below(k)))
             else:
                 k = len(live)
-                if draws.uniform() < _qaa_success_prob(space, k, probe):
+                if draws.uniform() < _hit_table(space, k)[probe]:
                     found.add(live.pop(draws.below(k)))
     return SearchReport(
         None, evals, reloads, len(found) >= max(1, K_planted) // 4,

@@ -66,6 +66,11 @@ def test_model_terms_gamma_free_models_reject_budget():
 # --- optimize --------------------------------------------------------------
 
 
+def _point_rates(p):
+    """(t, ca, cb) at an optimize() point, as optimize computes them."""
+    return t_rate(p.alpha, p.beta), cap_rate(p.alpha), cap_rate(p.beta)
+
+
 def test_optimize_classical():
     p = E.optimize("classical")
     assert p.alpha == pytest.approx(0.5, abs=1e-3)
@@ -78,6 +83,8 @@ def test_optimize_t1():
     assert p.alpha == pytest.approx(math.sqrt(3.0) / 4.0, abs=1e-3)
     assert p.beta == pytest.approx(math.sqrt(3.0) / 4.0, abs=1e-3)
     assert p.time_rate == pytest.approx(T1_CONST, abs=1e-4)
+    # t1 addresses all that t2's bound allows at its optimum
+    assert p.qram_rate == E._gamma_bound("t2", *_point_rates(p))
 
 
 def test_optimize_t4():
@@ -85,6 +92,8 @@ def test_optimize_t4():
     assert p.alpha == pytest.approx(0.4434, abs=2e-3)
     assert p.beta == pytest.approx(0.5, abs=2e-3)
     assert p.time_rate == pytest.approx(0.2571, abs=5e-4)
+    # t4 addresses all that t5's bound allows at its optimum
+    assert p.qram_rate == E._gamma_bound("t5", *_point_rates(p))
 
 
 def test_optimize_equalizes_active_terms():

@@ -4,6 +4,7 @@ Statistical assertions run on pinned seeds, so every number here is
 reproducible; windows come from the closed forms they shadow.
 """
 
+import functools
 import hashlib
 import math
 import sys
@@ -158,7 +159,10 @@ def test_hit_table_matches_the_loop_expression(S):
             assert isinstance(table, tuple) and len(table) == n
         for j in range(n) if n <= 2000 else (0, 1, n // 2, n - 1):
             assert table[j] == math.sin((2 * j + 1) * theta) ** 2, (k, j)
-    assert Q._hit_table(S, S)[0] == 1.0 and Q._hit_table(S, 0)[n - 1] == 0.0
+    # the sparse pair probe reads these rows at any j < n, full and empty
+    # block pairs included
+    full, empty = Q._hit_table(S, S), Q._hit_table(S, 0)
+    assert all(full[j] == 1.0 and empty[j] == 0.0 for j in range(n))
 
 
 def test_bbht_caches_are_bounded():
@@ -333,6 +337,73 @@ def test_blocked_search_scaling_structure():
     # and never falls under the query floor 0.1 M / sqrt(S)
     for s in (4, 16, 64, 256):
         assert by_s[s].mean_evals >= 0.1 * 256 / math.sqrt(s)
+
+
+@functools.lru_cache(maxsize=None)
+def _bbht_block_law(S, k, cap):
+    """Exact law of one capped BBHT search, k marked of S, by a forward
+    pass over (evaluations spent, schedule index) on _bbht_schedule and
+    _hit_table: (chance of a miss, mean evaluations, mean squared
+    evaluations).  A miss spends the whole cap."""
+    sched, hit = Q._bbht_schedule(S), Q._hit_table(S, k)
+    last = len(sched) - 1
+    mass = [[0.0] * len(sched) for _ in range(cap)]
+    mass[0][0] = 1.0
+    miss = mean = square = 0.0
+    for e in range(cap):
+        for i, q in enumerate(mass[e]):
+            if q == 0.0:
+                continue
+            q /= sched[i]
+            for j in range(sched[i]):
+                spent = e + max(1, j)
+                if spent > cap:  # a truncated attempt burns what is left
+                    miss, mean, square = miss + q, mean + q * cap, square + q * cap * cap
+                    continue
+                h = q * hit[j]
+                mean, square = mean + h * spent, square + h * spent * spent
+                if spent == cap:
+                    miss += q - h
+                    mean, square = mean + (q - h) * cap, square + (q - h) * cap * cap
+                else:
+                    mass[spent][min(i + 1, last)] += q - h
+    return miss, mean, square
+
+
+def _blocked_search_law(flags, S):
+    """Mean and variance of blocked_search's evaluations on one instance.
+
+    S = 1 is the first-mark position plus one.  Otherwise each block b
+    adds its mean evaluations times the chance that every block before it
+    missed; the variance runs the same recursion on second moments,
+    backwards from the last block."""
+    if S == 1:
+        return float(np.flatnonzero(flags)[0] + 1), 0.0
+    cap = math.ceil(Q.BLOCK_CAP_FACTOR * math.sqrt(S))
+    blocks = np.zeros((-(-flags.size // S), S), dtype=bool)
+    blocks.flat[:flags.size] = flags
+    mean = square = 0.0  # first two moments of the evaluations from block b on
+    for k in reversed(np.count_nonzero(blocks, axis=1).tolist()):
+        miss, m1, m2 = _bbht_block_law(S, k, cap)
+        mean, square = m1 + miss * mean, m2 + 2.0 * cap * miss * mean + miss * square
+    return mean, square - mean * mean
+
+
+def test_blocked_search_means_follow_the_exact_bbht_law():
+    # test_04_blocked_search_scaling's 300 instances and its measured means:
+    # the exact law of the emulator's own schedule and hit tables accounts
+    # for them, so the slope that test_04 finds is the emulator's, not noise
+    S_values, p, trials = [1, 4, 16, 64, 256], 6.0 / 256.0, 300
+    instances = [Q.planted_instance(256, p, make_rng(DEFAULT_SEED, t)) for t in range(trials)]
+    rows = Q.blocked_search_scaling(256, S_values, p, trials, DEFAULT_SEED)
+    for row in rows:
+        laws = [_blocked_search_law(flags, row.S) for flags in instances]
+        mean = float(np.mean([m for m, _ in laws]))
+        if row.S == 1:  # the classical scan has no randomness at all
+            assert row.mean_evals == mean
+            continue
+        se = math.sqrt(sum(v for _, v in laws)) / trials
+        assert abs(row.mean_evals - mean) <= 3.0 * se, (row.S, row.mean_evals, mean, se)
 
 
 def test_planted_instance_domain():
