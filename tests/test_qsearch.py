@@ -357,16 +357,12 @@ def _bbht_block_law(S, k, cap):
             q /= sched[i]
             for j in range(sched[i]):
                 spent = e + max(1, j)
-                if spent > cap:  # a truncated attempt burns what is left
-                    miss, mean, square = miss + q, mean + q * cap, square + q * cap * cap
-                    continue
-                h = q * hit[j]
-                mean, square = mean + h * spent, square + h * spent * spent
-                if spent == cap:
-                    miss += q - h
-                    mean, square = mean + (q - h) * cap, square + (q - h) * cap * cap
+                h = q * hit[j] if spent <= cap else 0.0  # a truncated attempt cannot hit
+                mean, square, fail = mean + h * spent, square + h * spent * spent, q - h
+                if spent >= cap:  # a miss that reaches the cap burns all of it
+                    miss, mean, square = miss + fail, mean + fail * cap, square + fail * cap * cap
                 else:
-                    mass[spent][min(i + 1, last)] += q - h
+                    mass[spent][min(i + 1, last)] += fail
     return miss, mean, square
 
 
