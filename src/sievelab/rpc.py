@@ -14,7 +14,7 @@ bounded string of random coins, using a dynamic-programming tree over
 discretized block scores.  The discretization only ever widens the
 qualifying set, so a sampled center is guaranteed (alpha -
 epsilon)-close with the documented epsilon.  sample_levels puts a batch
-of rows on that grid with one product per block and row chunk;
+of rows on that grid with one product per block and score tile;
 build_sample_tree is its one-row case, and sample_leaves lists every
 row's qualifying leaves, in rank order, by one decode of the levels.
 """
@@ -157,13 +157,36 @@ def spans(weights: np.ndarray, budget: int | None = None) -> list[slice]:
 
 def score_chunks(
     rows: np.ndarray, blocks: Sequence[np.ndarray]
-) -> Iterator[tuple[int, list[np.ndarray]]]:
-    """Per spans chunk of rows, m scores to a row: the chunk's first row index
-    and its (chunk rows, m) score matrix against each block, one product each."""
+) -> Iterator[tuple[int, Iterator[tuple[int, list[np.ndarray]]]]]:
+    """Per spans chunk of rows, the chunk's first row index and its tiles:
+    per tile, its first vector index c0 and the (chunk rows, width) score
+    matrix against each block's vectors c0 onwards, one product each.
+
+    A row weighs its m scores, and its chunk is one full-width tile.  One
+    block whose row of scores exceeds the budget (an explicit family with
+    t > _BLOCK_FLOATS) is cut into R = isqrt(budget) rows instead, and its
+    vectors by spans, each weighing one score per row of the chunk: a score
+    matrix then stays within the budget, and the centers are read once per
+    R rows."""
     m, w = len(blocks[0]), rows.shape[1] // len(blocks)
-    for run in spans(np.broadcast_to(m, len(rows))):
+    tiled = len(blocks) == 1 and m > _BLOCK_FLOATS
+    if tiled:
+        runs = spans(np.broadcast_to(1, len(rows)), math.isqrt(_BLOCK_FLOATS))
+    else:
+        runs = spans(np.broadcast_to(m, len(rows)))
+    for run in runs:
         chunk = rows[run]
-        yield run.start, [chunk[:, b * w : (b + 1) * w] @ blk.T for b, blk in enumerate(blocks)]
+        cuts = spans(np.broadcast_to(len(chunk), m)) if tiled else [slice(0, m)]
+        yield run.start, _tiles(chunk, blocks, w, cuts)
+
+
+def _tiles(
+    chunk: np.ndarray, blocks: Sequence[np.ndarray], w: int, cuts: list[slice]
+) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """score_chunks' tiles of one row chunk, each scored as it is read."""
+    for cut in cuts:
+        yield cut.start, [chunk[:, b * w : (b + 1) * w] @ blk[cut].T
+                          for b, blk in enumerate(blocks)]
 
 
 def relevant_filters(family: FilterFamily, v: np.ndarray, alpha: float) -> list[int]:
@@ -175,13 +198,17 @@ def relevant_filters_with_cost(
     family: FilterFamily, v: np.ndarray, alpha: float
 ) -> tuple[list[int], int]:
     """relevant_filters plus the number of search nodes visited: score_chunks
-    and decode on v as one row.  A one-block (explicit) family is a plain
-    scan of t nodes; the node count never exceeds t*B."""
+    and decode on v as one row, tile by tile.  A one-block (explicit) family
+    is a plain scan of t nodes; the node count never exceeds t*B."""
     V = np.asarray(v, dtype=float)[None]
     check_queries(family, V, alpha)
-    ((_, scores),) = score_chunks(V, family.blocks)
-    keys, nodes = decode(scores, alpha)
-    return keys.tolist(), nodes
+    ((_, tiles),) = score_chunks(V, family.blocks)
+    keys, nodes = [], 0
+    for c0, scores in tiles:  # one tile unless a one-block family exceeds the budget
+        found, expanded = decode(scores, alpha)
+        keys += (found + c0).tolist()
+        nodes += expanded
+    return keys, nodes
 
 
 def decode(scores: Sequence[np.ndarray], alpha: float) -> tuple[np.ndarray, int]:
@@ -277,7 +304,7 @@ def sample_levels(
     level_min that qualifies at alpha, and epsilon.
 
     The rows are checked once, as one check_queries call, and scored by
-    score_chunks, one product per block and row chunk.  A codeword
+    score_chunks, one product per block and score tile.  A codeword
     qualifies for a row when its level sum reaches level_min, i.e. when
     step * sum - sqrt(B) > alpha - epsilon.
     """
@@ -289,13 +316,14 @@ def sample_levels(
     step = (2.0 / math.sqrt(B)) / GRID_SIZE
     epsilon = B * step
     smin = -1.0 / math.sqrt(B)
-    levels: list[list[np.ndarray]] = [[np.empty((0, family.m), dtype=np.int64)] for _ in range(B)]
-    for _, scores in score_chunks(V, family.blocks):
-        for part, s in zip(levels, scores):
-            lv = np.floor((s - smin) / step + 1e-12).astype(np.int64)
-            part.append(np.clip(lv, 0, GRID_SIZE))
+    levels = [np.empty((len(V), family.m), dtype=np.int64) for _ in range(B)]
+    for lo, tiles in score_chunks(V, family.blocks):
+        for c0, scores in tiles:
+            for out, s in zip(levels, scores):
+                lv = np.floor((s - smin) / step + 1e-12).astype(np.int64)
+                out[lo : lo + len(s), c0 : c0 + s.shape[1]] = np.clip(lv, 0, GRID_SIZE)
     level_min = int(math.floor((alpha - epsilon + math.sqrt(B)) / step + 1e-12)) + 1
-    return [np.concatenate(part) for part in levels], level_min, epsilon
+    return levels, level_min, epsilon
 
 
 def sample_leaves(family: FilterFamily, V: np.ndarray, alpha: float) -> np.ndarray:

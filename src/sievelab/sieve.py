@@ -160,15 +160,21 @@ def _check_family(instance: SieveInstance, family: FilterFamily) -> None:
 #
 # Bucket membership is an (n, t) boolean CSR mask: row x lists the
 # filters close to x.  Its CSC columns are the buckets.  Pairs are int64
-# keys x * n + y, ascending, so (x, y) order is key order.  Both halves
-# of a run are one operation, _scan: a row chunk of the list, decoded
-# against the family's blocks, gives the masks, and against the list
-# itself, a one-block code, the close pairs.  Every chunk is cut by
-# rpc.spans at rpc's budget: a score block holds at most 2^18 doubles
-# (2 MB), keeping peak memory flat in n and t, and the sharing test of the
-# pair pass gathers at most as many mask entries.  When one mask serves
-# both sides (alpha = beta), the pair pass tests each unordered close pair
-# once.
+# keys x * n + y, ascending, so (x, y) order is key order.  The masks come
+# from _scan: a row chunk of the list is decoded against the family's
+# blocks.  An explicit family whose row of scores exceeds rpc's budget is
+# scanned in tiles of R rows by a span of centers, and each row chunk's
+# keys are sorted once.  The close pairs come from a scan of the list
+# against itself over the upper triangle only: a row chunk [lo, hi) is
+# scored against rows lo onwards, and the keys with y > x are kept.  The
+# close set is those keys and their mirrors, so it is symmetric by
+# construction.  Every chunk is cut by rpc.spans at rpc's budget: a score
+# block holds at most 2^18 doubles (2 MB), keeping peak memory flat in n
+# and t, and the sharing test of the pair pass gathers at most as many
+# mask entries.  A triangle chunk also scores the corner below its
+# diagonal, which its row weights leave out: at most as much again.  When
+# one mask serves both sides (alpha = beta), the pair pass tests each
+# unordered close pair once and mirrors the answers.
 
 
 def _mask(keys: np.ndarray, n: int, t: int) -> sparse.csr_array:
@@ -181,13 +187,23 @@ def _mask(keys: np.ndarray, n: int, t: int) -> sparse.csr_array:
 
 def _scan(rows: np.ndarray, blocks: tuple, thresholds: list[float]) -> list[np.ndarray]:
     """Per threshold, rpc.decode's keys x * m^B + i over the product code
-    blocks (B blocks of m vectors).  Each row chunk is scored once
-    against every block, which serves every threshold."""
-    width = len(blocks[0]) ** len(blocks)
+    blocks (B blocks of m vectors).  Each score tile of a row chunk is
+    scored once against every block, which serves every threshold."""
+    m = len(blocks[0])
+    width = m ** len(blocks)
     keys: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in thresholds]
-    for lo, scores in score_chunks(rows, blocks):
-        for part, thr in zip(keys, thresholds):
-            part.append(decode(scores, thr)[0] + lo * width)
+    for lo, tiles in score_chunks(rows, blocks):
+        found: list[list[np.ndarray]] = [[] for _ in thresholds]
+        for c0, scores in tiles:
+            tile = scores[0].shape[1]
+            for part, thr in zip(found, thresholds):
+                if tile == m:
+                    part.append(decode(scores, thr)[0] + lo * width)
+                else:  # a tile of one block's centers c0 .. c0 + tile
+                    r, c = np.divmod(decode(scores, thr)[0], tile)
+                    part.append((r + lo) * width + c + c0)
+        for part, got in zip(keys, found):
+            part.append(got[0] if len(got) == 1 else np.sort(np.concatenate(got)))
     return [np.concatenate(part) for part in keys]
 
 
@@ -220,68 +236,78 @@ def _charge_filters(ledger: QueryLedger, mask: sparse.csr_array, insert: bool) -
         ledger.insertions += mask.nnz
 
 
+def _upper_close_keys(instance: SieveInstance) -> np.ndarray:
+    """Ascending keys of the pairs (x, y), x < y, at angle <= theta.
+
+    Each spans chunk [lo, hi) of the list is scored against the rows from
+    lo onwards only, a row x weighing its n - x scores.
+    """
+    dirs = instance.directions()
+    n = instance.n
+    cos_theta = math.cos(instance.theta)
+    keys = [np.empty(0, dtype=np.int64)]
+    for run in spans(n - np.arange(n)):
+        lo = run.start
+        r, c = np.divmod(np.flatnonzero(dirs[run] @ dirs[lo:].T >= cos_theta), n - lo)
+        above = c > r  # the diagonal and below are other chunks' keys, or self pairs
+        keys.append((r[above] + lo) * n + c[above] + lo)
+    return np.concatenate(keys)
+
+
+def _with_mirrors(upper: np.ndarray, n: int) -> np.ndarray:
+    """The ascending keys (x, y) and (y, x) of the keys x * n + y, x < y."""
+    x, y = np.divmod(upper, n)
+    both = np.concatenate((upper, y * n + x))
+    both.sort()
+    return both
+
+
 def _close_keys(instance: SieveInstance) -> np.ndarray:
     """Ascending keys of the pairs (x, y), x != y, at angle <= theta."""
-    dirs = instance.directions()
-    (keys,) = _scan(dirs, (dirs,), [math.cos(instance.theta)])
-    return keys[keys % (instance.n + 1) != 0]  # x * (n + 1) is the self pair (x, x)
+    return _with_mirrors(_upper_close_keys(instance), instance.n)
 
 
 def _covered_close_keys(
-    close: np.ndarray,
+    upper: np.ndarray,
     query_mask: sparse.csr_array,
     insert_mask: sparse.csr_array,
     ledger: QueryLedger,
 ) -> np.ndarray:
-    """The close keys (x, y) whose query row x and insert row y share a filter.
+    """Of the close keys, the upper keys x * n + y (x < y) and their
+    mirrors, the ascending keys whose query row x and insert row y share a
+    filter.
 
     Each x is charged one inner product per entry of each of its
     buckets, duplicates included: that is what a query tests.  When one
     mask serves both sides, (x, y) shares a filter exactly when (y, x)
-    does, so each unordered close pair is tested once: a key x > y takes
-    the answer of its mirror (y, x), and is tested itself only when that
-    mirror is not a close key, which the Gram scan's rounding allows.
+    does, so each upper key is tested once and its answer mirrored.
     """
     n, t = insert_mask.shape
     sizes = np.bincount(insert_mask.indices, minlength=t)
     ledger.inner_product_queries += int(sizes[query_mask.indices].sum())
-    if query_mask is not insert_mask:
-        return close[_shares_filter(close, query_mask, insert_mask)]
-    # each temporary is freed once spent, to keep the heap the pass leaves small
-    x, y = np.divmod(close, n)
-    upper = np.flatnonzero(x > y)
-    mirror = y[upper]
-    mirror *= n
-    mirror += x[upper]
-    del x, y
-    pos = np.searchsorted(close, mirror)
-    twin = close[np.minimum(pos, close.size - 1)] == mirror
-    del mirror
-    upper, pos = upper[twin], pos[twin]
-    del twin
-    tested = np.ones(close.size, dtype=bool)
-    tested[upper] = False
-    shared = np.zeros(close.size, dtype=bool)
-    shared[tested] = _shares_filter(close[tested], query_mask, insert_mask)
-    shared[upper] = shared[pos]
-    return close[shared]
+    x, y = np.divmod(upper, n)
+    found = upper[_shares_filter(x, y, query_mask, insert_mask)]
+    if query_mask is insert_mask:
+        return _with_mirrors(found, n)
+    back = _shares_filter(y, x, query_mask, insert_mask)
+    found = np.concatenate((found, y[back] * n + x[back]))
+    found.sort()
+    return found
 
 
 def _shares_filter(
-    keys: np.ndarray, query_mask: sparse.csr_array, insert_mask: sparse.csr_array
+    x: np.ndarray, y: np.ndarray, query_mask: sparse.csr_array, insert_mask: sparse.csr_array
 ) -> np.ndarray:
-    """Per key x * n + y, whether query row x and insert row y share a filter.
+    """Per pair (x, y), whether query row x and insert row y share a filter.
 
-    The rows x and y of one spans chunk of keys are gathered at a time,
-    each key weighing the mask entries of its two rows, so dense masks
+    The rows x and y of one spans chunk of pairs are gathered at a time,
+    each pair weighing the mask entries of its two rows, so dense masks
     do not make the gathered rows grow with n^2.
     """
-    n = insert_mask.shape[0]
-    row_sizes = np.diff(query_mask.indptr)[keys // n] + np.diff(insert_mask.indptr)[keys % n]
+    row_sizes = np.diff(query_mask.indptr)[x] + np.diff(insert_mask.indptr)[y]
     out = [np.empty(0, dtype=bool)]
     for run in spans(row_sizes):
-        x, y = np.divmod(keys[run], n)
-        out.append(np.diff(query_mask[x].multiply(insert_mask[y]).indptr) > 0)
+        out.append(np.diff(query_mask[x[run]].multiply(insert_mask[y[run]]).indptr) > 0)
     return np.concatenate(out)
 
 
@@ -314,7 +340,7 @@ def query_keys(
         raise DomainError("buckets were built for a different list or family")
     (mask,) = _close_masks(instance, family, {"alpha": alpha})
     _charge_filters(ledger, mask, insert=False)
-    return _covered_close_keys(_close_keys(instance), mask, buckets.members.tocsr(), ledger)
+    return _covered_close_keys(_upper_close_keys(instance), mask, buckets.members.tocsr(), ledger)
 
 
 def query_method(
@@ -355,8 +381,9 @@ def pair_keys(
     insert_mask, query_mask = _close_masks(instance, family, {"beta": beta, "alpha": alpha})
     _charge_filters(ledger, insert_mask, insert=True)
     _charge_filters(ledger, query_mask, insert=method == "fas")
-    close = _close_keys(instance)
-    return _covered_close_keys(close, query_mask, insert_mask, ledger), close
+    upper = _upper_close_keys(instance)
+    found = _covered_close_keys(upper, query_mask, insert_mask, ledger)
+    return found, _with_mirrors(upper, instance.n)
 
 
 def fas_method(

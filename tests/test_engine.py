@@ -404,41 +404,83 @@ def test_pair_keys_property(seed, n, duplicates, kind, mode, t, alpha, beta, the
     assert led == led_ref
 
 
-def _one_mask_and_two(close, mask):
+def _one_mask_and_two(upper, mask):
     # one mask object on both sides takes the path that tests each
     # unordered pair once; an equal copy takes the two-sided path
     led_one, led_two = sieve.QueryLedger(), sieve.QueryLedger()
-    one = sieve._covered_close_keys(close, mask, mask, led_one)
-    two = sieve._covered_close_keys(close, mask, mask.copy(), led_two)
+    one = sieve._covered_close_keys(upper, mask, mask, led_one)
+    two = sieve._covered_close_keys(upper, mask, mask.copy(), led_two)
     assert one.dtype == two.dtype == np.int64
     assert np.array_equal(one, two)
     assert led_one == led_two
     return one
 
 
-def test_one_mask_on_both_sides_gives_the_two_sided_answer():
+def _duplicated_list():
     # a dense list whose last 30 vectors repeat its first 30
     base = sieve.random_instance(12, 150, seed=5, theta=1.5)
-    inst = sieve.make_instance(np.vstack([base.vectors, base.vectors[:30]]), theta=1.5)
+    return sieve.make_instance(np.vstack([base.vectors, base.vectors[:30]]), theta=1.5)
+
+
+def test_one_mask_on_both_sides_gives_the_two_sided_answer():
+    inst = _duplicated_list()
     n = inst.n
     fam = rpc.build_family("explicit", 12, 5, t=60)
     (mask,) = sieve._close_masks(inst, fam, {"alpha": 0.45})
-    close = sieve._close_keys(inst)
-    full = _one_mask_and_two(close, mask)
+    upper, close = sieve._upper_close_keys(inst), sieve._close_keys(inst)
+    full = _one_mask_and_two(upper, mask)
     assert 0 < full.size < close.size  # some close pairs share a filter, some do not
     covered = np.flatnonzero(np.diff(mask.indptr[:31]))
     assert np.isin(covered * n + covered + 150, full).all()  # a duplicate shares its filters
-
-    # delete the mirrors of some keys x > y and of some keys x < y: a key
-    # whose mirror is not close is tested itself, neither assumed nor dropped
+    # the answer is every close key, either way round, whose two rows share a filter
     x, y = np.divmod(close, n)
-    orphans = close[(x > y) & ((x + y) % 3 == 0)]
-    keep = ~((x < y) & ((x + y) % 3 == 0)) & ~((x > y) & ((x + y) % 3 == 1))
-    got = _one_mask_and_two(close[keep], mask)
-    assert np.array_equal(got, np.intersect1d(full, close[keep]))
-    assert 0 < np.isin(orphans, got).sum() < orphans.size
+    shares = np.diff(mask[x].multiply(mask[y]).indptr) > 0
+    assert np.array_equal(full, close[shares])
 
     assert _one_mask_and_two(np.empty(0, dtype=np.int64), mask).size == 0
+
+
+@pytest.mark.parametrize("block_floats", [None, 2100, 1])
+def test_close_keys_are_the_symmetric_full_gram_set(monkeypatch, block_floats):
+    # the upper-triangle scan at the default budget (one chunk), at ragged
+    # multi-row chunks that start past row 0, and at one row per chunk
+    inst = _duplicated_list()
+    n = inst.n
+    dirs = inst.directions()
+    gram = dirs @ dirs.T
+    want = np.flatnonzero((gram >= math.cos(inst.theta)) & ~np.eye(n, dtype=bool))
+    if block_floats is not None:
+        monkeypatch.setattr(rpc, "_BLOCK_FLOATS", block_floats)
+    close = sieve._close_keys(inst)
+    x, y = np.divmod(close, n)
+    assert close.dtype == np.int64 and np.all(np.diff(close) > 0)
+    assert np.array_equal(np.sort(y * n + x), close)  # the set is its own mirror
+    assert not (x == y).any()  # and has no self pair
+    assert np.array_equal(close, want)
+    assert np.array_equal(sieve._upper_close_keys(inst), close[x < y])
+    assert {(0, 150), (150, 0)} <= sieve.keys_to_pairs(close, n)  # a repeated vector
+
+
+@pytest.mark.parametrize("seed, n", [(1, 1), (2, 20), (3, 301)])
+def test_tiled_center_scan_gives_the_full_width_masks(monkeypatch, seed, n):
+    # a budget of 900 floats is below t = 2000, so a row of scores no longer
+    # fits: score_chunks cuts R = 30 rows and tiles of 900 // rows centers,
+    # and 2000 is no multiple of 30; n = 20 < R is one short row chunk with
+    # 45-center tiles, n = 301 ends in a one-row chunk, and alpha != beta
+    # gives two masks per tile
+    fam = rpc.build_family("explicit", 12, 90 + seed, t=2000)
+    inst = _instance(seed, n)
+    thresholds = {"beta": BETA, "alpha": ALPHA}
+    want = sieve._close_masks(inst, fam, thresholds)
+    monkeypatch.setattr(rpc, "_BLOCK_FLOATS", 900)
+    lo, tiles = next(rpc.score_chunks(inst.directions(), fam.blocks))
+    width = 900 // min(30, n)
+    assert [c0 for c0, _ in tiles][:3] == [0, width, 2 * width]
+    got = sieve._close_masks(inst, fam, thresholds)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g.indptr, w.indptr) and np.array_equal(g.indices, w.indices)
+    assert want[0].nnz > n and want[1].nnz > want[0].nnz  # both masks are populated
 
 
 def test_pair_keys_refuses_an_unknown_method():

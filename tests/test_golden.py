@@ -75,7 +75,8 @@ GOLDEN_CURVES = [
 # README run, a d = 2 step cross-section, an obtuse theta whose interval
 # starts above 0, and two wedges whose interval splits where the
 # cross-section becomes the whole sphere (one of them a fas run); plus a
-# noqram curve from a small t
+# noqram curve from a small t, and a d = 40 run whose t = 299,813 centers
+# are scanned in tiles
 GOLDEN_QUAD = [
     ("18141864685fb88b1911a20fad221113a9e9c2f08062979bf2f6f5fefb4c43f1",
      "sieve --d 24 --n 4000 --seed 1"),
@@ -91,6 +92,8 @@ GOLDEN_QUAD = [
      "sieve --d 6 --n 300 --seed 2 --theta 0.7 --alpha 0.9 --beta 0.6"),
     ("ecabe72fa1f5dcf2bc21508c34c8b5db56505bd7a82d20f5152525c13bf36f7f",
      "tradeoff --model noqram --steps 13 --t-min 0.01 --seed 9"),
+    ("ee5be24aa498d46eab259074816c0cdfabcf65938b1acd1846399fa907b2afb9",
+     "sieve --d 40 --n 2000 --seed 1"),
 ]
 
 
@@ -199,7 +202,7 @@ def test_golden_curve_bytes(tmp_path, digest, command):
 
 @pytest.mark.parametrize("digest, command", GOLDEN_QUAD,
                          ids=["quad-readme", "quad-d2-step", "quad-obtuse", "quad-split-fas",
-                              "quad-split-d6", "noqram-t-min-0.01"])
+                              "quad-split-d6", "noqram-t-min-0.01", "quad-d40-tiled"])
 def test_golden_quad_bytes(tmp_path, digest, command):
     test_golden_bytes(tmp_path, digest, command)
 
@@ -227,16 +230,30 @@ def test_golden_clamp_bytes(tmp_path, digest, command):
     test_golden_bytes(tmp_path, digest, command)
 
 
-def test_sieve_bytes_do_not_depend_on_blas_threads():
+def _blas_thread_runs(args):
+    """A sieve command's stdout at one and at two BLAS threads."""
     src = Path(sievelab.__file__).resolve().parent.parent
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from sievelab.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "sieve", "--d", "24", "--n", "2000", "--seed", "4"],
+             "sys.exit(main(sys.argv[1:]))", *args.split()],
             env=env, capture_output=True, timeout=300, check=True,
         )
         runs.append(proc.stdout)
-    assert runs[0] == runs[1]
     assert b'"pairs_found"' in runs[0]
+    return runs
+
+
+def test_sieve_bytes_do_not_depend_on_blas_threads():
+    one, two = _blas_thread_runs("sieve --d 24 --n 2000 --seed 4")
+    assert one == two
+
+
+def test_tiled_sieve_bytes_do_not_depend_on_blas_threads():
+    # 300,000 centers exceed the score budget, so the center scan runs in tiles
+    one, two = _blas_thread_runs("sieve --d 16 --n 300 --t 300000 --seed 2")
+    assert one == two
+    assert hashlib.sha256(one).hexdigest() == (
+        "b8cbc36f27697817a9e0e50f3367f1ff6b8e3a1c3ffa84a6e4a5c2d783f5434d")

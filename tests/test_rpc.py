@@ -162,6 +162,37 @@ def test_decode_keys_do_not_depend_on_the_budget(monkeypatch, B):
         assert np.all(np.diff(want[0]) > 0)
 
 
+@pytest.mark.parametrize("kind", ["explicit", "rpc"])
+def test_one_block_past_the_budget_is_scored_in_tiles(monkeypatch, kind):
+    # at 900 floats a row of m = 1000 scores does not fit: score_chunks cuts
+    # R = 30 rows, and tiles of 900 // rows vectors, 30 for a full chunk and
+    # 90 for the last 10 rows (the last tile 10 wide either way); every
+    # one-block caller reads the tiles back into the full-width answer
+    kw = {"t": 1000} if kind == "explicit" else {"m": 1000, "B": 1}
+    fam = rpc.build_family(kind, 8, 11, **kw)
+    V = geometry.sample_sphere(8, make_rng(12), size=70)
+    want_scores = V @ fam.blocks[0].T
+    want_filters = [rpc.relevant_filters_with_cost(fam, v, 0.3) for v in V[:3]]
+    want_levels = rpc.sample_levels(fam, V, 0.3) if kind == "rpc" else None
+    monkeypatch.setattr(rpc, "_BLOCK_FLOATS", 900)
+    got = np.full_like(want_scores, np.nan)
+    for lo, tiles in rpc.score_chunks(V, fam.blocks):
+        assert lo % 30 == 0
+        widths, rows = [], min(30, 70 - lo)
+        for c0, (s,) in tiles:
+            assert s.shape[0] == rows and s.size <= 900
+            got[lo : lo + rows, c0 : c0 + s.shape[1]] = s
+            widths.append(s.shape[1])
+        assert widths == [900 // rows] * (990 // (900 // rows)) + [10]
+    assert np.array_equal(got, want_scores)
+    assert [rpc.relevant_filters_with_cost(fam, v, 0.3) for v in V[:3]] == want_filters
+    assert all(nodes == 1000 and len(keys) > 0 for keys, nodes in want_filters)
+    if kind == "rpc":
+        levels, level_min, epsilon = rpc.sample_levels(fam, V, 0.3)
+        assert (level_min, epsilon) == want_levels[1:]
+        assert np.array_equal(levels[0], want_levels[0][0])
+
+
 def test_relevant_filters_expected_count():
     # over random unit v the qualifying count has mean t * cap fraction,
     # whatever the family structure; 200 draws land within factor 2
