@@ -37,7 +37,7 @@ from .qsearch import min_find_with_cost
 from .rng import DEFAULT_SEED, derive_seed
 from .rpc import (
     FilterFamily, SampleTree, coin_count, coin_rank, sample_alpha_close, sample_leaves, spans)
-from .sieve import QueryLedger, SieveInstance, preprocess
+from .sieve import QueryLedger, SieveInstance, _row_norms, preprocess
 
 # largest coin space the pipeline searches per query; beyond this the
 # qualifying leaves are the search space (there are at most 2^R / 16)
@@ -172,12 +172,6 @@ class PipelineReport:
             "max_calls_per_query": self.max_calls_per_query,
             "mode": self.mode,
         }
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row, bit for bit: norm takes the sqrt of a
-    dot, and a stacked (1, d) @ (d, 1) matmul is that same dot."""
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
 
 
 def _leaf_values(

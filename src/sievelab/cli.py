@@ -28,6 +28,9 @@ from .rng import make_rng  # noqa: F401
 SIEVE_D_GUARD = 64
 SIEVE_N_GUARD = 10**5
 FAMILY_GUARD = 10**6
+# forecast keys of one sieve run (mask entries and ordered close pairs); a
+# d = 2 run of 6.0e7 close pairs peaked at 1.76 GB RSS, about 29 bytes a pair
+SIEVE_KEYS_GUARD = 6 * 10**7
 # per trial: the blocked --M or minfind --size list, the pair --K and evaluations
 QSEARCH_SIZE_GUARD = 10**6
 # per run: --trials times the per-trial quantity above, summed over the windows
@@ -196,13 +199,17 @@ def cmd_sieve(ns) -> list[dict]:
         t = round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else math.ceil(ratio)
     if t > FAMILY_GUARD:
         raise GuardError(f"filter count {t} exceeds the family guard {FAMILY_GUARD}")
+    expected = sieve.expected_ledger(ns.n, t, alpha, beta, ns.d)
+    keys = (expected.insert_coverage + expected.query_coverage
+            + ns.n * (ns.n - 1) * geometry.cap_volume_exact(ns.d, math.cos(theta)))
+    if keys > SIEVE_KEYS_GUARD:
+        raise GuardError(f"forecast of {keys:.3g} keys exceeds the sieve key guard {SIEVE_KEYS_GUARD}")
 
     instance = sieve.random_instance(ns.d, ns.n, ns.seed, mode="unit", theta=theta)
     family = rpc.build_family("explicit", ns.d, derive_seed(ns.seed, 1), t=t)
     ledger = sieve.QueryLedger()
     pairs, close = sieve.pair_keys(instance, family, alpha, beta, ns.method, ledger)
     recall = pairs.size / close.size if close.size else 1.0
-    expected = sieve.expected_ledger(ns.n, t, alpha, beta, ns.d)
 
     row = {
         "d": ns.d, "n": ns.n, "method": ns.method, "theta": theta,

@@ -6,9 +6,10 @@ concatenation of one vector per block, picked by the base-m digits of
 i, so t = m^B codewords exist without ever materializing them.  An
 explicit family of t random centers is the one-block case, m = t, B = 1.
 
-Two queries matter downstream.  decode(scores, alpha) finds, for a
-batch of rows, every codeword reaching alpha by one branch-and-bound
-over the block scores; relevant_filters(v, alpha) is its one-row case.
+Two queries matter downstream.  decode(scores, alpha) finds, for a batch
+of rows, every codeword reaching alpha by one branch-and-bound over the
+block scores; scan decodes a batch tile by tile at several thresholds,
+and relevant_filters(v, alpha) is its one-row case.
 sample_alpha_close draws a near-uniform qualifying center from a
 bounded string of random coins, using a dynamic-programming tree over
 discretized block scores.  The discretization only ever widens the
@@ -189,6 +190,33 @@ def _tiles(
                           for b, blk in enumerate(blocks)]
 
 
+def scan(
+    rows: np.ndarray, blocks: Sequence[np.ndarray], thresholds: Sequence[float]
+) -> tuple[list[np.ndarray], list[int]]:
+    """Per threshold, decode's ascending keys x * t + i over the rows and the
+    blocks (t = m^B), and its node count.  Each score_chunks tile serves every
+    threshold, and each row chunk's keys are sorted once."""
+    m = len(blocks[0])
+    t = m ** len(blocks)
+    keys: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in thresholds]
+    nodes = [0] * len(thresholds)
+    for lo, tiles in score_chunks(rows, blocks):
+        found: list[list[np.ndarray]] = [[] for _ in thresholds]
+        for c0, scores in tiles:
+            width = scores[0].shape[1]
+            for k, thr in enumerate(thresholds):
+                got, expanded = decode(scores, thr)
+                nodes[k] += expanded
+                if width == m:
+                    found[k].append(got + lo * t)
+                else:  # a tile of one block's centers c0 .. c0 + width
+                    r, c = np.divmod(got, width)
+                    found[k].append((r + lo) * t + c + c0)
+        for part, got in zip(keys, found):
+            part.append(got[0] if len(got) == 1 else np.sort(np.concatenate(got)))
+    return [np.concatenate(part) for part in keys], nodes
+
+
 def relevant_filters(family: FilterFamily, v: np.ndarray, alpha: float) -> list[int]:
     """Sorted indices of every center with <v, c_i> >= alpha."""
     return relevant_filters_with_cost(family, v, alpha)[0]
@@ -197,18 +225,12 @@ def relevant_filters(family: FilterFamily, v: np.ndarray, alpha: float) -> list[
 def relevant_filters_with_cost(
     family: FilterFamily, v: np.ndarray, alpha: float
 ) -> tuple[list[int], int]:
-    """relevant_filters plus the number of search nodes visited: score_chunks
-    and decode on v as one row, tile by tile.  A one-block (explicit) family
-    is a plain scan of t nodes; the node count never exceeds t*B."""
+    """relevant_filters plus the search nodes visited: scan on v as one row.
+    A one-block family is a plain scan of t nodes; the count never exceeds t*B."""
     V = np.asarray(v, dtype=float)[None]
     check_queries(family, V, alpha)
-    ((_, tiles),) = score_chunks(V, family.blocks)
-    keys, nodes = [], 0
-    for c0, scores in tiles:  # one tile unless a one-block family exceeds the budget
-        found, expanded = decode(scores, alpha)
-        keys += (found + c0).tolist()
-        nodes += expanded
-    return keys, nodes
+    (keys,), (nodes,) = scan(V, family.blocks, [alpha])
+    return keys.tolist(), nodes
 
 
 def decode(scores: Sequence[np.ndarray], alpha: float) -> tuple[np.ndarray, int]:
@@ -216,35 +238,29 @@ def decode(scores: Sequence[np.ndarray], alpha: float) -> tuple[np.ndarray, int]
     sum ((0.0 + s_0) + s_1) + ... of the (rows, m) scores[b] reaches alpha
     for row x, and the nodes expanded: m per kept prefix, the root
     included.  A prefix is dropped when its partial sum plus its row's best
-    remaining block scores falls short.  Every block tests the kept
-    prefixes in spans runs, each prefix weighing its m sums, so no test
-    holds more than _BLOCK_FLOATS sums however many prefixes survive."""
-    *head, last = scores
-    rows, m = last.shape
-    if not head:  # one block: a plain threshold, no partial sums
-        return np.flatnonzero(last >= alpha), rows * m
+    remaining block scores (none after the last block) falls short.  Every
+    block tests the kept prefixes in spans runs, each prefix weighing its m
+    sums, so no test holds more than _BLOCK_FLOATS sums however many survive."""
+    rows, m = scores[0].shape
+    if len(scores) == 1:  # one block: a plain threshold, no partial sums
+        return np.flatnonzero(scores[0] >= alpha), rows * m
     tails = [np.zeros(rows)]  # tails[b]: per row, best scores of blocks b + 1.. summed
     for s in scores[:0:-1]:
         tails.append(tails[-1] + s.max(axis=1))
+    tails[0] = None  # after the last block nothing is left to add
     tails.reverse()
     row, prefix, partial = np.arange(rows), np.zeros(rows, dtype=np.int64), np.zeros(rows)
     nodes = 0
-    for s, tail in zip(head, tails):
+    for s, tail in zip(scores, tails):
         nodes += row.size * m
         kept = [(row[:0], prefix[:0], partial[:0])]
         for run in spans(np.broadcast_to(m, row.size)):
             at = row[run]
             sums = partial[run, None] + s[at]
-            r, j = np.nonzero(sums + tail[at, None] >= alpha)
+            r, j = np.nonzero((sums if tail is None else sums + tail[at, None]) >= alpha)
             kept.append((at[r], prefix[run][r] * m + j, sums[r, j]))
         row, prefix, partial = (np.concatenate(part) for part in zip(*kept))
-    nodes += row.size * m
-    keys = [row[:0]]
-    for run in spans(np.broadcast_to(m, row.size)):
-        at = row[run]
-        r, j = np.nonzero(partial[run, None] + last[at] >= alpha)
-        keys.append((at[r] * m ** len(head) + prefix[run][r]) * m + j)
-    return np.concatenate(keys), nodes
+    return row * m ** len(scores) + prefix, nodes
 
 
 # --- bounded-coin sampling of alpha-close centers ----------------------------

@@ -37,7 +37,7 @@ from .geometry import cap_volume_exact, sample_sphere
 from .rng import make_rng
 # relevant_filters is bound, not called: the bench tracer patches it under this name
 from .rpc import (  # noqa: F401
-    FilterFamily, check_queries, decode, relevant_filters, score_chunks, spans)
+    FilterFamily, check_queries, relevant_filters, scan, spans)
 
 BRUTE_FORCE_GUARD = 10**5
 
@@ -160,21 +160,20 @@ def _check_family(instance: SieveInstance, family: FilterFamily) -> None:
 #
 # Bucket membership is an (n, t) boolean CSR mask: row x lists the
 # filters close to x.  Its CSC columns are the buckets.  Pairs are int64
-# keys x * n + y, ascending, so (x, y) order is key order.  The masks come
-# from _scan: a row chunk of the list is decoded against the family's
-# blocks.  An explicit family whose row of scores exceeds rpc's budget is
-# scanned in tiles of R rows by a span of centers, and each row chunk's
-# keys are sorted once.  The close pairs come from a scan of the list
-# against itself over the upper triangle only: a row chunk [lo, hi) is
-# scored against rows lo onwards, and the keys with y > x are kept.  The
-# close set is those keys and their mirrors, so it is symmetric by
-# construction.  Every chunk is cut by rpc.spans at rpc's budget: a score
-# block holds at most 2^18 doubles (2 MB), keeping peak memory flat in n
-# and t, and the sharing test of the pair pass gathers at most as many
-# mask entries.  A triangle chunk also scores the corner below its
-# diagonal, which its row weights leave out: at most as much again.  When
-# one mask serves both sides (alpha = beta), the pair pass tests each
-# unordered close pair once and mirrors the answers.
+# keys x * n + y, ascending, so (x, y) order is key order.  The masks
+# come from rpc.scan, which owns the tile layout (R rows by a span of
+# centers once a row of scores exceeds rpc's budget).  The close pairs
+# come from a scan of the list against itself over the upper triangle
+# only: a row chunk [lo, hi) is scored against rows lo onwards, and the
+# keys with y > x are kept.  The close set is those keys and their
+# mirrors, so it is symmetric by construction.  Every chunk is cut by
+# rpc.spans at rpc's budget: a score block holds at most 2^18 doubles
+# (2 MB), keeping peak memory flat in n and t, and the sharing test of
+# the pair pass gathers at most as many mask entries.  A triangle chunk
+# also scores the corner below its diagonal, which its row weights leave
+# out: at most as much again.  When one mask serves both sides
+# (alpha = beta), the pair pass tests each unordered close pair once and
+# mirrors the answers.
 
 
 def _mask(keys: np.ndarray, n: int, t: int) -> sparse.csr_array:
@@ -185,35 +184,13 @@ def _mask(keys: np.ndarray, n: int, t: int) -> sparse.csr_array:
     return sparse.csr_array((np.ones(keys.size, dtype=bool), cols, indptr), shape=(n, t))
 
 
-def _scan(rows: np.ndarray, blocks: tuple, thresholds: list[float]) -> list[np.ndarray]:
-    """Per threshold, rpc.decode's keys x * m^B + i over the product code
-    blocks (B blocks of m vectors).  Each score tile of a row chunk is
-    scored once against every block, which serves every threshold."""
-    m = len(blocks[0])
-    width = m ** len(blocks)
-    keys: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in thresholds]
-    for lo, tiles in score_chunks(rows, blocks):
-        found: list[list[np.ndarray]] = [[] for _ in thresholds]
-        for c0, scores in tiles:
-            tile = scores[0].shape[1]
-            for part, thr in zip(found, thresholds):
-                if tile == m:
-                    part.append(decode(scores, thr)[0] + lo * width)
-                else:  # a tile of one block's centers c0 .. c0 + tile
-                    r, c = np.divmod(decode(scores, thr)[0], tile)
-                    part.append((r + lo) * width + c + c0)
-        for part, got in zip(keys, found):
-            part.append(got[0] if len(got) == 1 else np.sort(np.concatenate(got)))
-    return [np.concatenate(part) for part in keys]
-
-
 def _close_masks(
     instance: SieveInstance, family: FilterFamily, thresholds: dict[str, float]
 ) -> list[sparse.csr_array]:
     """Per named threshold, the mask of <x, c_j> >= threshold over the list.
 
-    Every family is _scanned block by block, so explicit families and
-    product codes are decoded alike.  Equal thresholds are compared once
+    Every family goes through rpc.scan block by block, so explicit families
+    and product codes are decoded alike.  Equal thresholds are compared once
     and share one mask; thresholds are checked in the order given, and
     one out of range is reported under its name.
     """
@@ -225,7 +202,7 @@ def _close_masks(
         for thr, name in named.items():
             check_queries(family, dirs, thr, name)
     distinct = list(named)
-    masks = [_mask(k, instance.n, family.t) for k in _scan(dirs, family.blocks, distinct)]
+    masks = [_mask(k, instance.n, family.t) for k in scan(dirs, family.blocks, distinct)[0]]
     return [masks[distinct.index(thr)] for thr in thresholds.values()]
 
 
@@ -260,11 +237,6 @@ def _with_mirrors(upper: np.ndarray, n: int) -> np.ndarray:
     both = np.concatenate((upper, y * n + x))
     both.sort()
     return both
-
-
-def _close_keys(instance: SieveInstance) -> np.ndarray:
-    """Ascending keys of the pairs (x, y), x != y, at angle <= theta."""
-    return _with_mirrors(_upper_close_keys(instance), instance.n)
 
 
 def _covered_close_keys(
@@ -406,12 +378,18 @@ def brute_force_keys(instance: SieveInstance) -> np.ndarray:
     """brute_force_pairs as ascending int64 keys x * n + y."""
     if instance.n > BRUTE_FORCE_GUARD:
         raise GuardError(f"brute force refuses n > {BRUTE_FORCE_GUARD}")
-    return _close_keys(instance)
+    return _with_mirrors(_upper_close_keys(instance), instance.n)
 
 
 def brute_force_pairs(instance: SieveInstance) -> set[tuple[int, int]]:
     """Exact ordered close-pair set by full scan over normalized vectors."""
     return keys_to_pairs(brute_force_keys(instance), instance.n)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, bit for bit: norm takes the sqrt of a
+    dot, and a stacked (1, d) @ (d, 1) matmul is that same dot."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
 
 
 def sieve_step(
@@ -426,16 +404,11 @@ def sieve_step(
     if instance.mode != "norm":
         raise DomainError("sieve_step needs a norm-mode instance")
     keys, _ = pair_keys(instance, family, alpha, beta, "query", QueryLedger())
-    bound = instance.shrink_factor * instance.radius
-    out = []
-    for x, y in zip(*np.divmod(keys, instance.n)):
-        diff = instance.vectors[x] - instance.vectors[y]
-        norm = float(np.linalg.norm(diff))
-        if 1e-12 < norm <= bound + 1e-9:
-            out.append(diff)
-    if not out:
-        return np.empty((0, instance.d))
-    return np.asarray(out)
+    x, y = np.divmod(keys, instance.n)
+    diff = instance.vectors[x]
+    diff -= instance.vectors[y]
+    norm = _row_norms(diff)
+    return diff[(1e-12 < norm) & (norm <= instance.shrink_factor * instance.radius + 1e-9)]
 
 
 @dataclass(frozen=True)

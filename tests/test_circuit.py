@@ -322,16 +322,6 @@ def test_search_spaces_match_the_per_query_walk(monkeypatch, case):
         assert leaves.tolist() == [rpc.leaf_index(tree, r) for r in range(tree.root_count)]
 
 
-def test_row_norms_are_numpys_norm():
-    rng = make_rng(0x5EED)
-    for d in (1, 2, 3, 5, 8, 12, 16, 17, 24, 33, 48, 64):
-        a = geometry.sample_sphere(d, rng, size=2000) * rng.uniform(0.1, 3.0, size=(2000, 1))
-        b = geometry.sample_sphere(d, rng, size=2000)
-        rows = a - b
-        want = np.array([np.linalg.norm(r) for r in rows])
-        assert ccirc._row_norms(rows).tobytes() == want.tobytes()
-
-
 def test_pipeline_on_an_empty_list():
     fam = rpc.build_family("rpc", 8, 1, m=3, B=2)
     empty = sieve.make_instance(np.empty((0, 8)), mode="norm", radius=1.0)

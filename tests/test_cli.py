@@ -360,6 +360,10 @@ OVERSIZED_INPUTS = [
     # each would hold a 10^9-entry list of trial counts
     "symkey --kind collision --trials 1000000000",
     "tradeoff --model symkey-collision --steps 2 --trials 1000000000",
+    # under a 3 GB address-space cap these exited 4, out of memory: 3.3e9
+    # close pairs at d = 2, and two 2e9-entry masks
+    "sieve --d 2 --n 100000 --t 5 --seed 1",
+    "sieve --d 4 --n 20000 --t 100000 --alpha -1 --beta -1 --seed 1",
 ]
 
 

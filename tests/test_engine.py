@@ -427,7 +427,7 @@ def test_one_mask_on_both_sides_gives_the_two_sided_answer():
     n = inst.n
     fam = rpc.build_family("explicit", 12, 5, t=60)
     (mask,) = sieve._close_masks(inst, fam, {"alpha": 0.45})
-    upper, close = sieve._upper_close_keys(inst), sieve._close_keys(inst)
+    upper, close = sieve._upper_close_keys(inst), sieve.brute_force_keys(inst)
     full = _one_mask_and_two(upper, mask)
     assert 0 < full.size < close.size  # some close pairs share a filter, some do not
     covered = np.flatnonzero(np.diff(mask.indptr[:31]))
@@ -451,7 +451,7 @@ def test_close_keys_are_the_symmetric_full_gram_set(monkeypatch, block_floats):
     want = np.flatnonzero((gram >= math.cos(inst.theta)) & ~np.eye(n, dtype=bool))
     if block_floats is not None:
         monkeypatch.setattr(rpc, "_BLOCK_FLOATS", block_floats)
-    close = sieve._close_keys(inst)
+    close = sieve.brute_force_keys(inst)
     x, y = np.divmod(close, n)
     assert close.dtype == np.int64 and np.all(np.diff(close) > 0)
     assert np.array_equal(np.sort(y * n + x), close)  # the set is its own mirror

@@ -162,6 +162,30 @@ def test_decode_keys_do_not_depend_on_the_budget(monkeypatch, B):
         assert np.all(np.diff(want[0]) > 0)
 
 
+@pytest.mark.parametrize("kind, counts, budget", [
+    ("explicit", {"t": 300}, None),
+    ("rpc", {"m": 7, "B": 2}, 100),  # rows in chunks of 14
+    ("rpc", {"m": 5, "B": 3}, None),
+    ("explicit", {"t": 1000}, 900),  # one block past the budget: tiles of 30 rows
+])
+def test_scan_is_the_per_row_queries(monkeypatch, kind, counts, budget):
+    # one batch of rows at two thresholds gives each row's
+    # relevant_filters_with_cost keys shifted by x * t, and per threshold the
+    # sum of the rows' node counts, whatever the row chunks and tiles
+    fam = rpc.build_family(kind, 12, 13, **counts)
+    V = geometry.sample_sphere(12, make_rng(14), size=70)
+    thresholds = [0.3, -0.1]
+    want = [[rpc.relevant_filters_with_cost(fam, v, thr) for v in V] for thr in thresholds]
+    if budget is not None:
+        monkeypatch.setattr(rpc, "_BLOCK_FLOATS", budget)
+    keys, nodes = rpc.scan(V, fam.blocks, thresholds)
+    for got, count, per_row in zip(keys, nodes, want):
+        shifted = [np.asarray(k, dtype=np.int64) + x * fam.t for x, (k, _) in enumerate(per_row)]
+        assert got.dtype == np.int64 and np.array_equal(got, np.concatenate(shifted))
+        assert count == sum(c for _, c in per_row)
+    assert 0 < keys[0].size < keys[1].size < len(V) * fam.t
+
+
 @pytest.mark.parametrize("kind", ["explicit", "rpc"])
 def test_one_block_past_the_budget_is_scored_in_tiles(monkeypatch, kind):
     # at 900 floats a row of m = 1000 scores does not fit: score_chunks cuts

@@ -237,11 +237,13 @@ def test_brute_force_size_guard():
 
 
 def test_sieve_step_identical_inputs_give_nothing():
+    # six copies of one vector, one vector alone, and an empty list
     v = geometry.sample_sphere(8, make_rng(2))
-    inst = sieve.make_instance(np.tile(v, (6, 1)), mode="norm", radius=1.0)
     fam = rpc.build_family("explicit", 8, 3, t=40)
-    out = sieve.sieve_step(inst, fam, -1.0, -1.0)
-    assert out.shape == (0, 8)
+    for copies in (6, 1, 0):
+        inst = sieve.make_instance(np.tile(v, (copies, 1)), mode="norm", radius=1.0)
+        out = sieve.sieve_step(inst, fam, -1.0, -1.0)
+        assert out.shape == (0, 8) and out.dtype == np.float64
 
 
 def test_sieve_step_norm_condition_is_the_angle_condition():
@@ -282,6 +284,34 @@ def test_sieve_step_bytes_are_pinned():
         out = sieve.sieve_step(inst, fam, alpha, beta)
         assert out.shape == (rows, 16)
         assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
+def test_sieve_step_drops_zero_and_long_differences():
+    # recorded before sieve_step formed its differences as one array: the
+    # last 30 vectors repeat the first 30, so 60 found pairs differ by zero,
+    # and at shrink 0.8 most found pairs are too long to reduce
+    base = sieve.random_instance(12, 150, seed=41, mode="norm", radius=2.0, theta=1.2)
+    inst = sieve.make_instance(np.vstack([base.vectors, base.vectors[:30]]), mode="norm",
+                               radius=2.0, theta=1.2, shrink_factor=0.8)
+    fam = rpc.build_family("explicit", 12, 42, t=80)
+    found = sieve.pair_keys(inst, fam, 0.4, 0.4, "query", sieve.QueryLedger())[0]
+    x, y = np.divmod(found, inst.n)
+    norms = np.linalg.norm(inst.vectors[x] - inst.vectors[y], axis=1)
+    assert found.size == 3030 and (norms == 0.0).sum() == 60 and (norms > 1.6 + 1e-9).sum() == 2802
+    out = sieve.sieve_step(inst, fam, 0.4, 0.4)
+    assert out.shape == (168, 12) and out.dtype == np.float64
+    assert (hashlib.sha256(out.tobytes()).hexdigest()
+            == "12adadd93fd6aa2aa8ed6dc9c4e2f1c3116df2edddd13219872627b01a3188c1")
+
+
+def test_row_norms_are_numpys_norm():
+    rng = make_rng(0x5EED)
+    for d in (1, 2, 3, 5, 8, 12, 16, 17, 24, 33, 48, 64):
+        a = geometry.sample_sphere(d, rng, size=2000) * rng.uniform(0.1, 3.0, size=(2000, 1))
+        b = geometry.sample_sphere(d, rng, size=2000)
+        rows = a - b
+        want = np.array([np.linalg.norm(r) for r in rows])
+        assert sieve._row_norms(rows).tobytes() == want.tobytes()
 
 
 def test_sieve_step_requires_norm_mode():
