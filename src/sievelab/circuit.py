@@ -16,18 +16,19 @@ finding emulator driving it.
 The pipeline takes one batched pass per step.  rpc.sample_leaves lists
 the qualifying leaves of every query at once, in each query's leaf rank
 order, and every (query, leaf) chain is evaluated together, in chunks of
-bounded size, into one per-filter table per query.  The batch keeps
-circuit_eval_index's first-minimum rule and np.linalg.norm's bits.  A
-coin string indexes a query's table through the rank it selects, so up
-to PIPELINE_COIN_GUARD coin strings form the search space; beyond the
-guard the search space switches to the leaves themselves.
+bounded size, into one leaf table.  The batch keeps circuit_eval_index's
+first-minimum rule and np.linalg.norm's bits.  Exhaustive mode reads the
+leaves: coin_rank is nondecreasing and onto, so a query's first least
+leaf is what its first least coin string selects.  Only minimum finding
+searches coin strings, up to PIPELINE_COIN_GUARD of them per query;
+beyond the guard it searches the leaves themselves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -174,11 +175,22 @@ class PipelineReport:
         }
 
 
-def _leaf_values(
-    vectors: np.ndarray, members: sparse.csc_array, query: np.ndarray, leaf: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per (query, leaf) entry: the distance from vectors[query] to what
-    chain leaf of the circuit reports, and that partner's list index.
+def _first_least(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Index of the first least entry of each run of values, run k being
+    values[starts[k]:starts[k + 1]] and the last run ending with values:
+    np.argmin's rule, run by run, for nonempty runs."""
+    low = np.minimum.reduceat(values, starts)
+    hit = np.flatnonzero(values == np.repeat(low, np.diff(starts, append=values.size)))
+    return hit[np.searchsorted(hit, starts)]
+
+
+def _leaf_table(
+    instance: SieveInstance, family: FilterFamily, alpha: float, members: sparse.csc_array
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every qualifying leaf of every query, from one rpc.sample_leaves
+    call: the ascending query index, the distance from its vector w to
+    what the leaf's chain reports, and that partner's list index.  Each
+    query's leaves come in its leaf rank order.
 
     Chain j holds the rows of bucket column j of members in insertion
     order.  Its output is circuit_eval_index's: the first position at the
@@ -188,7 +200,8 @@ def _leaf_values(
     Self-hits and empty chains are lifted to +inf with partner -1: the
     oracle returned nothing usable for reduction there.
     """
-    ptr, rows = members.indptr, members.indices
+    query, leaf = np.divmod(sample_leaves(family, instance.directions(), alpha), family.t)
+    vectors, ptr, rows = instance.vectors, members.indptr, members.indices
     sizes = np.diff(ptr)[leaf]
     values = np.full(query.size, math.inf)
     partner = np.full(query.size, -1, dtype=np.int64)
@@ -202,43 +215,11 @@ def _leaf_values(
         diff = vectors[chain_rows]
         diff -= vectors[np.repeat(query[entry], size)]
         diff *= diff
-        d2 = np.sum(diff, axis=1)
-        low = np.minimum.reduceat(d2, starts)
-        hit = np.flatnonzero(d2 == np.repeat(low, size))
-        u = chain_rows[hit[np.searchsorted(hit, starts)]].astype(np.int64)
+        u = chain_rows[_first_least(np.sum(diff, axis=1), starts)].astype(np.int64)
         dist = _row_norms(vectors[u] - vectors[query[entry]])
-        keep = (u != query[entry]) & (dist > 1e-12)
+        keep = dist > 1e-12  # a self-hit is a zero difference
         values[entry[keep]], partner[entry[keep]] = dist[keep], u[keep]
-    return values, partner
-
-
-def _search_spaces(
-    instance: SieveInstance, family: FilterFamily, alpha: float, members: sparse.csc_array
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Per query vector q with a qualifying leaf, in list order: the
-    distance each point of its search space sees, with the list index of
-    the partner it would report.
-
-    Every qualifying leaf of every query comes from one rpc.sample_leaves
-    call and is evaluated once; below the coin guard each coin string then
-    reads the entry of the rank it selects.  Each query's table is built
-    when it is reached, so no table for all queries is held.
-    """
-    keys = sample_leaves(family, instance.directions(), alpha)
-    query, leaf = np.divmod(keys, family.t)
-    values, partner = _leaf_values(instance.vectors, members, query, leaf)
-    lo = 0
-    for q, root in enumerate(np.bincount(query, minlength=instance.n).tolist()):
-        if root == 0:
-            continue
-        hi = lo + root
-        coins = coin_count(root)
-        if 2**coins > PIPELINE_COIN_GUARD:
-            yield q, values[lo:hi], partner[lo:hi]
-        else:
-            ranks = lo + coin_rank(np.arange(2**coins, dtype=np.int64), root, coins)
-            yield q, values[ranks], partner[ranks]
-        lo = hi
+    return query, values, partner
 
 
 def pipeline_step(
@@ -254,12 +235,12 @@ def pipeline_step(
 
     Buckets the whole list at beta; each bucket is a comparator chain of
     the circuit.  Per query vector w, the qualifying-filter tree at alpha
-    defines the coin space; the reported candidate is the reducing pair
-    of smallest distance over all coins (exhaustive mode) or the one
-    min_find_with_cost lands on (minfind mode, simulated on the
-    materialized value list).  A pair qualifies when 0 < ||w - u|| <=
-    shrink_factor * radius.  The list's directions are checked once per
-    threshold, and an empty list gives an empty report.
+    defines the search space: its 2^R coin strings, or past the guard its
+    leaves.  Exhaustive mode charges the whole space and reports the
+    first least leaf; minfind mode reports what min_find_with_cost lands
+    on (simulated on the materialized value list).  A pair qualifies when
+    0 < ||w - u|| <= shrink_factor * radius.  The list's directions are
+    checked once per threshold, and an empty list gives an empty report.
     """
     if instance.mode != "norm":
         raise DomainError("pipeline_step needs a norm-mode instance")
@@ -270,21 +251,30 @@ def pipeline_step(
     members = preprocess(instance, family, beta, QueryLedger()).members
     bound = instance.shrink_factor * instance.radius
 
-    pairs: set[tuple[int, int]] = set()
-    total_calls = 0
-    max_calls = 0
-    spaces = _search_spaces(instance, family, alpha, members) if instance.n else ()
-    for q, values, partner in spaces:
-        if mode == "exhaustive":
-            calls = values.size
-            best = int(np.argmin(values))
-        else:
-            runs = [min_find_with_cost(values, derive_seed(seed, q * 131 + r))
+    query, values, partner = _leaf_table(instance, family, alpha, members)
+    roots = np.bincount(query, minlength=instance.n)
+    qs = np.flatnonzero(roots)
+    roots = roots[qs]
+    starts = np.cumsum(roots) - roots
+    # a query searches its 2^coins coin strings; past the guard (None) its
+    # leaves are the search space
+    coins = [c if 2**c <= PIPELINE_COIN_GUARD else None for c in map(coin_count, roots.tolist())]
+    if mode == "exhaustive":
+        # coin_rank is nondecreasing and onto, so the first least coin
+        # string selects the query's first least leaf
+        calls = [root if c is None else 2**c for root, c in zip(roots.tolist(), coins)]
+        best = _first_least(values, starts)
+    else:
+        calls, best = [], []
+        for q, lo, root, c in zip(qs.tolist(), starts.tolist(), roots.tolist(), coins):
+            space = lo + (np.arange(root) if c is None
+                          else coin_rank(np.arange(2**c, dtype=np.int64), root, c))
+            seen = values[space]
+            runs = [min_find_with_cost(seen, derive_seed(seed, q * 131 + r))
                     for r in range(minfind_runs)]
-            calls = sum(spent for _, spent in runs)
-            best = min((idx for idx, _ in runs), key=lambda i: (values[i], i))
-        total_calls += int(calls)
-        max_calls = max(max_calls, int(calls))
-        if values[best] <= bound + 1e-9:  # a missing partner is +inf
-            pairs.add((q, int(partner[best])))
-    return PipelineReport(frozenset(pairs), total_calls, max_calls, mode)
+            calls.append(sum(spent for _, spent in runs))
+            best.append(space[min((idx for idx, _ in runs), key=lambda i: (seen[i], i))])
+        best = np.asarray(best, dtype=np.int64)
+    found = values[best] <= bound + 1e-9  # a missing partner is +inf
+    pairs = frozenset(zip(qs[found].tolist(), partner[best[found]].tolist()))
+    return PipelineReport(pairs, int(sum(calls)), int(max(calls, default=0)), mode)

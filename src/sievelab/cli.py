@@ -166,12 +166,12 @@ _SIEVE_COLS = [
 def cmd_sieve(ns) -> list[dict]:
     if ns.n < 0:
         raise DomainError(f"--n must be >= 0, got {ns.n}")
+    if ns.d < 2:
+        raise DomainError(f"--d must be >= 2, got {ns.d}")
     if ns.d > SIEVE_D_GUARD:
         raise GuardError(f"d={ns.d} exceeds the dimension guard {SIEVE_D_GUARD}")
     if ns.n > SIEVE_N_GUARD:
         raise GuardError(f"n={ns.n} exceeds the list-size guard {SIEVE_N_GUARD}")
-    if ns.n == 0:
-        return []
 
     theta = ns.theta
     if not 0.0 < theta <= math.pi:  # before the cosine, which refuses +-inf
@@ -181,12 +181,15 @@ def cmd_sieve(ns) -> list[dict]:
     for name, thr in (("beta", beta), ("alpha", alpha)):  # before the wedge, in pair_keys' order
         if not -1.0 <= thr < 1.0:
             raise DomainError(f"{name} must lie in [-1, 1), got {thr}")
+    for flag, count in (("--t", ns.t), ("--wedge-samples", ns.wedge_samples)):
+        if count is not None and count < 1:
+            raise DomainError(f"{flag} must be >= 1, got {count}")
 
     # t = ceil(3 / W) covers a close pair with probability about 1 - e^-3; a 3 / W
-    # within 1e-12 relative of an integer is that integer, whatever W's last ulp
-    if ns.t is not None:
-        t, wedge_est = ns.t, None
-    else:
+    # within 1e-12 relative of an integer is that integer, whatever W's last ulp.
+    # An empty list skips the wedge: it needs no t.
+    t, wedge_est = ns.t, None
+    if t is None and ns.n > 0:
         if ns.wedge_samples is None:
             wedge_est = geometry.wedge_volume_quad(ns.d, alpha, beta, theta)
         else:
@@ -197,8 +200,10 @@ def cmd_sieve(ns) -> list[dict]:
             raise GuardError("wedge estimate vanished; pass --t explicitly")
         ratio = 3.0 / wedge_est
         t = round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else math.ceil(ratio)
-    if t > FAMILY_GUARD:
+    if t is not None and t > FAMILY_GUARD:
         raise GuardError(f"filter count {t} exceeds the family guard {FAMILY_GUARD}")
+    if ns.n == 0:
+        return []
     expected = sieve.expected_ledger(ns.n, t, alpha, beta, ns.d)
     keys = (expected.insert_coverage + expected.query_coverage
             + ns.n * (ns.n - 1) * geometry.cap_volume_exact(ns.d, math.cos(theta)))

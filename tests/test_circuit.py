@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sievelab import circuit as ccirc
 from sievelab import geometry, rpc, sieve
 from sievelab.errors import DomainError
-from sievelab.rng import make_rng
+from sievelab.rng import derive_seed, make_rng
 
 
 def _random_circuit(seed, t=30, d=8, kmax=20):
@@ -210,33 +212,36 @@ def test_query_values_match_the_coin_oracle(oracle_setup):
     fam, inst, buckets, circ, w, tree = oracle_setup
     q = inst.n  # w joins the list as its last vector; the buckets stay as they are
     grown = sieve.make_instance(np.vstack([inst.vectors, w]), mode="norm", radius=1.0)
-    spaces = {k: (v, p) for k, v, p in ccirc._search_spaces(grown, fam, 0.35, buckets.members)}
-    values, partner = spaces[q]
+    query, values, partner = ccirc._leaf_table(grown, fam, 0.35, buckets.members)
+    values, partner = values[query == q], partner[query == q]  # in leaf rank order
     R = tree.coin_count
-    assert values.size == partner.size == 2**R
+    assert values.size == partner.size == tree.root_count
     assert partner.dtype == np.int64
     assert np.array_equal(partner == -1, values == math.inf)
     assert np.any(partner >= 0)
+    # every coin string reaches oracle_prime's chain through its coin rank
     for x in range(2**R):
-        j = rpc.sample_alpha_close(tree, format(x, f"0{R}b"))
+        coins = format(x, f"0{R}b")
+        rank = rpc.coin_rank(x, tree.root_count, R)
+        j = rpc.sample_alpha_close(tree, coins)
+        assert j == rpc.leaf_index(tree, rank)
         pos = ccirc.circuit_eval_index(circ, j, w)
         if pos is None:
-            assert values[x] == math.inf and partner[x] == -1
+            assert values[rank] == math.inf and partner[rank] == -1
         else:
             u = int(buckets.B[j][pos])
-            assert values[x] == float(np.linalg.norm(inst.vectors[u] - w))
-            assert partner[x] == u
+            assert np.array_equal(ccirc.oracle_prime(circ, tree, w, coins), inst.vectors[u])
+            assert values[rank] == float(np.linalg.norm(inst.vectors[u] - w))
+            assert partner[rank] == u
 
 
 def test_query_values_mark_missing_partners_with_minus_one(oracle_setup):
     fam, inst, buckets, _, _, _ = oracle_setup
-    missing = 0
     # list vectors see themselves in their own buckets
-    for q, values, partner in ccirc._search_spaces(inst, fam, 0.35, buckets.members):
-        assert np.array_equal(partner == -1, values == math.inf)
-        assert np.all(partner != q)
-        missing += int(np.sum(partner == -1))
-    assert missing > 0
+    query, values, partner = ccirc._leaf_table(inst, fam, 0.35, buckets.members)
+    assert np.array_equal(partner == -1, values == math.inf)
+    assert np.all(partner != query)
+    assert np.sum(partner == -1) > 0
 
 
 def _reference_spaces(inst, fam, alpha, buckets):
@@ -260,11 +265,29 @@ def _reference_spaces(inst, fam, alpha, buckets):
             dist = float(np.linalg.norm(inst.vectors[u] - w))
             if u != q and dist > 1e-12:
                 values[rank], partner[rank] = dist, u
-        if 2**tree.coin_count <= ccirc.PIPELINE_COIN_GUARD:
-            ranks = rpc.coin_rank(np.arange(2**tree.coin_count, dtype=np.int64),
-                                  tree.root_count, tree.coin_count)
-            values, partner = values[ranks], partner[ranks]
         yield q, values, partner
+
+
+@given(st.integers(1, 2**11), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_first_least_coin_string_selects_the_first_least_leaf(root, levels, seed):
+    # why exhaustive mode reads leaves: coin_rank is nondecreasing and onto
+    coins = rpc.coin_count(root)
+    ranks = rpc.coin_rank(np.arange(2**coins, dtype=np.int64), root, coins)
+    assert np.all(np.diff(ranks) >= 0)
+    assert np.array_equal(np.unique(ranks), np.arange(root))
+    # tie-heavy values, +inf standing for a missing partner
+    values = make_rng(seed).integers(0, levels, size=root).astype(float)
+    values[values == levels - 1] = math.inf
+    assert ranks[np.argmin(values[ranks])] == np.argmin(values)
+
+
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=30), st.integers(0, 2**32 - 1))
+def test_first_least_is_argmin_run_by_run(sizes, seed):
+    values = make_rng(seed).integers(0, 3, size=sum(sizes)).astype(float)
+    values[values == 2] = math.inf
+    starts = np.cumsum(sizes) - sizes
+    want = [s + int(np.argmin(values[s:s + k])) for s, k in zip(starts, sizes)]
+    assert ccirc._first_least(values, starts).tolist() == want
 
 
 def _tie_instance():
@@ -295,17 +318,19 @@ def test_search_spaces_match_the_per_query_walk(monkeypatch, case):
     want = list(_reference_spaces(inst, fam, alpha, buckets))
     if case == "ties":
         assert sum(np.isfinite(v).sum() for _, v, _ in want) > 0
+    want_query = np.concatenate([np.full(v.size, q) for q, v, _ in want])
+    want_values = np.concatenate([v for _, v, _ in want])
+    want_partner = np.concatenate([p for _, _, p in want])
     # small budgets make the score, decode and gather chunks ragged; one
     # float forces one row, one prefix and one chain per chunk
     for block_floats, gather_floats in [(None, None), (50, 40), (1, 1)]:
         if block_floats is not None:
             monkeypatch.setattr(rpc, "_BLOCK_FLOATS", block_floats)
             monkeypatch.setattr(ccirc, "_GATHER_FLOATS", gather_floats)
-        got = list(ccirc._search_spaces(inst, fam, alpha, buckets.members))
-        assert [q for q, _, _ in got] == [q for q, _, _ in want]
-        for (_, v, p), (_, v_ref, p_ref) in zip(got, want):
-            assert v.tobytes() == v_ref.tobytes()
-            assert p.tobytes() == p_ref.tobytes()
+        query, values, partner = ccirc._leaf_table(inst, fam, alpha, buckets.members)
+        assert query.tolist() == want_query.tolist()
+        assert values.tobytes() == want_values.tobytes()
+        assert partner.tobytes() == want_partner.tobytes()
     monkeypatch.undo()
     # the batched grid is each query's own tree, leaf for leaf
     dirs = inst.directions()
@@ -406,8 +431,9 @@ def _digest(report):
     return hashlib.sha256(json.dumps(report.as_dict(), sort_keys=True).encode()).hexdigest()
 
 
-# sha256 of each report's sorted-key JSON: how _search_spaces lays out
-# the search space must not move the pairs or the call counts
+# sha256 of each report's sorted-key JSON: how the leaf table and the
+# coin strings lay out the search space must not move the pairs or the
+# call counts
 def test_pipeline_golden_reports(pipeline_runs):
     _, _, exh, mf1, mf3 = pipeline_runs
     assert [_digest(rep) for rep in (exh, mf1, mf3)] == [
@@ -428,6 +454,19 @@ def test_pipeline_golden_reports_three_blocks():
         "2724298e8ae7643a7931e5e04b60e44265ec2f67f5f830f1b5c97fa24abe6501",
         "fae097f0a762a7c941d44abe57c2a80c8e5de5eabfd81311f08703a622ba128f",
     ]
+
+
+# the bench `pipeline` instance: both reports' sorted-key JSON lines,
+# hashed in one stream as the bench hashes its result
+def test_pipeline_golden_bench_instance():
+    fam = rpc.build_family("rpc", 16, derive_seed(1, 1), m=6, B=2)
+    inst = sieve.random_instance(16, 2000, derive_seed(1, 2), mode="norm", radius=1.0)
+    h = hashlib.sha256()
+    for mode, kwargs in (("exhaustive", {}),
+                         ("minfind", {"seed": derive_seed(1, 3), "minfind_runs": 3})):
+        rep = ccirc.pipeline_step(inst, fam, 0.40, 0.55, mode=mode, **kwargs)
+        h.update((json.dumps(rep.as_dict(), sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == "3656486c727f828e947e5f77a9187ad88bed3b413c66ac5b4f0209adde89277d"
 
 
 @pytest.fixture(scope="module")

@@ -307,6 +307,15 @@ BAD_INPUTS = [
     # exit 3: a threshold of 1 emptied the wedge before the range check
     "sieve --d 24 --n 10 --alpha 1.0",
     "sieve --d 24 --n 10 --beta 1.0",
+    # exit 0: an empty list returned before the other flags were checked
+    "sieve --d 24 --n 0 --theta 5",
+    "sieve --d 24 --n 0 --alpha 2",
+    "sieve --d 24 --n 0 --t 0",
+    "sieve --d 24 --n 0 --wedge-samples 0",
+    "sieve --d 1 --n 0",
+    # the message named cap_volume_exact or wedge_volume_quad, not --d
+    "sieve --d 1 --n 10 --t 2",
+    "sieve --d -3 --n 10",
 ]
 
 
@@ -326,6 +335,14 @@ def test_invalid_input_exits_2(command):
     proc = _run_cli(command)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(b"error: ")
+
+
+def test_sieve_small_d_names_the_flag(capsys):
+    # the geometry call that came first used to name itself instead
+    for d, t in (("1", ()), ("1", ("--t", "2")), ("-3", ()), ("-3", ("--t", "2"))):
+        for n in ("0", "10"):
+            assert main(["sieve", "--d", d, "--n", n, *t]) == 2
+            assert capsys.readouterr().err == f"error: --d must be >= 2, got {d}\n"
 
 
 def test_empty_wedge_exits_3():
@@ -364,6 +381,8 @@ OVERSIZED_INPUTS = [
     # close pairs at d = 2, and two 2e9-entry masks
     "sieve --d 2 --n 100000 --t 5 --seed 1",
     "sieve --d 4 --n 20000 --t 100000 --alpha -1 --beta -1 --seed 1",
+    # exit 0: an empty list returned before the family guard
+    "sieve --d 24 --n 0 --t 2000000",
 ]
 
 
