@@ -31,14 +31,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DomainError
 from .qsearch import min_find_with_cost
 from .rng import DEFAULT_SEED, derive_seed
 from .rpc import (
     FilterFamily, SampleTree, coin_count, coin_rank, sample_alpha_close, sample_leaves, spans)
-from .sieve import QueryLedger, SieveInstance, _row_norms, preprocess
+from .sieve import Mask, QueryLedger, SieveInstance, _row_norms, preprocess
 
 # largest coin space the pipeline searches per query; beyond this the
 # qualifying leaves are the search space (there are at most 2^R / 16)
@@ -185,18 +184,19 @@ def _first_least(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _leaf_table(
-    instance: SieveInstance, family: FilterFamily, alpha: float, members: sparse.csc_array
+    instance: SieveInstance, family: FilterFamily, alpha: float, members: Mask
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every qualifying leaf of every query, from one rpc.sample_leaves
     call: the ascending query index, the distance from its vector w to
     what the leaf's chain reports, and that partner's list index.  Each
     query's leaves come in its leaf rank order.
 
-    Chain j holds the rows of bucket column j of members in insertion
-    order.  Its output is circuit_eval_index's: the first position at the
-    least np.sum((chain - w) ** 2, axis=1).  The entries are evaluated in
-    spans chunks against _GATHER_FLOATS, an entry weighing the d coordinates
-    of each row of its chain; partner distances come from _row_norms.
+    Chain j holds the rows of bucket column j of members, the CSC insert
+    mask, in insertion order.  Its output is circuit_eval_index's: the
+    first position at the least np.sum((chain - w) ** 2, axis=1).  The
+    entries are evaluated in spans chunks against _GATHER_FLOATS, an entry
+    weighing the d coordinates of each row of its chain; partner distances
+    come from _row_norms.
     Self-hits and empty chains are lifted to +inf with partner -1: the
     oracle returned nothing usable for reduction there.
     """

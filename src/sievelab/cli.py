@@ -174,8 +174,9 @@ def cmd_sieve(ns) -> list[dict]:
         raise GuardError(f"n={ns.n} exceeds the list-size guard {SIEVE_N_GUARD}")
 
     theta = ns.theta
-    if not 0.0 < theta <= math.pi:  # before the cosine, which refuses +-inf
-        raise DomainError(f"theta must lie in (0, pi], got {theta}")
+    # before the cosine, which refuses +-inf; the wedge needs theta < pi
+    if not 0.0 < theta < math.pi:
+        raise DomainError(f"--theta must lie in (0, pi), got {theta}")
     alpha = ns.alpha if ns.alpha is not None else math.cos(theta)
     beta = ns.beta if ns.beta is not None else math.cos(theta)
     for name, thr in (("beta", beta), ("alpha", alpha)):  # before the wedge, in pair_keys' order
@@ -184,6 +185,8 @@ def cmd_sieve(ns) -> list[dict]:
     for flag, count in (("--t", ns.t), ("--wedge-samples", ns.wedge_samples)):
         if count is not None and count < 1:
             raise DomainError(f"{flag} must be >= 1, got {count}")
+    if ns.wedge_samples is not None:
+        geometry.check_mc_samples(ns.wedge_samples)
 
     # t = ceil(3 / W) covers a close pair with probability about 1 - e^-3; a 3 / W
     # within 1e-12 relative of an integer is that integer, whatever W's last ulp.

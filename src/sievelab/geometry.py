@@ -19,7 +19,6 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from .errors import DomainError, GuardError
 from .rng import make_rng
@@ -80,6 +79,10 @@ def t_rate(alpha: float, beta: float) -> float:
 
 _BETA_TOL = 1e-12
 _FPMIN = 1e-300
+# the array form's stop, which _cross_section_volume uses: at 1e-12 the
+# wedge quadrature strayed up to 3.4e-13 from scipy's betainc, at 1e-14
+# about 1e-14, for a tenth more time
+_BETA_ARRAY_TOL = 1e-14
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -140,6 +143,65 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
+def _betacf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """_betacf entrywise, each entry run until its own step passes
+    _BETA_ARRAY_TOL.
+
+    The operations are _betacf's, in its order; converged entries leave
+    the working arrays, so each step costs only the entries still open.
+    """
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    d[np.abs(d) < _FPMIN] = _FPMIN
+    d = 1.0 / d
+    h = d.copy()
+    out = np.empty_like(x)
+    at = np.arange(x.size)
+    for m in range(1, 400):
+        if not at.size:
+            return out
+        m2 = 2 * m
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d[np.abs(d) < _FPMIN] = _FPMIN
+            c = 1.0 + aa / c
+            c[np.abs(c) < _FPMIN] = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        done = np.abs(delta - 1.0) < _BETA_ARRAY_TOL
+        if done.any():
+            out[at[done]] = h[done]
+            at, a, b, x, qab, qap, qam, c, d, h = (
+                v[~done] for v in (at, a, b, x, qab, qap, qam, c, d, h))
+    if at.size:
+        raise ArithmeticError("incomplete beta continued fraction did not converge")
+    return out
+
+
+def _reg_inc_beta_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """reg_inc_beta(a, b, .) on each entry of an array x in [0, 1].
+
+    Same front factor, symmetry switch and continued fraction as the
+    scalar form, run to a tighter stop, so the two agree to about 1e-12
+    relative, though not bit for bit.
+    """
+    out = np.where(x == 1.0, 1.0, 0.0)
+    inner = (0.0 < x) & (x < 1.0)
+    xi = x[inner]
+    front = np.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                   + a * np.log(xi) + b * np.log1p(-xi))
+    low = xi < (a + 1.0) / (a + b + 2.0)
+    # the continued fraction runs at (a, b, x) below the switch and at
+    # (b, a, 1 - x) above it
+    ca, cb = np.where(low, a, b), np.where(low, b, a)
+    cf = _betacf_array(ca, cb, np.where(low, xi, 1.0 - xi))
+    out[inner] = np.where(low, front * cf / a, 1.0 - front * cf / b)
+    return out
+
+
 def cap_volume_exact(d: int, alpha: float) -> float:
     """Exact fractional volume of C(alpha) on S^{d-1}.
 
@@ -176,14 +238,19 @@ def sample_sphere(d: int, rng: np.random.Generator, size: int | None = None) -> 
     return x[0] if size is None else x
 
 
+def check_mc_samples(samples: int) -> None:
+    """Refuse a Monte-Carlo sample count past MC_SAMPLES_GUARD."""
+    if samples > MC_SAMPLES_GUARD:
+        raise GuardError(f"{samples} samples exceed the Monte-Carlo guard {MC_SAMPLES_GUARD}")
+
+
 def _shards(samples: int, seed: int):
     """(size, rng) for each shard of at most _MC_SHARD samples.
 
     Shard i always draws from make_rng(seed, i), so an estimate is
     bit-stable regardless of how shards are run.
     """
-    if samples > MC_SAMPLES_GUARD:
-        raise GuardError(f"{samples} samples exceed the Monte-Carlo guard {MC_SAMPLES_GUARD}")
+    check_mc_samples(samples)
     for i, lo in enumerate(range(0, samples, _MC_SHARD)):
         yield min(_MC_SHARD, samples - lo), make_rng(seed, i)
 
@@ -217,6 +284,8 @@ def _truncated_cap_cosines(
     collapse onto a handful of representable values once the cap drops
     below ~1e-13.
     """
+    from scipy.special import betaincinv  # scipy loads only for Monte Carlo wedges
+
     a = (d - 1) / 2.0
     v = q0 * rng.random(m)
     y = betaincinv(a, a, v)
@@ -233,7 +302,7 @@ def _cross_section_volume(d2: int, h: np.ndarray) -> np.ndarray:
         out[mid] = 0.5  # S^0: only the +1 endpoint clears a threshold in (-1,1)
         return out
     hm = h[mid]
-    half = 0.5 * betainc((d2 - 1) / 2.0, 0.5, 1.0 - hm * hm)
+    half = 0.5 * _reg_inc_beta_array((d2 - 1) / 2.0, 0.5, 1.0 - hm * hm)
     out[mid] = np.where(hm >= 0.0, half, 1.0 - half)
     return out
 

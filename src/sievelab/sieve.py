@@ -27,10 +27,11 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
+from . import rpc
 from .binfile import BinaryReader
 from .errors import DomainError, GuardError
 from .geometry import cap_volume_exact, sample_sphere
@@ -127,23 +128,41 @@ class QueryLedger:
         return asdict(self)
 
 
+class Mask(NamedTuple):
+    """A boolean matrix of this shape as compressed arrays: indptr cuts
+    indices into ascending runs, one per row (CSR) or one per column
+    (CSC).  The close masks are CSR, row x listing the filters close to
+    x; Buckets.members is CSC, column j listing the rows in bucket j."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+
 @dataclass(frozen=True, eq=False)
 class Buckets:
     """Insert-side buckets at the beta threshold: column j of members,
-    the (n, t) CSC insert mask, is bucket j, rows in ascending order."""
+    the (n, t) insert mask in CSC form, is bucket j, rows in ascending
+    order."""
 
-    members: sparse.csc_array
+    members: Mask
 
     def __post_init__(self) -> None:
-        # a malformed matrix would send the sparse products out of bounds
+        # a malformed mask would send the engine's gathers out of bounds
         members = self.members
-        if getattr(members, "format", None) != "csc":
-            raise DomainError("bucket members must be a CSC matrix")
+        if not isinstance(members, Mask):
+            raise DomainError("bucket members must be a CSC Mask")
         (n, t), ptr, rows = members.shape, members.indptr, members.indices
-        if not (ptr.shape == (t + 1,) and ptr[0] == 0 and ptr[-1] == rows.size == members.data.size
-                and (ptr[:-1] <= ptr[1:]).all()
+        if not (isinstance(ptr, np.ndarray) and isinstance(rows, np.ndarray)
+                and ptr.dtype.kind in "iu" and rows.dtype.kind in "iu"
+                and ptr.shape == (t + 1,) and rows.ndim == 1
+                and ptr[0] == 0 and ptr[-1] == rows.size and (ptr[:-1] <= ptr[1:]).all()
                 and 0 <= rows.min(initial=0) and rows.max(initial=-1) < n):
-            raise DomainError("bucket members are not a valid CSC matrix")
+            raise DomainError("bucket members are not valid CSC arrays")
 
     @property
     def B(self) -> tuple[np.ndarray, ...]:
@@ -158,35 +177,48 @@ def _check_family(instance: SieveInstance, family: FilterFamily) -> None:
 
 # --- bucket engine -------------------------------------------------------------
 #
-# Bucket membership is an (n, t) boolean CSR mask: row x lists the
-# filters close to x.  Its CSC columns are the buckets.  Pairs are int64
-# keys x * n + y, ascending, so (x, y) order is key order.  The masks
-# come from rpc.scan, which owns the tile layout (R rows by a span of
-# centers once a row of scores exceeds rpc's budget).  The close pairs
-# come from a scan of the list against itself over the upper triangle
-# only: a row chunk [lo, hi) is scored against rows lo onwards, and the
-# keys with y > x are kept.  The close set is those keys and their
-# mirrors, so it is symmetric by construction.  Every chunk is cut by
-# rpc.spans at rpc's budget: a score block holds at most 2^18 doubles
-# (2 MB), keeping peak memory flat in n and t, and the sharing test of
-# the pair pass gathers at most as many mask entries.  A triangle chunk
-# also scores the corner below its diagonal, which its row weights leave
-# out: at most as much again.  When one mask serves both sides
-# (alpha = beta), the pair pass tests each unordered close pair once and
-# mirrors the answers.
+# Bucket membership is an (n, t) boolean mask held as plain CSR arrays
+# (Mask: indptr, indices, shape): row x lists the filters close to x,
+# ascending.  Its CSC columns, the same arrays regrouped by filter, are
+# the buckets.  Pairs are int64 keys x * n + y, ascending, so (x, y) order
+# is key order.  The masks come from rpc.scan, which owns the tile layout
+# (R rows by a span of centers once a row of scores exceeds rpc's
+# budget).  The close pairs come from a scan of the list against itself
+# over the upper triangle only: a row chunk [lo, hi) is scored against
+# rows lo onwards, and the keys with y > x are kept.  The close set is
+# those keys and their mirrors, so it is symmetric by construction.
+# Every chunk is cut by rpc.spans at rpc's budget: a score block holds at
+# most 2^18 doubles (2 MB), keeping peak memory flat in n and t.  A
+# triangle chunk also scores the corner below its diagonal, which its row
+# weights leave out: at most as much again.  The sharing test of the pair
+# pass ANDs each close pair's two mask rows as 64-bit words, over tiles
+# of filters whose row bitsets hold at most the budget's words; a pair
+# that shares a filter leaves the later tiles.  When one mask serves both
+# sides (alpha = beta), the pair pass tests each unordered close pair once
+# and mirrors the answers.
 
 
-def _mask(keys: np.ndarray, n: int, t: int) -> sparse.csr_array:
-    """The (n, t) mask whose entries are the ascending keys x * t + j."""
-    rows, cols = np.divmod(keys, t)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return sparse.csr_array((np.ones(keys.size, dtype=bool), cols, indptr), shape=(n, t))
+def _compress(keys: np.ndarray, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and indices of the ascending keys r * cols + c, c < cols."""
+    r, c = np.divmod(keys, cols)
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(r, minlength=rows), out=indptr[1:])
+    return indptr, c
+
+
+def _transposed(mask: Mask) -> Mask:
+    """The same mask in the other form: CSR arrays to CSC or back, each
+    run ascending.  Sorting the distinct keys index * runs + run orders
+    the entries as a stable sort by index would."""
+    runs = mask.indptr.size - 1
+    keys = mask.indices.astype(np.int64) * runs + np.repeat(np.arange(runs), np.diff(mask.indptr))
+    keys.sort()
+    return Mask(*_compress(keys, sum(mask.shape) - runs, runs), mask.shape)
 
 
 def _close_masks(
     instance: SieveInstance, family: FilterFamily, thresholds: dict[str, float]
-) -> list[sparse.csr_array]:
+) -> list[Mask]:
     """Per named threshold, the mask of <x, c_j> >= threshold over the list.
 
     Every family goes through rpc.scan block by block, so explicit families
@@ -202,11 +234,12 @@ def _close_masks(
         for thr, name in named.items():
             check_queries(family, dirs, thr, name)
     distinct = list(named)
-    masks = [_mask(k, instance.n, family.t) for k in scan(dirs, family.blocks, distinct)[0]]
+    shape = (instance.n, family.t)
+    masks = [Mask(*_compress(k, *shape), shape) for k in scan(dirs, family.blocks, distinct)[0]]
     return [masks[distinct.index(thr)] for thr in thresholds.values()]
 
 
-def _charge_filters(ledger: QueryLedger, mask: sparse.csr_array, insert: bool) -> None:
+def _charge_filters(ledger: QueryLedger, mask: Mask, insert: bool) -> None:
     """One enumeration per list vector, 1 + |result| each."""
     ledger.filter_queries += mask.shape[0] + mask.nnz
     if insert:
@@ -240,10 +273,7 @@ def _with_mirrors(upper: np.ndarray, n: int) -> np.ndarray:
 
 
 def _covered_close_keys(
-    upper: np.ndarray,
-    query_mask: sparse.csr_array,
-    insert_mask: sparse.csr_array,
-    ledger: QueryLedger,
+    upper: np.ndarray, query_mask: Mask, insert_mask: Mask, ledger: QueryLedger
 ) -> np.ndarray:
     """Of the close keys, the upper keys x * n + y (x < y) and their
     mirrors, the ascending keys whose query row x and insert row y share a
@@ -252,35 +282,90 @@ def _covered_close_keys(
     Each x is charged one inner product per entry of each of its
     buckets, duplicates included: that is what a query tests.  When one
     mask serves both sides, (x, y) shares a filter exactly when (y, x)
-    does, so each upper key is tested once and its answer mirrored.
+    does, so each upper key is tested once and its answer mirrored;
+    otherwise both orientations are tested in one pass.
     """
     n, t = insert_mask.shape
     sizes = np.bincount(insert_mask.indices, minlength=t)
     ledger.inner_product_queries += int(sizes[query_mask.indices].sum())
     x, y = np.divmod(upper, n)
-    found = upper[_shares_filter(x, y, query_mask, insert_mask)]
     if query_mask is insert_mask:
-        return _with_mirrors(found, n)
-    back = _shares_filter(y, x, query_mask, insert_mask)
-    found = np.concatenate((found, y[back] * n + x[back]))
+        return _with_mirrors(upper[_shares_filter(x, y, query_mask, insert_mask)], n)
+    x, y = np.concatenate((x, y)), np.concatenate((y, x))
+    found = (x * n + y)[_shares_filter(x, y, query_mask, insert_mask)]
     found.sort()
     return found
 
 
+def _tile_bits(
+    mask: Mask, lo: np.ndarray, hi: np.ndarray, c0: int, words: int
+) -> np.ndarray:
+    """The (n, words) uint64 bitsets of a CSR mask's rows over the filters
+    [c0, c0 + 64 words), where row x has the entries lo[x]:hi[x].  The rows
+    are read in spans chunks, a row weighing its entries in the tile."""
+    bits = np.zeros(lo.size * words, dtype=np.uint64)
+    for run in spans(hi - lo):
+        count = hi[run] - lo[run]
+        at = np.arange(int(count.sum())) + np.repeat(lo[run] - (np.cumsum(count) - count), count)
+        cols = mask.indices[at] - c0
+        word = np.repeat(np.arange(run.start, run.stop) * words, count) + (cols >> 6)
+        if word.size:
+            first = np.flatnonzero(np.diff(word, prepend=-1))  # word is nondecreasing
+            bit = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
+            bits[word[first]] = np.bitwise_or.reduceat(bit, first)
+    return bits.reshape(lo.size, words)
+
+
+def _tile_bounds(mask: Mask, span: int, tiles: int) -> np.ndarray:
+    """(n, tiles + 1) entry bounds: row x's entries in filter tile k, the
+    filters [k span, (k + 1) span), are mask.indices[b[x, k]:b[x, k + 1]].
+    The rows are read in spans chunks, a row weighing its entries."""
+    ptr = mask.indptr
+    bounds = np.empty((ptr.size - 1, tiles + 1), dtype=np.int64)
+    bounds[:, 0] = ptr[:-1]
+    for run in spans(np.diff(ptr)):
+        size = np.diff(ptr[run.start:run.stop + 1])
+        tile = (np.repeat(np.arange(size.size, dtype=np.int64) * tiles, size)
+                + mask.indices[ptr[run.start]:ptr[run.stop]] // span)
+        np.cumsum(np.bincount(tile, minlength=size.size * tiles).reshape(-1, tiles),
+                  axis=1, out=bounds[run, 1:])
+    bounds[:, 1:] += bounds[:, :1]
+    return bounds
+
+
 def _shares_filter(
-    x: np.ndarray, y: np.ndarray, query_mask: sparse.csr_array, insert_mask: sparse.csr_array
+    x: np.ndarray, y: np.ndarray, query_mask: Mask, insert_mask: Mask
 ) -> np.ndarray:
     """Per pair (x, y), whether query row x and insert row y share a filter.
 
-    The rows x and y of one spans chunk of pairs are gathered at a time,
-    each pair weighing the mask entries of its two rows, so dense masks
-    do not make the gathered rows grow with n^2.
+    The filters are cut into tiles of 64-bit words, each tile as wide as
+    rpc's budget allows for one word column per list row.  Per tile, both
+    masks' rows become bitsets, each read from its entry bounds in that
+    tile, and each pair still open ANDs its two rows' words; a pair that
+    shares a filter leaves the later tiles.  The pairs are tested in
+    chunks of at most the budget's words.
     """
-    row_sizes = np.diff(query_mask.indptr)[x] + np.diff(insert_mask.indptr)[y]
-    out = [np.empty(0, dtype=bool)]
-    for run in spans(row_sizes):
-        out.append(np.diff(query_mask[x[run]].multiply(insert_mask[y[run]]).indptr) > 0)
-    return np.concatenate(out)
+    n, t = query_mask.shape
+    width = max(1, rpc._BLOCK_FLOATS // max(1, n))  # words per row in one tile
+    span = 64 * width
+    tiles = -(-t // span)
+    masks = [query_mask] if insert_mask is query_mask else [query_mask, insert_mask]
+    bounds = [_tile_bounds(mask, span, tiles) for mask in masks]
+    out = np.zeros(x.size, dtype=bool)
+    open_ = np.arange(x.size)
+    for k in range(tiles):
+        if not open_.size:
+            break
+        words = min(width, -(-(t - span * k) // 64))
+        bits = [_tile_bits(mask, b[:, k], b[:, k + 1], span * k, words)
+                for mask, b in zip(masks, bounds)]
+        qbits, ibits = bits[0], bits[-1]
+        step = max(1, rpc._BLOCK_FLOATS // words)
+        chunks = (open_[lo:lo + step] for lo in range(0, open_.size, step))
+        hit = np.concatenate([(qbits[x[pairs]] & ibits[y[pairs]]).any(axis=1) for pairs in chunks])
+        out[open_[hit]] = True
+        open_ = open_[~hit]
+    return out
 
 
 def keys_to_pairs(keys: np.ndarray, n: int) -> set[tuple[int, int]]:
@@ -296,7 +381,7 @@ def preprocess(
     _check_family(instance, family)
     (mask,) = _close_masks(instance, family, {"beta": beta})
     _charge_filters(ledger, mask, insert=True)
-    return Buckets(mask.tocsc())  # row indices come out ascending within each column
+    return Buckets(_transposed(mask))
 
 
 def query_keys(
@@ -312,7 +397,8 @@ def query_keys(
         raise DomainError("buckets were built for a different list or family")
     (mask,) = _close_masks(instance, family, {"alpha": alpha})
     _charge_filters(ledger, mask, insert=False)
-    return _covered_close_keys(_upper_close_keys(instance), mask, buckets.members.tocsr(), ledger)
+    insert_mask = _transposed(buckets.members)
+    return _covered_close_keys(_upper_close_keys(instance), mask, insert_mask, ledger)
 
 
 def query_method(

@@ -199,6 +199,9 @@ def test_sieve_input_errors_exit_2(capsys):
     assert main(["sieve", "--d", "12", "--n", "10", "--theta", "0"]) == 2
     assert main(["sieve", "--d", "12", "--n", "10", "--wedge-samples", "0"]) == 2
     capsys.readouterr()
+    for t in ((), ("--t", "5")):  # the wedge needs theta < pi, so the flag does too
+        assert main(["sieve", "--d", "12", "--n", "10", "--theta", str(math.pi), *t]) == 2
+        assert capsys.readouterr().err == f"error: --theta must lie in (0, pi), got {math.pi}\n"
 
 
 @pytest.mark.parametrize("method", ["query", "fas"])
@@ -316,6 +319,10 @@ BAD_INPUTS = [
     # the message named cap_volume_exact or wedge_volume_quad, not --d
     "sieve --d 1 --n 10 --t 2",
     "sieve --d -3 --n 10",
+    # theta = pi: the wedge refused it under its own name, and with --t the
+    # run exited 0
+    "sieve --d 24 --n 10 --theta 3.141592653589793",
+    "sieve --d 24 --n 10 --t 5 --theta 3.141592653589793",
 ]
 
 
@@ -381,8 +388,10 @@ OVERSIZED_INPUTS = [
     # close pairs at d = 2, and two 2e9-entry masks
     "sieve --d 2 --n 100000 --t 5 --seed 1",
     "sieve --d 4 --n 20000 --t 100000 --alpha -1 --beta -1 --seed 1",
-    # exit 0: an empty list returned before the family guard
+    # exit 0: an empty list returned before the family guard, and before
+    # the Monte-Carlo sample guard
     "sieve --d 24 --n 0 --t 2000000",
+    "sieve --d 24 --n 0 --wedge-samples 100000000000",
 ]
 
 
@@ -518,11 +527,12 @@ def test_symkey_wrapper_rows(capsys):
 
 
 def test_import_loads_neither_scipy_optimize_nor_integrate():
-    # geometry's tanh-sinh rule and _brent_bounded replace the only two calls into them;
-    # scipy.sparse and scipy.special stay, and so does sievelab.cli
+    # nor any other scipy module: the engine's masks are plain arrays and the
+    # wedge's incomplete beta is geometry's own; scipy loads only for the wedge
+    # Monte Carlo sampler. sievelab.cli still loads with the package
     src = Path(sievelab.__file__).resolve().parent.parent
     code = ("import sys, sievelab; "
-            "bad = [m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules]; "
+            "bad = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
             "sys.exit(repr(bad) if bad or 'sievelab.cli' not in sys.modules else 0)")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, timeout=60)

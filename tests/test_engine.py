@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import sparse
 
 import sievelab
 from sievelab import rpc, sieve
@@ -69,10 +70,35 @@ def ref_fas(inst, fam, alpha, beta, led):
     return pairs
 
 
+def scipy_csr(mask):
+    """A CSR sieve.Mask as a scipy CSR array."""
+    return sparse.csr_array((np.ones(mask.nnz, dtype=bool), mask.indices, mask.indptr),
+                            shape=mask.shape)
+
+
+def scipy_csc(members):
+    """Buckets.members, a CSC sieve.Mask, as a scipy CSC array."""
+    return sparse.csc_array((np.ones(members.nnz, dtype=bool), members.indices, members.indptr),
+                            shape=members.shape)
+
+
+def ref_shares_filter(x, y, query_mask, insert_mask):
+    # the engine's earlier sharing test: the scipy product of the two
+    # gathered rows of each pair, in spans chunks of their mask entries
+    query_mask, insert_mask = scipy_csr(query_mask), scipy_csr(insert_mask)
+    row_sizes = np.diff(query_mask.indptr)[x] + np.diff(insert_mask.indptr)[y]
+    out = [np.empty(0, dtype=bool)]
+    for run in rpc.spans(row_sizes):
+        out.append(np.diff(query_mask[x[run]].multiply(insert_mask[y[run]]).indptr) > 0)
+    return np.concatenate(out)
+
+
 def ref_covered_close_keys(inst, query_mask, bucket_mask, led):
     # the engine's earlier pair pass: every candidate from the sparse
     # product of a row chunk of the query mask with the buckets, then a
-    # gather from the Gram block of the same chunk
+    # gather from the Gram block of the same chunk; the query mask is a
+    # sieve.Mask, the buckets a scipy CSC array
+    query_mask = scipy_csr(query_mask)
     dirs = inst.directions()
     n = inst.n
     sizes = np.diff(bucket_mask.indptr)
@@ -98,7 +124,7 @@ def ref_fas_keys(inst, fam, alpha, beta, led):
     for mask in masks:
         led.filter_queries += inst.n + mask.nnz
         led.insertions += mask.nnz
-    return ref_covered_close_keys(inst, masks[1], masks[0].tocsc(), led)
+    return ref_covered_close_keys(inst, masks[1], scipy_csr(masks[0]).tocsc(), led)
 
 
 def _instance(seed, n, d=12):
@@ -275,37 +301,39 @@ def test_buckets_of_another_list_are_refused():
 
 
 # a hand-built Buckets is checked too: row indices past n once
-# corrupted the heap, and a CSR matrix of the right shape silently
+# corrupted the heap, and a CSR mask of the right shape silently
 # dropped inner products
 _MALFORMED = """
 import sys
 import numpy as np
-from scipy import sparse
 from sievelab import rpc, sieve
 from sievelab.errors import DomainError
 fam = rpc.build_family("explicit", 12, 1, t=200)
 inst = sieve.random_instance(12, 300, seed=1)
 good = sieve.preprocess(inst, fam, 0.5, sieve.QueryLedger()).members
-data, rows, ptr = good.data, good.indices, good.indptr
+rows, ptr = good.indices, good.indptr
 falling = ptr.copy()
 falling[1] = ptr[-1]  # column 0 claims every entry, then indptr falls
+(csr,) = sieve._close_masks(inst, fam, {"beta": 0.5})
+dense = np.zeros((300, 200), dtype=bool)
+dense[rows, np.repeat(np.arange(200), np.diff(ptr))] = True
 bad = [
-    sparse.csc_array((data, rows * 3, ptr), shape=(300, 200)),  # rows past n
-    sparse.csc_array((data, rows - 1, ptr), shape=(300, 200)),  # a row -1
-    sparse.csc_array((data, rows, falling), shape=(300, 200)),
-    good.tocsr(),  # the right shape in the wrong format
-    good.toarray(),
+    sieve.Mask(ptr, rows * 3, (300, 200)),  # rows past n
+    sieve.Mask(ptr, rows - 1, (300, 200)),  # a row -1
+    sieve.Mask(falling, rows, (300, 200)),
+    csr,  # the right shape in the wrong orientation
+    dense,
 ]
 refused = 0
 for members in bad:
-    kept = members.copy()
+    kept = members.indices.copy() if isinstance(members, sieve.Mask) else None
     try:
         sieve.query_keys(inst, fam, 0.5, sieve.Buckets(members), sieve.QueryLedger())
     except DomainError:
         refused += 1
-    if sparse.issparse(members):  # the check neither casts nor sorts
-        assert members.indices.dtype == kept.indices.dtype
-        assert np.array_equal(members.indices, kept.indices)
+    if isinstance(members, sieve.Mask):  # the check neither casts nor sorts
+        assert members.indices.dtype == kept.dtype
+        assert np.array_equal(members.indices, kept)
 sys.exit(0 if refused == len(bad) else f"refused {refused} of {len(bad)}")
 """
 
@@ -349,7 +377,9 @@ def test_engine_property(seed, n, kind, mode, t, alpha, beta, theta):
     inst = sieve.random_instance(6, n, seed=seed + 1, mode=mode, radius=2.0, theta=theta)
     led = sieve.QueryLedger()
     buckets = sieve.preprocess(inst, fam, beta, led)
-    assert buckets.members.format == "csc" and buckets.members.shape == (n, fam.t)
+    members = buckets.members
+    assert isinstance(members, sieve.Mask) and members.shape == (n, fam.t)
+    assert members.indptr.shape == (fam.t + 1,)  # CSC: one run per bucket
     assert led.insertions == buckets.members.nnz
     keys = sieve.query_keys(inst, fam, alpha, buckets, led)
     assert np.isin(keys, sieve.brute_force_keys(inst)).all()
@@ -393,7 +423,8 @@ def test_pair_keys_property(seed, n, duplicates, kind, mode, t, alpha, beta, the
     assert led == led_ref
     (query_mask,) = sieve._close_masks(inst, fam, {"alpha": alpha})
     assert np.array_equal(
-        got, ref_covered_close_keys(inst, query_mask, buckets.members, sieve.QueryLedger())
+        got, ref_covered_close_keys(inst, query_mask, scipy_csc(buckets.members),
+                                    sieve.QueryLedger())
     )
 
     led, led_ref = sieve.QueryLedger(), sieve.QueryLedger()
@@ -409,7 +440,8 @@ def _one_mask_and_two(upper, mask):
     # unordered pair once; an equal copy takes the two-sided path
     led_one, led_two = sieve.QueryLedger(), sieve.QueryLedger()
     one = sieve._covered_close_keys(upper, mask, mask, led_one)
-    two = sieve._covered_close_keys(upper, mask, mask.copy(), led_two)
+    copy = sieve.Mask(mask.indptr.copy(), mask.indices.copy(), mask.shape)
+    two = sieve._covered_close_keys(upper, mask, copy, led_two)
     assert one.dtype == two.dtype == np.int64
     assert np.array_equal(one, two)
     assert led_one == led_two
@@ -434,7 +466,7 @@ def test_one_mask_on_both_sides_gives_the_two_sided_answer():
     assert np.isin(covered * n + covered + 150, full).all()  # a duplicate shares its filters
     # the answer is every close key, either way round, whose two rows share a filter
     x, y = np.divmod(close, n)
-    shares = np.diff(mask[x].multiply(mask[y]).indptr) > 0
+    shares = ref_shares_filter(x, y, mask, mask)
     assert np.array_equal(full, close[shares])
 
     assert _one_mask_and_two(np.empty(0, dtype=np.int64), mask).size == 0
@@ -488,3 +520,61 @@ def test_pair_keys_refuses_an_unknown_method():
     with pytest.raises(DomainError):
         sieve.pair_keys(inst, rpc.build_family("explicit", 12, 1, t=20), 0.3, 0.3, "brute",
                         sieve.QueryLedger())
+
+
+def _check_sharing(inst, fam, alpha, beta, block_floats=None):
+    # the word-AND test against the scipy product on every close pair, both
+    # ways round, with one mask object on both sides when alpha == beta; a
+    # block_floats budget is set for the sharing test alone
+    insert_mask, query_mask = sieve._close_masks(inst, fam, {"beta": beta, "alpha": alpha})
+    assert (query_mask is insert_mask) == (alpha == beta)
+    x, y = np.divmod(sieve._upper_close_keys(inst), inst.n)
+    x, y = np.concatenate((x, y)), np.concatenate((y, x))
+    want = ref_shares_filter(x, y, query_mask, insert_mask)
+    with pytest.MonkeyPatch.context() as patch:
+        if block_floats is not None:
+            patch.setattr(rpc, "_BLOCK_FLOATS", block_floats)
+        got = sieve._shares_filter(x, y, query_mask, insert_mask)
+    assert got.dtype == bool
+    assert np.array_equal(got, want)
+    return got
+
+
+@pytest.mark.parametrize("d, n, t, alpha, beta", [
+    (24, 4000, 7754, 0.5, 0.5),  # the README run
+    (24, 4000, 13677, 0.4, 0.6),  # alpha != beta, both orientations
+    (24, 4000, 13677, 0.6, 0.4),
+    (40, 2000, 299813, 0.5, 0.5),  # 36 tiles of filters
+])
+def test_sharing_test_matches_the_scipy_product(d, n, t, alpha, beta):
+    from sievelab.rng import derive_seed
+
+    inst = sieve.random_instance(d, n, 1, theta=math.pi / 3)
+    fam = rpc.build_family("explicit", d, derive_seed(1, 1), t=t)
+    got = _check_sharing(inst, fam, alpha, beta)
+    assert 0 < got.sum() < got.size
+
+
+@pytest.mark.parametrize("t", [1, 50, 64, 130, 200])
+@pytest.mark.parametrize("block_floats", [None, 180, 1])
+def test_sharing_test_on_small_and_ragged_filter_counts(t, block_floats):
+    # t below one word, one full word and ragged last words; a budget of 180
+    # floats is one word per row of the 180-vector list, so filters are cut
+    # into 64-filter tiles and pairs that share drop out between them, and a
+    # budget of 1 keeps one word per tile and tests one pair per chunk
+    inst = _duplicated_list()  # duplicates share every filter of their rows
+    fam = rpc.build_family("explicit", 12, 7, t=t)
+    for alpha, beta in ((0.45, 0.45), (0.3, 0.6), (0.6, 0.3)):
+        _check_sharing(inst, fam, alpha, beta, block_floats)
+
+
+def test_sharing_test_with_empty_rows():
+    # at threshold 0.8 most rows have no filter, and at -1 every row has all
+    inst = sieve.random_instance(12, 200, seed=3, theta=1.4)
+    fam = rpc.build_family("explicit", 12, 8, t=300)
+    (sparse_mask,) = sieve._close_masks(inst, fam, {"alpha": 0.8})
+    assert (np.diff(sparse_mask.indptr) == 0).mean() > 0.5
+    for alpha, beta in ((0.8, 0.8), (0.8, -1.0), (-1.0, 0.8), (-1.0, -1.0)):
+        _check_sharing(inst, fam, alpha, beta)
+    x = y = np.empty(0, dtype=np.int64)  # no pairs at all
+    assert sieve._shares_filter(x, y, sparse_mask, sparse_mask).size == 0

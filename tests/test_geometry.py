@@ -105,6 +105,26 @@ def test_reg_inc_beta_against_scipy():
         assert ours == pytest.approx(ref, rel=1e-10, abs=1e-14)
 
 
+def test_array_incomplete_beta_against_scipy():
+    # the wedge cross-section's form: b = 1/2 and a = (d2 - 1) / 2 for every
+    # d2 up to 64, at the ends, near them and between
+    x = np.array([0.0, 1.0, 1e-300, 1e-100, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99,
+                  1 - 1e-6, 1 - 1e-10])
+    for a in np.arange(0.5, 32.0, 0.5):
+        ours = G._reg_inc_beta_array(a, 0.5, x)
+        ref = sps.betainc(a, 0.5, x)
+        assert ours[0] == 0.0 and ours[1] == 1.0
+        # below the least normal double (x^a at x = 1e-12, a >= 26) no value
+        # has 11 digits, and scipy flushes to 0 where the fraction keeps a few
+        assert ours == pytest.approx(ref, rel=1e-11, abs=np.finfo(float).tiny), a
+    # one ulp below 1, where scipy keeps only 9 digits at a = 1/2: the closed
+    # forms I_x(1/2, 1/2) = (2/pi) asin(sqrt(x)) and I_x(1, 1/2) = 1 - sqrt(1 - x)
+    x = np.array([1.0 - 2.0**-53])
+    assert G._reg_inc_beta_array(0.5, 0.5, x)[0] == pytest.approx(
+        1.0 - 2.0 / math.pi * math.asin(math.sqrt(2.0**-53)), rel=1e-15)
+    assert G._reg_inc_beta_array(1.0, 0.5, x)[0] == pytest.approx(1.0 - 2.0**-26.5, rel=1e-15)
+
+
 def test_cap_volume_exact_arc_oracle():
     for alpha in (-0.75, -0.5, 0.0, 0.25, 0.5, 0.9):
         assert G.cap_volume_exact(2, alpha) == pytest.approx(arc_cap(alpha), rel=1e-11)
