@@ -179,8 +179,12 @@ def cmd_sieve(ns) -> list[dict]:
         raise DomainError(f"--theta must lie in (0, pi), got {theta}")
     alpha = ns.alpha if ns.alpha is not None else math.cos(theta)
     beta = ns.beta if ns.beta is not None else math.cos(theta)
-    for name, thr in (("beta", beta), ("alpha", alpha)):  # before the wedge, in pair_keys' order
+    # before the wedge, in pair_keys' order
+    for name, flag, thr in (("beta", ns.beta, beta), ("alpha", ns.alpha, alpha)):
         if not -1.0 <= thr < 1.0:
+            if flag is None:  # cos(theta) leaves [-1, 1) only by rounding to 1 at a tiny theta
+                raise DomainError(f"{name} defaults to cos(--theta) = {thr}, outside [-1, 1): "
+                                  f"--theta {theta} is too small")
             raise DomainError(f"{name} must lie in [-1, 1), got {thr}")
     for flag, count in (("--t", ns.t), ("--wedge-samples", ns.wedge_samples)):
         if count is not None and count < 1:

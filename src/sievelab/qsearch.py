@@ -25,7 +25,12 @@ bit generator's C interface: the same values at a fraction of the call
 cost.  A search pays its setup once: blocked_search, blocked_pair_search
 and min_find_with_cost each take one rng.search_draws stream (the
 thread's Philox, re-keyed to make_rng(seed)'s stream) and reuse it for
-every block, block pair and descent step.  The BBHT loop reads its
+every block, block pair and descent step.  Minimum finding charges its
+last search, the one from a least value, without drawing: with no
+marked element that search misses and burns the rest of its budget
+whatever it draws, and nothing reads the stream after it.  The
+blocked searches still draw through their unmarked blocks, since a
+later block reads the same stream.  The BBHT loop reads its
 attempt sizes from a cached schedule per space size, and it and the
 sparse pair probe read their hit probabilities from one cached table per
 (size, marked count).
@@ -311,17 +316,28 @@ def min_find_with_cost(values: Sequence[float], seed: int) -> tuple[int, int]:
     miss (as past the minimum) burns what is left.  Single-run success
     is probabilistic (better than even); ties resolve to the earliest
     index reached.
+
+    The search from a least value is charged without being simulated:
+    with no marked element every attempt hits with chance sin^2(0) = 0,
+    so it misses and burns the rest of the budget whatever it draws.
+    The stream is drawn only by the searches that can hit, and
+    search_draws is called only before the first of them.
     """
     vals = np.asarray(values, dtype=float)
     n = vals.size
     if n == 0:
         raise DomainError("min_find_with_cost needs a nonempty list")
-    draws = search_draws(seed)
     budget = math.ceil(MINFIND_BUDGET_FACTOR * math.sqrt(n))
     remaining = budget
     best = 0
+    draws = None
     while remaining > 0:
-        idx, spent = _bbht_flags(vals < vals[best], draws, remaining)
+        below = vals < vals[best]  # all False at a least value, or at NaN
+        if not below.any():
+            break
+        if draws is None:
+            draws = search_draws(seed)
+        idx, spent = _bbht_flags(below, draws, remaining)
         remaining -= spent  # a miss spends all that remains
         if idx is not None:
             best = idx

@@ -216,6 +216,18 @@ def test_sieve_reports_beta_before_alpha(capsys, method):
         assert capsys.readouterr().err == f"error: {name} must lie in [-1, 1), got {shown}\n"
 
 
+def test_sieve_names_theta_when_a_threshold_defaults_to_its_cosine(capsys):
+    # the message named beta, which the user never set
+    argv = ["sieve", "--d", "3", "--n", "5", "--theta", "1e-9"]
+    for flags, name in (([], "beta"), (["--beta", "0.5"], "alpha")):
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err == (
+            f"error: {name} defaults to cos(--theta) = 1.0, outside [-1, 1): "
+            "--theta 1e-09 is too small\n")
+    assert main(argv + ["--alpha", "0.4", "--beta", "0.5"]) == 0
+    capsys.readouterr()
+
+
 def test_sieve_with_no_forecast_reports_a_null_ratio(capsys):
     # both caps underflow to 0.0 at d = 64, so expected_inner_products is 0;
     # the ratio was a division by zero (exit 4)
@@ -323,6 +335,8 @@ BAD_INPUTS = [
     # run exited 0
     "sieve --d 24 --n 10 --theta 3.141592653589793",
     "sieve --d 24 --n 10 --t 5 --theta 3.141592653589793",
+    # a tiny theta rounds the default thresholds cos(theta) to 1
+    "sieve --d 3 --n 5 --theta 1e-9",
 ]
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from sievelab import qsearch as Q
 from sievelab.cli import QSEARCH_SIZE_GUARD
 from sievelab.errors import DomainError
-from sievelab.rng import DEFAULT_SEED, derive_seed, make_rng
+from sievelab.rng import DEFAULT_SEED, Draws, derive_seed, make_rng
 
 
 # --- QAA -------------------------------------------------------------------
@@ -558,6 +558,39 @@ def test_min_find_spends_its_whole_budget(values, seed):
     idx, cost = Q.min_find_with_cost(values, seed)
     assert cost == math.ceil(8 * math.sqrt(len(values)))
     assert 0 <= idx < len(values)
+
+
+def _min_find_replay(values, seed):
+    """min_find_with_cost's descent as written before the early stop: the
+    search from a least value runs and burns the rest of the budget."""
+    vals = np.asarray(values, dtype=float)
+    draws = Draws(make_rng(seed))
+    budget = math.ceil(8 * math.sqrt(vals.size))
+    remaining, best = budget, 0
+    while remaining > 0:
+        idx, spent = Q._bbht_flags(vals < vals[best], draws, remaining)
+        remaining -= spent
+        if idx is not None:
+            best = idx
+    return best, budget
+
+
+@given(
+    values=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf, -math.inf, math.nan]),
+                    min_size=1, max_size=400),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_min_find_stops_where_the_old_descent_burned_its_budget(values, seed):
+    assert Q.min_find_with_cost(values, seed) == _min_find_replay(values, seed)
+
+
+def test_min_find_from_a_least_value_draws_nothing(monkeypatch):
+    def refuse(seed):
+        raise AssertionError("drew for a search with no marked element")
+
+    monkeypatch.setattr(Q, "search_draws", refuse)
+    assert Q.min_find_with_cost(np.ones(50), seed=1) == (0, math.ceil(8 * math.sqrt(50)))
+    assert Q.min_find_with_cost(np.arange(17.0), seed=1) == (0, math.ceil(8 * math.sqrt(17)))
 
 
 def test_min_find_empty_rejected():
