@@ -245,7 +245,7 @@ def cmd_sieve(ns) -> list[dict]:
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",")]
     except ValueError:
         values = []
     if not values:

@@ -74,49 +74,16 @@ def t_rate(alpha: float, beta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact cap volume via the regularized incomplete beta function.
-# Continued fraction (modified Lentz), relative tolerance 1e-12.
+# Exact cap volume via the regularized incomplete beta function: one
+# continued fraction (modified Lentz), two stops.  reg_inc_beta, behind
+# cap_volume_exact, stops at 1e-12 with math's front factor; the wedge
+# cross-sections stop at 1e-14, where their quadrature came within 1e-14
+# of scipy's betainc (3.4e-13 at 1e-12) for a tenth more time.  Sharing
+# one front and one stop would move the exact cap volumes in the output.
 
 _BETA_TOL = 1e-12
 _FPMIN = 1e-300
-# the array form's stop, which _cross_section_volume uses: at 1e-12 the
-# wedge quadrature strayed up to 3.4e-13 from scipy's betainc, at 1e-14
-# about 1e-14, for a tenth more time
 _BETA_ARRAY_TOL = 1e-14
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_TOL:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:
@@ -138,17 +105,20 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     )
     front = math.exp(ln_front)
     # symmetry switch keeps the continued fraction in its fast region
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    low = x < (a + 1.0) / (a + b + 2.0)
+    p, q, y = (np.array([v], float) for v in ((a, b, x) if low else (b, a, 1.0 - x)))
+    cf = float(_betacf(p, q, y, _BETA_TOL)[0])
+    return front * cf / a if low else 1.0 - front * cf / b
 
 
-def _betacf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """_betacf entrywise, each entry run until its own step passes
-    _BETA_ARRAY_TOL.
+def _betacf(a: np.ndarray, b: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+    """The continued fraction of I_x(a, b), entrywise, each entry run
+    until its own step changes the value by less than tol relative.
 
-    The operations are _betacf's, in its order; converged entries leave
-    the working arrays, so each step costs only the entries still open.
+    Only +, -, *, / and comparisons touch the values, so an entry comes
+    out as the same float that Python scalars would give.  Converged
+    entries leave the working arrays, so each step costs only the
+    entries still open.
     """
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = np.ones_like(x)
@@ -171,7 +141,7 @@ def _betacf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
             d = 1.0 / d
             delta = d * c
             h *= delta
-        done = np.abs(delta - 1.0) < _BETA_ARRAY_TOL
+        done = np.abs(delta - 1.0) < tol
         if done.any():
             out[at[done]] = h[done]
             at, a, b, x, qab, qap, qam, c, d, h = (
@@ -184,9 +154,9 @@ def _betacf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _reg_inc_beta_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """reg_inc_beta(a, b, .) on each entry of an array x in [0, 1].
 
-    Same front factor, symmetry switch and continued fraction as the
-    scalar form, run to a tighter stop, so the two agree to about 1e-12
-    relative, though not bit for bit.
+    The same symmetry switch and continued fraction as the scalar form,
+    with numpy's front factor and a tighter stop, so the two agree to
+    about 1e-12 relative, though not bit for bit.
     """
     out = np.where(x == 1.0, 1.0, 0.0)
     inner = (0.0 < x) & (x < 1.0)
@@ -197,7 +167,7 @@ def _reg_inc_beta_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
     # the continued fraction runs at (a, b, x) below the switch and at
     # (b, a, 1 - x) above it
     ca, cb = np.where(low, a, b), np.where(low, b, a)
-    cf = _betacf_array(ca, cb, np.where(low, xi, 1.0 - xi))
+    cf = _betacf(ca, cb, np.where(low, xi, 1.0 - xi), _BETA_ARRAY_TOL)
     out[inner] = np.where(low, front * cf / a, 1.0 - front * cf / b)
     return out
 

@@ -26,8 +26,9 @@ from . import exponents
 from .errors import DomainError, GuardError
 from .rng import DEFAULT_SEED, derive_seed, make_rng
 
-# Bit-size guard: counts are materialized as integers per trial, and the
-# tolerance arguments assume the ceil() noise stays sub-bit.
+# Bit-size guard: counts are materialized per trial as floats, exact while
+# they stay far below 2^53, and the tolerance arguments assume the ceil()
+# noise stays sub-bit.
 SYMKEY_N_GUARD = 22
 # _emulate holds one count per trial
 SYMKEY_TRIALS_GUARD = 10**6
@@ -65,23 +66,16 @@ def _check_plan(plan: EmulationPlan) -> None:
         raise DomainError("plan needs the prefix length r")
 
 
-def _amplified_iterations(space: int, rng) -> int:
-    # One planted solution on average; k = 0 runs are charged as if the
-    # single expected solution were present.
-    k = max(1, int(rng.binomial(space, 1.0 / space)))
-    return math.ceil(_QUARTER_PI * math.sqrt(space / k))
-
-
 def _emulate(
     plan: EmulationPlan, setup: int, chain_cost: int, membership: int, space: int
 ) -> float:
     """Mean over plan.trials of the setup plus one amplified stage, each
     iteration paying a chain and a block-membership test."""
-    rng = make_rng(plan.seed)
-    per_iteration = chain_cost + membership
-    return float(np.mean(
-        [setup + _amplified_iterations(space, rng) * per_iteration for _ in range(plan.trials)]
-    ))
+    # One planted solution on average; k = 0 runs are charged as if the
+    # single expected solution were present.
+    k = np.maximum(1, make_rng(plan.seed).binomial(space, 1.0 / space, size=plan.trials))
+    iterations = np.ceil(_QUARTER_PI * np.sqrt(space / k))
+    return float(np.mean(setup + iterations * (chain_cost + membership)))
 
 
 def emulate_collision_queries(plan: EmulationPlan) -> float:

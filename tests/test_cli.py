@@ -300,6 +300,10 @@ BAD_INPUTS = [
     "qsearch --experiment blocked --trials 2 --M 0",
     "qsearch --experiment blocked --trials 2 --S ,,",
     "qsearch --experiment pair --trials 2 --S ,,",
+    # exit 0: an empty list item was dropped
+    "circuit --buckets 1,,2",
+    "circuit --buckets 1,2,",
+    "qsearch --experiment blocked --M 16 --S 1,,4 --trials 2",
     "qsearch --experiment minfind --trials 2 --size -1",
     "sieve --d 24 --n 10 --theta inf",  # exit 4: math domain error in the cosine
     "sieve --d 24 --n 10 --theta=-inf",

@@ -105,6 +105,85 @@ def test_reg_inc_beta_against_scipy():
         assert ours == pytest.approx(ref, rel=1e-10, abs=1e-14)
 
 
+# The scalar continued fraction and reg_inc_beta as they stood before the
+# array kernel took over both callers: Python floats, stop at 1e-12.
+def _ref_betacf(a, b, x):
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < 1e-300:
+        d = 1e-300
+    d = 1.0 / d
+    h = d
+    for m in range(1, 400):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < 1e-300:
+            d = 1e-300
+        c = 1.0 + aa / c
+        if abs(c) < 1e-300:
+            c = 1e-300
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < 1e-300:
+            d = 1e-300
+        c = 1.0 + aa / c
+        if abs(c) < 1e-300:
+            c = 1e-300
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-12:
+            return h
+    raise ArithmeticError("incomplete beta continued fraction did not converge")
+
+
+def _ref_reg_inc_beta(a, b, x):
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _ref_betacf(a, b, x) / a
+    return 1.0 - front * _ref_betacf(b, a, 1.0 - x) / b
+
+
+def _ref_cap_volume(d, alpha):
+    if alpha < 0.0:
+        return 1.0 - _ref_cap_volume(d, -alpha)
+    if alpha == 1.0:
+        return 0.0
+    return 0.5 * _ref_reg_inc_beta((d - 1) / 2.0, 0.5, 1.0 - alpha * alpha)
+
+
+@st.composite
+def _beta_args(draw):
+    a = draw(st.floats(0.05, 300.0))
+    b = draw(st.one_of(st.just(0.5), st.floats(0.05, 6.0)))
+    switch = (a + 1.0) / (a + b + 2.0)
+    x = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+        [switch, math.nextafter(switch, 0.0), math.nextafter(switch, 1.0),
+         1e-300, 1e-12, 1.0 - 1e-12])))
+    return a, b, x
+
+
+@given(args=_beta_args())
+def test_reg_inc_beta_bit_equal_to_scalar_reference(args):
+    # the array kernel on one entry gives the scalar fraction's very float
+    assert G.reg_inc_beta(*args) == _ref_reg_inc_beta(*args)
+
+
+def test_cap_volume_exact_bit_equal_to_scalar_reference():
+    for d in range(2, 65):
+        for alpha in np.linspace(-1.0, 1.0, 41).tolist():
+            assert G.cap_volume_exact(d, alpha) == _ref_cap_volume(d, alpha), (d, alpha)
+
+
 def test_array_incomplete_beta_against_scipy():
     # the wedge cross-section's form: b = 1/2 and a = (d2 - 1) / 2 for every
     # d2 up to 64, at the ends, near them and between
