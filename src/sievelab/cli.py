@@ -139,8 +139,9 @@ def cmd_tradeoff(ns) -> list[dict]:
     # remaining models sweep the linear memory parameter gamma >= 1
     gmin = ns.gamma_min if ns.gamma_min is not None else 1.0
     gmax = ns.gamma_max if ns.gamma_max is not None else exponents.GAMMA_MAX.get(model, 1.0)
-    if not gmin >= 1.0:
-        raise DomainError(f"gamma is a linear memory factor and starts at 1, got {gmin}")
+    for flag, g in (("--gamma-min", gmin), ("--gamma-max", gmax)):
+        if not g >= 1.0:
+            raise DomainError(f"gamma is a linear memory factor and starts at 1, got {flag} {g}")
     gammas = _sweep(gmin, gmax, ns)
     pts = exponents.tradeoff_curve(model, (math.log2(float(g)) for g in gammas))
     return [

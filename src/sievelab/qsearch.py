@@ -13,11 +13,11 @@ max(1, j) oracle evaluations; the classical check of the measured
 candidate is folded into the final iteration (a bare j=0 measurement
 costs the one evaluation the check spends).
 
-One BBHT loop serves every search: bbht_search takes the search space
-as a flag vector, runs on its size and marked count alone and names a
-marked index only on a hit.  The QRAM ledger counts one reload per
-block (or block pair) loaded.  A window of S = 1 is the classical scan,
-worked out in closed form from the first mark.
+One BBHT loop, _bbht, serves every search: it runs on the space's size
+and marked count alone and names its hit as a rank among the marks,
+which each caller maps to its own index.  The QRAM ledger counts one
+reload per block (or block pair) loaded.  A window of S = 1 is the
+classical scan, worked out in closed form from the first mark.
 
 Every scalar search draw goes through rng.Draws, which reads numpy's
 Generator.integers(0, n) and Generator.random() stream straight from the
@@ -118,16 +118,8 @@ def bbht_search(
     flags = np.asarray(flags, dtype=bool)
     if flags.ndim != 1 or flags.size < 1:
         raise DomainError(f"bbht_search needs a nonempty flag vector, got shape {flags.shape}")
-    return _bbht_flags(flags, Draws(rng), cap)
-
-
-def _bbht_flags(flags: np.ndarray, draws: Draws, cap: int) -> tuple[int | None, int]:
-    """bbht_search on a nonempty bool vector, drawing from draws."""
-    k = int(np.count_nonzero(flags))
-    hit, evals = _bbht_two_class(flags.size, k, draws, cap)
-    if hit is None:
-        return None, evals
-    return int(np.flatnonzero(flags)[draws.below(k)]), evals
+    rank, evals = _bbht(flags.size, int(np.count_nonzero(flags)), Draws(rng), cap)
+    return (None if rank is None else int(np.flatnonzero(flags)[rank])), evals
 
 
 @lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
@@ -170,9 +162,10 @@ def _hit_table(S: int, k: int) -> tuple[float, ...] | _HitRow:
     return tuple(math.sin((2 * j + 1) * theta) ** 2 for j in range(n))
 
 
-def _bbht_two_class(S: int, k: int, draws: Draws, cap: int) -> tuple[bool | None, int]:
-    """bbht_search over a space summarized by (size, marked count);
-    returns (True on a verified hit, None on cap exhaustion)."""
+def _bbht(S: int, k: int, draws: Draws, cap: int) -> tuple[int | None, int]:
+    """bbht_search over a space summarized by (size, marked count): (rank,
+    evaluations spent).  A verified hit names the rank-th mark, drawn as
+    draws.below(k) right after the hit; rank is None when the cap runs out."""
     below, uniform = draws.below, draws.uniform
     sched = _bbht_schedule(S)
     hit = _hit_table(S, k)
@@ -187,11 +180,17 @@ def _bbht_two_class(S: int, k: int, draws: Draws, cap: int) -> tuple[bool | None
             break
         evals += cost
         if uniform() < hit[j]:
-            return True, evals
+            return below(k), evals
         # measured an unmarked element; grow the iteration range
         if i < last:
             i += 1
     return None, evals
+
+
+def _check_window(M: int, S: int) -> None:
+    """blocked_search's window rule: 1 <= S <= M."""
+    if not 1 <= S <= M:
+        raise DomainError(f"blocked_search needs 1 <= S <= M={M}, got S={S}")
 
 
 def blocked_search(
@@ -209,8 +208,7 @@ def blocked_search(
     flags = np.asarray(f, dtype=bool)
     if flags.shape != (M,):
         raise DomainError(f"f must have length M={M}")
-    if not 1 <= S <= M:
-        raise DomainError(f"blocked_search needs 1 <= S <= M={M}, got S={S}")
+    _check_window(M, S)
     if S == 1:
         marks = np.flatnonzero(flags)
         if marks.size:
@@ -224,11 +222,10 @@ def blocked_search(
     blocks.flat[:M] = flags
     evals = 0
     for b, k in enumerate(np.count_nonzero(blocks, axis=1).tolist()):
-        hit, spent = _bbht_two_class(S, k, draws, cap)
+        rank, spent = _bbht(S, k, draws, cap)
         evals += spent
-        if hit is not None:
-            local = int(np.flatnonzero(blocks[b])[draws.below(k)])
-            return SearchReport(b * S + local, evals, b + 1, True)
+        if rank is not None:
+            return SearchReport(b * S + int(np.flatnonzero(blocks[b])[rank]), evals, b + 1, True)
     return SearchReport(None, evals, len(blocks), False)
 
 
@@ -291,11 +288,10 @@ def blocked_pair_search(
             if dense:
                 remaining = budget
                 while remaining > 0:
-                    k = len(live)
-                    sub, spent = _bbht_two_class(space, k, draws, remaining)
+                    rank, spent = _bbht(space, len(live), draws, remaining)
                     remaining -= spent
-                    if sub is not None:
-                        found.add(live.pop(draws.below(k)))
+                    if rank is not None:
+                        found.add(live.pop(rank))
             else:
                 k = len(live)
                 if draws.uniform() < _hit_table(space, k)[probe]:
@@ -333,14 +329,15 @@ def min_find_with_cost(values: Sequence[float], seed: int) -> tuple[int, int]:
     draws = None
     while remaining > 0:
         below = vals < vals[best]  # all False at a least value, or at NaN
-        if not below.any():
+        k = int(np.count_nonzero(below))
+        if k == 0:
             break
         if draws is None:
             draws = search_draws(seed)
-        idx, spent = _bbht_flags(below, draws, remaining)
+        rank, spent = _bbht(n, k, draws, remaining)
         remaining -= spent  # a miss spends all that remains
-        if idx is not None:
-            best = idx
+        if rank is not None:
+            best = int(np.flatnonzero(below)[rank])
     return best, budget
 
 
@@ -378,9 +375,11 @@ def planted_instance(M: int, p: float, rng: np.random.Generator) -> np.ndarray:
 def blocked_search_scaling(
     M: int, S_values: Sequence[int], p: float, trials: int, seed: int
 ) -> list[ScalingRow]:
-    """Mean cost of blocked_search across S on a shared instance set."""
+    """Mean cost of blocked_search across S on a shared instance set, every S checked first."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    for S in S_values:
+        _check_window(M, S)
     instances = [planted_instance(M, p, make_rng(seed, t)) for t in range(trials)]
     rows = []
     for S in S_values:

@@ -8,8 +8,9 @@ explicit family of t random centers is the one-block case, m = t, B = 1.
 
 Two queries matter downstream.  decode(scores, alpha) finds, for a batch
 of rows, every codeword reaching alpha by one branch-and-bound over the
-block scores; scan decodes a batch tile by tile at several thresholds,
-and relevant_filters(v, alpha) is its one-row case.
+block scores.  score_tiles walks a batch's score tiles in one flat
+sequence, scan decodes each tile at several thresholds, and
+relevant_filters(v, alpha) is its one-row case.
 sample_alpha_close draws a near-uniform qualifying center from a
 bounded string of random coins, using a dynamic-programming tree over
 discretized block scores.  The discretization only ever widens the
@@ -156,16 +157,16 @@ def spans(weights: np.ndarray, budget: int | None = None) -> list[slice]:
     return cuts
 
 
-def score_chunks(
+def score_tiles(
     rows: np.ndarray, blocks: Sequence[np.ndarray]
-) -> Iterator[tuple[int, Iterator[tuple[int, list[np.ndarray]]]]]:
-    """Per spans chunk of rows, the chunk's first row index and its tiles:
-    per tile, its first vector index c0 and the (chunk rows, width) score
-    matrix against each block's vectors c0 onwards, one product each.
+) -> Iterator[tuple[int, int, list[np.ndarray]]]:
+    """The rows' scores, one tile at a time: per tile, its first row r0, its
+    first vector index c0 and the (tile rows, width) score matrix against each
+    block's vectors c0 onwards, one product each.  Tiles come in row order.
 
-    A row weighs its m scores, and its chunk is one full-width tile.  One
-    block whose row of scores exceeds the budget (an explicit family with
-    t > _BLOCK_FLOATS) is cut into R = isqrt(budget) rows instead, and its
+    A row weighs its m scores, and each spans chunk of rows is one full-width
+    tile.  One block whose row of scores exceeds the budget (an explicit family
+    with t > _BLOCK_FLOATS) is cut into R = isqrt(budget) rows instead, and its
     vectors by spans, each weighing one score per row of the chunk: a score
     matrix then stays within the budget, and the centers are read once per
     R rows."""
@@ -177,44 +178,39 @@ def score_chunks(
         runs = spans(np.broadcast_to(m, len(rows)))
     for run in runs:
         chunk = rows[run]
-        cuts = spans(np.broadcast_to(len(chunk), m)) if tiled else [slice(0, m)]
-        yield run.start, _tiles(chunk, blocks, w, cuts)
-
-
-def _tiles(
-    chunk: np.ndarray, blocks: Sequence[np.ndarray], w: int, cuts: list[slice]
-) -> Iterator[tuple[int, list[np.ndarray]]]:
-    """score_chunks' tiles of one row chunk, each scored as it is read."""
-    for cut in cuts:
-        yield cut.start, [chunk[:, b * w : (b + 1) * w] @ blk[cut].T
-                          for b, blk in enumerate(blocks)]
+        for cut in spans(np.broadcast_to(len(chunk), m)) if tiled else [slice(0, m)]:
+            yield run.start, cut.start, [chunk[:, b * w : (b + 1) * w] @ blk[cut].T
+                                         for b, blk in enumerate(blocks)]
 
 
 def scan(
     rows: np.ndarray, blocks: Sequence[np.ndarray], thresholds: Sequence[float]
 ) -> tuple[list[np.ndarray], list[int]]:
     """Per threshold, decode's ascending keys x * t + i over the rows and the
-    blocks (t = m^B), and its node count.  Each score_chunks tile serves every
-    threshold, and each row chunk's keys are sorted once."""
+    blocks (t = m^B), and its node count.  Each score_tiles tile serves every
+    threshold; the keys are sorted once, in place, only when a block was cut
+    into tiles narrower than m, whose keys interleave."""
     m = len(blocks[0])
     t = m ** len(blocks)
     keys: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in thresholds]
     nodes = [0] * len(thresholds)
-    for lo, tiles in score_chunks(rows, blocks):
-        found: list[list[np.ndarray]] = [[] for _ in thresholds]
-        for c0, scores in tiles:
-            width = scores[0].shape[1]
-            for k, thr in enumerate(thresholds):
-                got, expanded = decode(scores, thr)
-                nodes[k] += expanded
-                if width == m:
-                    found[k].append(got + lo * t)
-                else:  # a tile of one block's centers c0 .. c0 + width
-                    r, c = np.divmod(got, width)
-                    found[k].append((r + lo) * t + c + c0)
-        for part, got in zip(keys, found):
-            part.append(got[0] if len(got) == 1 else np.sort(np.concatenate(got)))
-    return [np.concatenate(part) for part in keys], nodes
+    narrow = False
+    for r0, c0, scores in score_tiles(rows, blocks):
+        width = scores[0].shape[1]
+        narrow |= width < m
+        for k, thr in enumerate(thresholds):
+            got, expanded = decode(scores, thr)
+            nodes[k] += expanded
+            if width == m:
+                keys[k].append(got + r0 * t)
+            else:  # a tile of one block's centers c0 .. c0 + width
+                r, c = np.divmod(got, width)
+                keys[k].append((r + r0) * t + c + c0)
+    out = [np.concatenate(part) for part in keys]
+    if narrow:
+        for got in out:
+            got.sort()
+    return out, nodes
 
 
 def relevant_filters(family: FilterFamily, v: np.ndarray, alpha: float) -> list[int]:
@@ -320,7 +316,7 @@ def sample_levels(
     level_min that qualifies at alpha, and epsilon.
 
     The rows are checked once, as one check_queries call, and scored by
-    score_chunks, one product per block and score tile.  A codeword
+    score_tiles, one product per block and score tile.  A codeword
     qualifies for a row when its level sum reaches level_min, i.e. when
     step * sum - sqrt(B) > alpha - epsilon.
     """
@@ -333,11 +329,10 @@ def sample_levels(
     epsilon = B * step
     smin = -1.0 / math.sqrt(B)
     levels = [np.empty((len(V), family.m), dtype=np.int64) for _ in range(B)]
-    for lo, tiles in score_chunks(V, family.blocks):
-        for c0, scores in tiles:
-            for out, s in zip(levels, scores):
-                lv = np.floor((s - smin) / step + 1e-12).astype(np.int64)
-                out[lo : lo + len(s), c0 : c0 + s.shape[1]] = np.clip(lv, 0, GRID_SIZE)
+    for r0, c0, scores in score_tiles(V, family.blocks):
+        for out, s in zip(levels, scores):
+            lv = np.floor((s - smin) / step + 1e-12).astype(np.int64)
+            out[r0 : r0 + len(s), c0 : c0 + s.shape[1]] = np.clip(lv, 0, GRID_SIZE)
     level_min = int(math.floor((alpha - epsilon + math.sqrt(B)) / step + 1e-12)) + 1
     return levels, level_min, epsilon
 

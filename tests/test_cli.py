@@ -90,6 +90,7 @@ def test_tradeoff_usage_errors(capsys):
     assert "usage" in capsys.readouterr().err
     assert main(["tradeoff", "--model", "t2", "--steps", "0"]) == 2
     assert main(["tradeoff", "--model", "t2", "--gamma-min", "0.5"]) == 2
+    assert "--gamma-min 0.5" in capsys.readouterr().err
 
 
 # --- output contracts ----------------------------------------------------------
@@ -292,6 +293,12 @@ def test_qsearch_bad_list(capsys):
     capsys.readouterr()
 
 
+GAMMA_MAX_BELOW_1 = [
+    "tradeoff --model t2 --gamma-max 0 --steps 2",
+    "tradeoff --model t3 --gamma-max -1 --steps 3",
+    "tradeoff --model t2 --steps 1 --gamma-max 0",
+]
+
 BAD_INPUTS = [
     "qsearch --experiment blocked --trials 2 --p 0",  # hung: no instance gets a mark
     "qsearch --experiment blocked --trials 2 --p -0.5",
@@ -341,6 +348,8 @@ BAD_INPUTS = [
     "sieve --d 24 --n 10 --t 5 --theta 3.141592653589793",
     # a tiny theta rounds the default thresholds cos(theta) to 1
     "sieve --d 3 --n 5 --theta 1e-9",
+    # exit 4 (math domain error), and exit 0 for one step, which never reached --gamma-max
+    *GAMMA_MAX_BELOW_1,
 ]
 
 
@@ -360,6 +369,14 @@ def test_invalid_input_exits_2(command):
     proc = _run_cli(command)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(b"error: ")
+
+
+@pytest.mark.parametrize("command", GAMMA_MAX_BELOW_1 + ["tradeoff --model t5 --gamma-max 0.5"])
+def test_tradeoff_names_a_gamma_max_below_1(capsys, command):
+    # --gamma-max 0.5 exited 2 naming gamma_rate, which the user never set
+    assert main(command.split()) == 2
+    err = capsys.readouterr().err
+    assert "--gamma-max" in err and "gamma_rate" not in err
 
 
 def test_sieve_small_d_names_the_flag(capsys):

@@ -6,6 +6,7 @@ lists, pair sets grown one candidate at a time.  The engine must match
 it exactly: the same buckets, the same pair sets and the same ledgers.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -496,7 +497,7 @@ def test_close_keys_are_the_symmetric_full_gram_set(monkeypatch, block_floats):
 @pytest.mark.parametrize("seed, n", [(1, 1), (2, 20), (3, 301)])
 def test_tiled_center_scan_gives_the_full_width_masks(monkeypatch, seed, n):
     # a budget of 900 floats is below t = 2000, so a row of scores no longer
-    # fits: score_chunks cuts R = 30 rows and tiles of 900 // rows centers,
+    # fits: score_tiles cuts R = 30 rows and tiles of 900 // rows centers,
     # and 2000 is no multiple of 30; n = 20 < R is one short row chunk with
     # 45-center tiles, n = 301 ends in a one-row chunk, and alpha != beta
     # gives two masks per tile
@@ -505,9 +506,10 @@ def test_tiled_center_scan_gives_the_full_width_masks(monkeypatch, seed, n):
     thresholds = {"beta": BETA, "alpha": ALPHA}
     want = sieve._close_masks(inst, fam, thresholds)
     monkeypatch.setattr(rpc, "_BLOCK_FLOATS", 900)
-    lo, tiles = next(rpc.score_chunks(inst.directions(), fam.blocks))
+    tiles = rpc.score_tiles(inst.directions(), fam.blocks)
     width = 900 // min(30, n)
-    assert [c0 for c0, _ in tiles][:3] == [0, width, 2 * width]
+    assert [(r0, c0) for r0, c0, _ in itertools.islice(tiles, 3)] == [
+        (0, 0), (0, width), (0, 2 * width)]
     got = sieve._close_masks(inst, fam, thresholds)
     for g, w in zip(got, want):
         assert g.shape == w.shape

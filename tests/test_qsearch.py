@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sievelab import qsearch as Q
-from sievelab.cli import QSEARCH_SIZE_GUARD
+from sievelab.cli import QSEARCH_SIZE_GUARD, main
 from sievelab.errors import DomainError
 from sievelab.rng import DEFAULT_SEED, Draws, derive_seed, make_rng
 
@@ -129,6 +129,52 @@ def test_bbht_search_advances_the_callers_generator_as_before():
         Q.min_find_with_cost(case.random(50), t)
         assert got == _bbht_replay(flags, twin, cap), t
         assert rng.random() == twin.random(), t
+
+
+def _ref_bbht_two_class(S, k, draws, cap):
+    """The BBHT loop as it stood before it named its own hit: True on a
+    verified hit, None on cap exhaustion; the caller then drew the rank."""
+    below, uniform = draws.below, draws.uniform
+    sched = Q._bbht_schedule(S)
+    hit = Q._hit_table(S, k)
+    last = len(sched) - 1
+    i = 0
+    evals = 0
+    while evals < cap:
+        j = below(sched[i])
+        cost = j or 1
+        if evals + cost > cap:
+            evals = cap  # truncated attempt burns the remaining budget
+            break
+        evals += cost
+        if uniform() < hit[j]:
+            return True, evals
+        # measured an unmarked element; grow the iteration range
+        if i < last:
+            i += 1
+    return None, evals
+
+
+def _stream_state(draws):
+    state = draws.generator.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
+
+
+@given(
+    # past 10**6 the hit table is computed entry by entry (_HitRow)
+    S=st.one_of(st.integers(1, 5000), st.integers(10**6 + 1, 10**9)),
+    marks=st.sampled_from(["none", "one", "all"]),
+    cap=st.integers(1, 500),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_bbht_names_the_hit_its_callers_drew(S, marks, cap, seed):
+    k = {"none": 0, "one": 1, "all": S}[marks]
+    draws, twin = Draws(make_rng(seed)), Draws(make_rng(seed))
+    hit, evals = _ref_bbht_two_class(S, k, twin, cap)
+    assert Q._bbht(S, k, draws, cap) == (None if hit is None else twin.below(k), evals)
+    assert _stream_state(draws) == _stream_state(twin)
 
 
 def _float_sizes(S, attempts):
@@ -420,6 +466,19 @@ def test_planted_instance_domain():
         Q.blocked_search_scaling(16, [4], 0.5, 0, DEFAULT_SEED)
 
 
+def test_blocked_scaling_checks_every_window_before_drawing(monkeypatch, capsys):
+    # S = 300 > M used to be refused only after every S = 1 trial had run
+    def refuse(*args):
+        raise AssertionError("drew an instance before checking every window")
+
+    monkeypatch.setattr(Q, "planted_instance", refuse)
+    for S_values in ([1, 300], [4, 0]):
+        with pytest.raises(DomainError, match=f"got S={S_values[1]}"):
+            Q.blocked_search_scaling(256, S_values, 6 / 256, 2, DEFAULT_SEED)
+    assert main("qsearch --experiment blocked --M 256 --S 1,300".split()) == 2
+    assert "S=300" in capsys.readouterr().err
+
+
 # --- blocked pair search ------------------------------------------------------
 
 
@@ -568,10 +627,11 @@ def _min_find_replay(values, seed):
     budget = math.ceil(8 * math.sqrt(vals.size))
     remaining, best = budget, 0
     while remaining > 0:
-        idx, spent = Q._bbht_flags(vals < vals[best], draws, remaining)
+        below = vals < vals[best]
+        rank, spent = Q._bbht(vals.size, int(np.count_nonzero(below)), draws, remaining)
         remaining -= spent
-        if idx is not None:
-            best = idx
+        if rank is not None:
+            best = int(np.flatnonzero(below)[rank])
     return best, budget
 
 

@@ -188,10 +188,11 @@ def test_scan_is_the_per_row_queries(monkeypatch, kind, counts, budget):
 
 @pytest.mark.parametrize("kind", ["explicit", "rpc"])
 def test_one_block_past_the_budget_is_scored_in_tiles(monkeypatch, kind):
-    # at 900 floats a row of m = 1000 scores does not fit: score_chunks cuts
+    # at 900 floats a row of m = 1000 scores does not fit: score_tiles cuts
     # R = 30 rows, and tiles of 900 // rows vectors, 30 for a full chunk and
-    # 90 for the last 10 rows (the last tile 10 wide either way); every
-    # one-block caller reads the tiles back into the full-width answer
+    # 90 for the last 10 rows (the last tile 10 wide either way), in row
+    # order; every one-block caller reads the tiles back into the full-width
+    # answer
     kw = {"t": 1000} if kind == "explicit" else {"m": 1000, "B": 1}
     fam = rpc.build_family(kind, 8, 11, **kw)
     V = geometry.sample_sphere(8, make_rng(12), size=70)
@@ -200,14 +201,19 @@ def test_one_block_past_the_budget_is_scored_in_tiles(monkeypatch, kind):
     want_levels = rpc.sample_levels(fam, V, 0.3) if kind == "rpc" else None
     monkeypatch.setattr(rpc, "_BLOCK_FLOATS", 900)
     got = np.full_like(want_scores, np.nan)
-    for lo, tiles in rpc.score_chunks(V, fam.blocks):
-        assert lo % 30 == 0
-        widths, rows = [], min(30, 70 - lo)
-        for c0, (s,) in tiles:
-            assert s.shape[0] == rows and s.size <= 900
-            got[lo : lo + rows, c0 : c0 + s.shape[1]] = s
-            widths.append(s.shape[1])
-        assert widths == [900 // rows] * (990 // (900 // rows)) + [10]
+    widths: dict[int, list[int]] = {}
+    order = []
+    for r0, c0, (s,) in rpc.score_tiles(V, fam.blocks):
+        rows = min(30, 70 - r0)
+        assert s.shape[0] == rows and s.size <= 900
+        assert c0 == sum(widths.setdefault(r0, []))  # a chunk's tiles left to right
+        got[r0 : r0 + rows, c0 : c0 + s.shape[1]] = s
+        widths[r0].append(s.shape[1])
+        order.append((r0, c0))
+    assert order == sorted(order) and list(widths) == [0, 30, 60]
+    for r0, row_widths in widths.items():
+        rows = min(30, 70 - r0)
+        assert row_widths == [900 // rows] * (990 // (900 // rows)) + [10]
     assert np.array_equal(got, want_scores)
     assert [rpc.relevant_filters_with_cost(fam, v, 0.3) for v in V[:3]] == want_filters
     assert all(nodes == 1000 and len(keys) > 0 for keys, nodes in want_filters)
