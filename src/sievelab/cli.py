@@ -19,18 +19,12 @@ import sys
 
 import numpy as np
 
-from . import circuit, exponents, geometry, qsearch, rpc, sieve, symkey
+from . import circuit, exponents, geometry, qsearch, sieve, symkey
 from .errors import DomainError, GuardError, RangeError
 from .rng import DEFAULT_SEED, derive_seed, search_draws
 # make_rng is bound, not called: the bench tracer patches it under this name
 from .rng import make_rng  # noqa: F401
 
-SIEVE_D_GUARD = 64
-SIEVE_N_GUARD = 10**5
-FAMILY_GUARD = 10**6
-# forecast keys of one sieve run (mask entries and ordered close pairs); a
-# d = 2 run of 6.0e7 close pairs peaked at 1.76 GB RSS, about 29 bytes a pair
-SIEVE_KEYS_GUARD = 6 * 10**7
 # per trial: the blocked --M or minfind --size list, the pair --K and evaluations
 QSEARCH_SIZE_GUARD = 10**6
 # per run: --trials times the per-trial quantity above, summed over the windows
@@ -73,7 +67,8 @@ def _emit(ns: argparse.Namespace, rows: list[dict]) -> None:
         text = render_json(config, rows)
     else:
         # the header is the first row's keys; only an empty sieve has no row
-        text = render_csv(rows, list(rows[0]) if rows else _SIEVE_COLS)
+        text = render_csv(rows, list(rows[0]) if rows else
+                          [f.name for f in dataclasses.fields(sieve.SieveRun)])
     if ns.out:
         try:
             with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -154,91 +149,11 @@ def cmd_tradeoff(ns) -> list[dict]:
 
 # --- sieve -------------------------------------------------------------------
 
-# the CSV header of a run with --n 0, which has no row to take it from
-_SIEVE_COLS = [
-    "d", "n", "method", "theta", "alpha", "beta", "t", "wedge_estimate",
-    "pairs_found", "pairs_brute", "recall",
-    "filter_queries", "inner_product_queries", "insertions",
-    "expected_insert_coverage", "expected_query_coverage", "expected_inner_products",
-    "ratio_inner_products", "seed",
-]
-
 
 def cmd_sieve(ns) -> list[dict]:
-    if ns.n < 0:
-        raise DomainError(f"--n must be >= 0, got {ns.n}")
-    if ns.d < 2:
-        raise DomainError(f"--d must be >= 2, got {ns.d}")
-    if ns.d > SIEVE_D_GUARD:
-        raise GuardError(f"d={ns.d} exceeds the dimension guard {SIEVE_D_GUARD}")
-    if ns.n > SIEVE_N_GUARD:
-        raise GuardError(f"n={ns.n} exceeds the list-size guard {SIEVE_N_GUARD}")
-
-    theta = ns.theta
-    # before the cosine, which refuses +-inf; the wedge needs theta < pi
-    if not 0.0 < theta < math.pi:
-        raise DomainError(f"--theta must lie in (0, pi), got {theta}")
-    alpha = ns.alpha if ns.alpha is not None else math.cos(theta)
-    beta = ns.beta if ns.beta is not None else math.cos(theta)
-    # before the wedge, in pair_keys' order
-    for name, flag, thr in (("beta", ns.beta, beta), ("alpha", ns.alpha, alpha)):
-        if not -1.0 <= thr < 1.0:
-            if flag is None:  # cos(theta) leaves [-1, 1) only by rounding to 1 at a tiny theta
-                raise DomainError(f"{name} defaults to cos(--theta) = {thr}, outside [-1, 1): "
-                                  f"--theta {theta} is too small")
-            raise DomainError(f"{name} must lie in [-1, 1), got {thr}")
-    for flag, count in (("--t", ns.t), ("--wedge-samples", ns.wedge_samples)):
-        if count is not None and count < 1:
-            raise DomainError(f"{flag} must be >= 1, got {count}")
-    if ns.wedge_samples is not None:
-        geometry.check_mc_samples(ns.wedge_samples)
-
-    # t = ceil(3 / W) covers a close pair with probability about 1 - e^-3; a 3 / W
-    # within 1e-12 relative of an integer is that integer, whatever W's last ulp.
-    # An empty list skips the wedge: it needs no t.
-    t, wedge_est = ns.t, None
-    if t is None and ns.n > 0:
-        if ns.wedge_samples is None:
-            wedge_est = geometry.wedge_volume_quad(ns.d, alpha, beta, theta)
-        else:
-            wedge_est = geometry.wedge_volume_mc(
-                ns.d, alpha, beta, theta, ns.wedge_samples, derive_seed(ns.seed, 2)
-            ).estimate
-        if wedge_est <= 0.0:
-            raise GuardError("wedge estimate vanished; pass --t explicitly")
-        ratio = 3.0 / wedge_est
-        t = round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else math.ceil(ratio)
-    if t is not None and t > FAMILY_GUARD:
-        raise GuardError(f"filter count {t} exceeds the family guard {FAMILY_GUARD}")
-    if ns.n == 0:
-        return []
-    expected = sieve.expected_ledger(ns.n, t, alpha, beta, ns.d)
-    keys = (expected.insert_coverage + expected.query_coverage
-            + ns.n * (ns.n - 1) * geometry.cap_volume_exact(ns.d, math.cos(theta)))
-    if keys > SIEVE_KEYS_GUARD:
-        raise GuardError(f"forecast of {keys:.3g} keys exceeds the sieve key guard {SIEVE_KEYS_GUARD}")
-
-    instance = sieve.random_instance(ns.d, ns.n, ns.seed, mode="unit", theta=theta)
-    family = rpc.build_family("explicit", ns.d, derive_seed(ns.seed, 1), t=t)
-    ledger = sieve.QueryLedger()
-    pairs, close = sieve.pair_keys(instance, family, alpha, beta, ns.method, ledger)
-    recall = pairs.size / close.size if close.size else 1.0
-
-    row = {
-        "d": ns.d, "n": ns.n, "method": ns.method, "theta": theta,
-        "alpha": alpha, "beta": beta, "t": t, "wedge_estimate": wedge_est,
-        "pairs_found": pairs.size, "pairs_brute": close.size, "recall": recall,
-        "filter_queries": ledger.filter_queries,
-        "inner_product_queries": ledger.inner_product_queries,
-        "insertions": ledger.insertions,
-        "expected_insert_coverage": expected.insert_coverage,
-        "expected_query_coverage": expected.query_coverage,
-        "expected_inner_products": expected.inner_products,
-        "ratio_inner_products": (ledger.inner_product_queries / expected.inner_products
-                                 if expected.inner_products else None),
-        "seed": ns.seed,
-    }
-    return [row]
+    run = sieve.run(ns.d, ns.n, ns.seed, ns.method, ns.theta, ns.alpha, ns.beta, ns.t,
+                    ns.wedge_samples)
+    return [] if run is None else [dataclasses.asdict(run)]
 
 
 # --- qsearch -----------------------------------------------------------------
@@ -269,8 +184,11 @@ def cmd_qsearch(ns) -> list[dict]:
             raise GuardError(f"M={ns.M} exceeds the search-size guard {QSEARCH_SIZE_GUARD}")
         s_values = _parse_int_list(ns.S, "--S")
         _check_trials(ns.trials, ns.M * len(s_values))
-        # about six marks; blocked_search_scaling refuses M < 1 and p outside (0, 1]
-        p = ns.p if ns.p is not None else min(1.0, 6.0 / max(ns.M, 1))
+        for S in s_values:
+            if not 1 <= S <= ns.M:
+                raise DomainError(f"--S windows must lie in 1 <= S <= --M = {ns.M}, got S={S}")
+        # about six marks, M >= 1 by now; blocked_search_scaling refuses p outside (0, 1]
+        p = ns.p if ns.p is not None else min(1.0, 6.0 / ns.M)
         scaling = qsearch.blocked_search_scaling(ns.M, s_values, p, ns.trials, ns.seed)
         return [{"experiment": "blocked", **dataclasses.asdict(r), "seed": ns.seed}
                 for r in scaling]

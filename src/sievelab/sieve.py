@@ -19,7 +19,8 @@ as they happen.  The ledger charges every bucket entry a method would
 test, but the engine finds the pairs the other way round: one Gram
 scan gives the close pairs, and a method keeps those whose rows share
 a filter.  sieve_step turns found pairs into difference vectors below
-a shrinking norm bound, which is one round of a list sieve.
+a shrinking norm bound, which is one round of a list sieve.  run is the
+whole sieve command, its checks and guards included, as a SieveRun.
 """
 
 from __future__ import annotations
@@ -31,16 +32,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import rpc
+from . import geometry, rpc
 from .binfile import BinaryReader
 from .errors import DomainError, GuardError
 from .geometry import cap_volume_exact, sample_sphere
-from .rng import make_rng
+from .rng import derive_seed, make_rng
 # relevant_filters is bound, not called: the bench tracer patches it under this name
 from .rpc import (  # noqa: F401
     FilterFamily, check_queries, relevant_filters, scan, spans)
 
+# the list whose close pairs are computed: brute_force_keys and run
 BRUTE_FORCE_GUARD = 10**5
+SIEVE_D_GUARD = 64
+FAMILY_GUARD = 10**6
+# forecast keys of one run (mask entries and ordered close pairs); a
+# d = 2 run of 6.0e7 close pairs peaked at 1.76 GB RSS, about 29 bytes a pair
+SIEVE_KEYS_GUARD = 6 * 10**7
 
 _MAGIC = b"SLSI"
 _MODE_CODES = {"unit": 0, "norm": 1}
@@ -520,6 +527,101 @@ def expected_ledger(n: int, t: int, alpha: float, beta: float, d: int) -> Expect
     cb = cap_volume_exact(d, beta)
     both = min(ca, cb)  # C(max(alpha, beta)): the cap shrinks as its threshold grows
     return ExpectedLedger(n * t * cb, n * t * ca, t * (float(n) * (n - 1) * ca * cb + n * both))
+
+
+@dataclass(frozen=True)
+class SieveRun:
+    d: int
+    n: int
+    method: str
+    theta: float
+    alpha: float
+    beta: float
+    t: int
+    wedge_estimate: float | None  # None when t was given
+    pairs_found: int
+    pairs_brute: int
+    recall: float
+    filter_queries: int
+    inner_product_queries: int
+    insertions: int
+    expected_insert_coverage: float
+    expected_query_coverage: float
+    expected_inner_products: float
+    ratio_inner_products: float | None  # None when nothing was forecast
+    seed: int
+
+
+def run(d: int, n: int, seed: int, method: str, theta: float, alpha: float | None,
+        beta: float | None, t: int | None, wedge_samples: int | None) -> SieveRun | None:
+    """The sieve command: pair_keys by method on n unit vectors in dimension d
+    and an explicit family of t filters, t = ceil(3 / W) by default.  Every
+    input is checked before the list is drawn, in messages that name the
+    command's flags.  The report holds the command's columns, in order; an
+    empty list has none."""
+    if n < 0:
+        raise DomainError(f"--n must be >= 0, got {n}")
+    if d < 2:
+        raise DomainError(f"--d must be >= 2, got {d}")
+    if d > SIEVE_D_GUARD:
+        raise GuardError(f"d={d} exceeds the dimension guard {SIEVE_D_GUARD}")
+    if n > BRUTE_FORCE_GUARD:
+        raise GuardError(f"n={n} exceeds the list-size guard {BRUTE_FORCE_GUARD}")
+
+    # before the cosine, which refuses +-inf; the wedge needs theta < pi
+    if not 0.0 < theta < math.pi:
+        raise DomainError(f"--theta must lie in (0, pi), got {theta}")
+    cos_theta = math.cos(theta)
+    # before the wedge, in pair_keys' order
+    for name, given in (("beta", beta), ("alpha", alpha)):
+        thr = cos_theta if given is None else given
+        if not -1.0 <= thr < 1.0:
+            if given is None:  # cos(theta) leaves [-1, 1) only by rounding to 1 at a tiny theta
+                raise DomainError(f"{name} defaults to cos(--theta) = {thr}, outside [-1, 1): "
+                                  f"--theta {theta} is too small")
+            raise DomainError(f"{name} must lie in [-1, 1), got {thr}")
+    alpha = cos_theta if alpha is None else alpha
+    beta = cos_theta if beta is None else beta
+    for flag, count in (("--t", t), ("--wedge-samples", wedge_samples)):
+        if count is not None and count < 1:
+            raise DomainError(f"{flag} must be >= 1, got {count}")
+    if wedge_samples is not None:
+        geometry.check_mc_samples(wedge_samples)
+
+    # t = ceil(3 / W) covers a close pair with probability about 1 - e^-3; a 3 / W
+    # within 1e-12 relative of an integer is that integer, whatever W's last ulp.
+    # An empty list skips the wedge: it needs no t.
+    wedge_est = None
+    if t is None and n > 0:
+        if wedge_samples is None:
+            wedge_est = geometry.wedge_volume_quad(d, alpha, beta, theta)
+        else:
+            wedge_est = geometry.wedge_volume_mc(
+                d, alpha, beta, theta, wedge_samples, derive_seed(seed, 2)).estimate
+        if wedge_est <= 0.0:
+            raise GuardError("wedge estimate vanished; pass --t explicitly")
+        ratio = 3.0 / wedge_est
+        t = round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else math.ceil(ratio)
+    if t is not None and t > FAMILY_GUARD:
+        raise GuardError(f"filter count {t} exceeds the family guard {FAMILY_GUARD}")
+    if n == 0:
+        return None
+    expected = expected_ledger(n, t, alpha, beta, d)
+    keys = (expected.insert_coverage + expected.query_coverage
+            + n * (n - 1) * cap_volume_exact(d, cos_theta))
+    if keys > SIEVE_KEYS_GUARD:
+        raise GuardError(f"forecast of {keys:.3g} keys exceeds the sieve key guard {SIEVE_KEYS_GUARD}")
+
+    instance = random_instance(d, n, seed, mode="unit", theta=theta)
+    family = rpc.build_family("explicit", d, derive_seed(seed, 1), t=t)
+    ledger = QueryLedger()
+    pairs, close = pair_keys(instance, family, alpha, beta, method, ledger)
+    products = ledger.inner_product_queries
+    return SieveRun(
+        d, n, method, theta, alpha, beta, t, wedge_est,
+        pairs.size, close.size, pairs.size / close.size if close.size else 1.0,
+        ledger.filter_queries, products, ledger.insertions, *expected.as_tuple(),
+        products / expected.inner_products if expected.inner_products else None, seed)
 
 
 # --- serialization -----------------------------------------------------------

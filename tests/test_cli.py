@@ -1,5 +1,6 @@
 """End-to-end command-line runs: schemas, pinned values, exit codes, bytes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sievelab
-from sievelab import exponents
+from sievelab import exponents, sieve
 from sievelab.cli import main
 
 
@@ -246,9 +247,12 @@ def test_sieve_with_no_forecast_reports_a_null_ratio(capsys):
 def test_sieve_empty_and_guards(capsys):
     assert main(["sieve", "--d", "24", "--n", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["results"] == []
-    # the empty CSV is the header alone, the same one a run with rows prints
+    # the empty CSV is the header alone, SieveRun's fields, the same one a run
+    # with rows prints; the library call has no report
     assert main(["sieve", "--d", "24", "--n", "0", "--format", "csv"]) == 0
     empty = capsys.readouterr().out
+    assert empty == ",".join(f.name for f in dataclasses.fields(sieve.SieveRun)) + "\n"
+    assert sieve.run(24, 0, 1, "query", math.pi / 3, None, None, None, None) is None
     assert main(["sieve", "--d", "12", "--n", "20", "--t", "40", "--format", "csv"]) == 0
     assert empty.count("\n") == 1
     assert capsys.readouterr().out.startswith(empty)
@@ -379,6 +383,14 @@ def test_tradeoff_names_a_gamma_max_below_1(capsys, command):
     assert "--gamma-max" in err and "gamma_rate" not in err
 
 
+def test_qsearch_names_a_window_past_M(capsys):
+    # the message named blocked_search and its M, not the flags the user passed
+    for flag, bad in (("1,300", 300), ("0", 0)):
+        assert main(["qsearch", "--experiment", "blocked", "--M", "256", "--S", flag]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --S windows must lie in 1 <= S <= --M = 256, got S={bad}\n"
+
+
 def test_sieve_small_d_names_the_flag(capsys):
     # the geometry call that came first used to name itself instead
     for d, t in (("1", ()), ("1", ("--t", "2")), ("-3", ()), ("-3", ("--t", "2"))):
@@ -427,6 +439,9 @@ OVERSIZED_INPUTS = [
     # the Monte-Carlo sample guard
     "sieve --d 24 --n 0 --t 2000000",
     "sieve --d 24 --n 0 --wedge-samples 100000000000",
+    # the list-size and dimension guards
+    "sieve --d 24 --n 100001",
+    "sieve --d 65 --n 10 --t 5",
 ]
 
 
@@ -453,6 +468,16 @@ BAD_SWEEP_BOUNDS = [
 @pytest.mark.parametrize("command", BAD_SWEEP_BOUNDS)
 def test_non_finite_sweep_bound_exits_2(command):
     test_invalid_input_exits_2(command)
+
+
+def test_python_m_sievelab_runs_the_cli(capsys):
+    args = ["tradeoff", "--model", "t2", "--steps", "2"]
+    src = Path(sievelab.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "sievelab", *args],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert main(args) == 0
+    assert proc.stdout.decode() == capsys.readouterr().out
 
 
 def test_import_loads_cli():

@@ -6,7 +6,9 @@ flag; with --t given the value is unused, and the pinned bytes cover
 the bucket engine, the ledgers and the pair counts.
 """
 
+import dataclasses
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import sievelab
-from sievelab import qsearch
+from sievelab import qsearch, sieve
 from sievelab.cli import main
 
 GOLDEN = [
@@ -185,6 +187,26 @@ def test_golden_bytes(tmp_path, digest, command):
     out = tmp_path / "out"
     assert main(command.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", [
+    "sieve --d 12 --n 300 --t 400 --seed 3 --wedge-samples 1000000",
+    "sieve --d 12 --n 300 --seed 1 --wedge-samples 20000",
+], ids=["t-given", "wedge-mc"])
+def test_sieve_run_is_the_golden_row(capsys, command):
+    # two GOLDEN rows; sieve.run takes the parsed flags, defaults included
+    assert main(command.split()) == 0
+    doc = json.loads(capsys.readouterr().out)
+    c = doc["config"]
+    run = sieve.run(c["d"], c["n"], c["seed"], c["method"], c["theta"], c["alpha"], c["beta"],
+                    c["t"], c["wedge_samples"])
+    assert dataclasses.asdict(run) == doc["results"][0]
+
+
+def test_golden_sieve_csv_keeps_its_column_order(tmp_path):
+    # the JSON rows sort their keys; only CSV shows the SieveRun field order
+    test_golden_bytes(tmp_path, "690bb863d648ec129753379e9e13fa20c37488b802f4b0b250468f0000843d8e",
+                      "sieve --d 12 --n 150 --t 400 --method fas --format csv")
 
 
 def test_golden_minfind_through_hit_cache_eviction(tmp_path):
