@@ -83,7 +83,7 @@ def _select(cond, a, b):
 def _ops(x):
     """(max, select) for the term table: builtins on floats, so the
     Nelder-Mead objective stays cheap and returns Python floats, and
-    numpy ufuncs on the seeding grid's arrays."""
+    numpy ufuncs on arrays (the seeding grid's, the noqram brackets')."""
     if isinstance(x, np.ndarray):
         return np.maximum, np.where
     return max, _select
@@ -156,20 +156,20 @@ def _row(model: str) -> tuple[Callable, Callable]:
     """The model's (gamma bound, term rates) pair from the term table."""
     row = _TERM_TABLE.get(model)
     if row is None:
-        raise DomainError(f"unknown model {model!r}")
+        raise DomainError(f"unknown model {model!r}; expected one of {MODELS}")
     return row
 
 
 def _gamma_bound(model: str, t, ca, cb):
     """Largest useful memory rate for the model at this (alpha, beta);
     0 for the models that take no budget."""
-    return _row(model)[0](t, ca, cb, N_RATE + t + ca + cb, _ops(t)[0])
+    return _row(model)[0](t, ca, cb, N_RATE + t + ca + cb, _ops(ca)[0])
 
 
 def _terms(model: str, t, ca, cb, sigma) -> tuple:
     """Term rates at filter rate t, cap rates ca, cb and used budget sigma
-    (floats, or arrays of one shape)."""
-    return _row(model)[1](t, ca, cb, N_RATE + t + ca + cb, sigma, *_ops(t))
+    (floats, or arrays of one shape for ca and cb)."""
+    return _row(model)[1](t, ca, cb, N_RATE + t + ca + cb, sigma, *_ops(ca))
 
 
 def model_terms(
@@ -235,9 +235,20 @@ def _seed_grid() -> tuple[np.ndarray, ...]:
 _SEED_A, _SEED_B, _SEED_OK, _SEED_T, _SEED_CA, _SEED_CB = _seed_grid()
 
 
-def _grid_seed(model: str, sigma: float) -> tuple[float, float]:
-    S = np.minimum(sigma, _gamma_bound(model, _SEED_T, _SEED_CA, _SEED_CB))
-    val = functools.reduce(np.maximum, _terms(model, _SEED_T, _SEED_CA, _SEED_CB, S))
+def _seeding(model: str) -> tuple[np.ndarray, np.ndarray]:
+    """The model's sigma-free arrays on the seeding grid: the pair-search
+    rate space and the gamma bound."""
+    space = N_RATE + _SEED_T + _SEED_CA + _SEED_CB
+    return space, _row(model)[0](_SEED_T, _SEED_CA, _SEED_CB, space, np.maximum)
+
+
+def _grid_seed(model: str, sigma: float, seeding: tuple | None = None) -> tuple[float, float]:
+    """The seeding grid's argmin at budget sigma; a curve passes the
+    _seeding(model) arrays it built once for all its budgets."""
+    space, bound = _seeding(model) if seeding is None else seeding
+    terms = _row(model)[1](_SEED_T, _SEED_CA, _SEED_CB, space, np.minimum(sigma, bound),
+                           np.maximum, np.where)
+    val = functools.reduce(np.maximum, terms)
     val[~_SEED_OK] = np.inf
     i, j = np.unravel_index(int(np.argmin(val)), val.shape)
     return float(_SEED_A[i, j]), float(_SEED_B[i, j])
@@ -260,18 +271,14 @@ class _MaxFevReached(Exception):
     iteration in progress and keeps what it had already assigned)."""
 
 
-def _before(u: float, v: float) -> bool:
-    """u sorts strictly before v in np.argsort's order: ascending, NaN last."""
-    return u < v or (v != v and u == u)
-
-
 def _sort3(p: list, q: list, r: list) -> tuple[list, list, list]:
     """Stable sort of three [x, y, f] vertices by f, as np.argsort orders
     them (ties, inf ties included, keep their positions; NaN goes last)."""
-    if _before(q[2], p[2]):
-        p, q = q, p
-    if _before(r[2], q[2]):
-        return (r, p, q) if _before(r[2], p[2]) else (p, r, q)
+    fp, fq, fr = p[2], q[2], r[2]
+    if fq < fp or (fp != fp and fq == fq):
+        p, q, fp, fq = q, p, fq, fp
+    if fr < fq or (fq != fq and fr == fr):
+        return (r, p, q) if fr < fp or (fp != fp and fr == fr) else (p, r, q)
     return p, q, r
 
 
@@ -444,7 +451,7 @@ def _brent_bounded(
     return xf, fx, num
 
 
-def optimize(model: str, gamma_rate: float = 0.0) -> TradeoffPoint:
+def optimize(model: str, gamma_rate: float = 0.0, *, seeding: tuple | None = None) -> TradeoffPoint:
     """Minimise the running-time rate over (alpha, beta).
 
     Coarse 0.01 grid over (0.05, 0.95)^2 seeds a Nelder-Mead refinement
@@ -452,11 +459,11 @@ def optimize(model: str, gamma_rate: float = 0.0) -> TradeoffPoint:
     is _nelder_mead_2d, an in-package port of scipy 1.17's Nelder-Mead
     that returns the same bits.  Budget beyond what the model can
     address at a point is simply left unused, so the returned qram_rate
-    never exceeds the admissible bound.
+    never exceeds the admissible bound.  A curve passes its seeding.
     """
     _check_budget(model, gamma_rate)
     f = _objective(model, gamma_rate)
-    best = _grid_seed(model, gamma_rate)
+    best = _grid_seed(model, gamma_rate, seeding)
     for _ in range(2):  # restart once; max() objectives can stall a simplex
         best = _nelder_mead_2d(f, best)[0]
     a, b = best
@@ -478,8 +485,10 @@ def optimize(model: str, gamma_rate: float = 0.0) -> TradeoffPoint:
 
 
 def tradeoff_curve(model: str, gamma_rates: Iterable[float]) -> list[TradeoffPoint]:
-    """optimize() along a memory-rate grid."""
-    return [optimize(model, s) for s in gamma_rates]
+    """optimize() along a memory-rate grid, the seeding grid's sigma-free
+    arrays built once for the curve (and dropped with it)."""
+    seeding = _seeding(model)
+    return [optimize(model, s, seeding=seeding) for s in gamma_rates]
 
 
 def closed_form_rate(model: str, gamma: float) -> float:
@@ -541,13 +550,25 @@ def _noqram_branch(beta: float, c: float, tau: float, sign: float) -> float:
     return _noqram_time(a, beta, tau)
 
 
+def _noqram_grid(beta: np.ndarray, c: float, tau: float, sign: float) -> np.ndarray:
+    """_noqram_branch at each beta of an array, bit for bit: numpy does the
+    arithmetic and math.log2 the logs, which np.log2 can miss by an ulp."""
+    disc = 4.0 * c - 3.0 * beta * beta
+    a = (beta + sign * np.sqrt(np.maximum(disc, 0.0))) / 2.0
+    ok = (disc >= 0.0) & (0.0 < a) & (a < 1.0) & (0.0 < beta) & (beta < 1.0)
+    x = np.where(ok, 1.0 - np.stack([a * a, beta * beta]), 1.0)  # cap_rate's 1 - alpha^2
+    ca, cb = 0.5 * np.reshape(list(map(math.log2, x.ravel().tolist())), x.shape)
+    val = functools.reduce(np.maximum, _terms("noqram", tau, ca, cb, 0.0))
+    return np.where(ok, val, np.inf)
+
+
 def noqram_point(tau: float) -> NoQRAMPoint:
     """Best (alpha, beta) for the noqram model at filter rate tau.
 
     On each branch of the tau constraint a 600-point grid in beta
     brackets the minimum, and _brent_bounded, an in-package port of
     scipy 1.17's bounded minimize_scalar that returns the same bits,
-    refines it to 1e-12.
+    refines it to 1e-12.  The grid is one array pass per branch.
     """
     if not 0.0 <= tau <= N_RATE + 1e-12:
         raise DomainError(f"t_rate must lie in [0, {N_RATE:.6f}], got {tau}")
@@ -557,12 +578,11 @@ def noqram_point(tau: float) -> NoQRAMPoint:
     c = 0.75 * (1.0 - 2.0 ** (-2.0 * tau))
     bmax = math.sqrt(4.0 * c / 3.0)
     best: tuple[float, float, float] | None = None
-    grid = np.linspace(1e-6, bmax - 1e-12, 600).tolist()
+    grid = np.linspace(1e-6, bmax - 1e-12, 600)
     for sign in (1.0, -1.0):
-        vals = [_noqram_branch(b, c, tau, sign) for b in grid]
-        k = int(np.argmin(vals))
-        lo = grid[max(0, k - 1)]
-        hi = grid[min(len(grid) - 1, k + 1)]
+        k = int(np.argmin(_noqram_grid(grid, c, tau, sign)))
+        lo = float(grid[max(0, k - 1)])
+        hi = float(grid[min(grid.size - 1, k + 1)])
         x, fun, _ = _brent_bounded(lambda b: _noqram_branch(b, c, tau, sign), lo, hi)
         cand = (fun, x, sign)
         if best is None or cand[0] < best[0]:

@@ -424,6 +424,11 @@ def query_method(
     return keys_to_pairs(query_keys(instance, family, alpha, buckets, ledger), instance.n)
 
 
+def _check_method(method: str) -> None:
+    if method not in ("query", "fas"):
+        raise DomainError(f"method must be query or fas, got {method!r}")
+
+
 def pair_keys(
     instance: SieveInstance,
     family: FilterFamily,
@@ -440,8 +445,7 @@ def pair_keys(
     "fas" charges both sides as insertions, as fas_method does.  Beta
     is checked before alpha.
     """
-    if method not in ("query", "fas"):
-        raise DomainError(f"method must be query or fas, got {method!r}")
+    _check_method(method)
     _check_family(instance, family)
     insert_mask, query_mask = _close_masks(instance, family, {"beta": beta, "alpha": alpha})
     _charge_filters(ledger, insert_mask, insert=True)
@@ -567,6 +571,7 @@ def run(d: int, n: int, seed: int, method: str, theta: float, alpha: float | Non
         raise GuardError(f"d={d} exceeds the dimension guard {SIEVE_D_GUARD}")
     if n > BRUTE_FORCE_GUARD:
         raise GuardError(f"n={n} exceeds the list-size guard {BRUTE_FORCE_GUARD}")
+    _check_method(method)
 
     # before the cosine, which refuses +-inf; the wedge needs theta < pi
     if not 0.0 < theta < math.pi:

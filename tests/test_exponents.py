@@ -6,6 +6,7 @@ claimed optima from below.  The scalar minimisers are checked against
 scipy.optimize, which they port, for bit-equal results.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -229,6 +230,14 @@ def test_curve_saturation_knees():
     assert knee("t3", T1_CONST) == pytest.approx(0.5 * math.log2(13.0 / 12.0), abs=5e-4)
 
 
+@pytest.mark.parametrize("model", sorted(E.GAMMA_MAX))
+def test_curve_is_its_points_one_by_one(model):
+    # a curve builds the seeding grid's sigma-free arrays once; its points
+    # are still optimize()'s, from no budget to the saturation end
+    rates = [0.0, 0.5 * math.log2(E.GAMMA_MAX[model]), math.log2(E.GAMMA_MAX[model])]
+    assert E.tradeoff_curve(model, rates) == [E.optimize(model, r) for r in rates]
+
+
 def test_every_curve_starts_classical():
     for model in ("t2", "t3", "t5"):
         assert E.optimize(model, 0.0).time_rate == pytest.approx(CLASSICAL, abs=1e-4)
@@ -280,6 +289,22 @@ def test_noqram_point_respects_constraint():
     for tau in (0.05, 0.12, 0.2):
         p = E.noqram_point(tau)
         assert t_rate(p.alpha, p.beta) == pytest.approx(tau, abs=1e-9)
+
+
+def test_noqram_grid_is_the_scalar_branch():
+    # the bracket grid as one array pass must give the scalar branch's bits
+    # (an ulp can move the argmin, and with it Brent's bracket); betas past
+    # the grid's ends reach every mask: disc < 0, a outside (0, 1), beta
+    # outside (0, 1)
+    taus = np.concatenate([[1e-6, 0.001], np.linspace(0.0, E.N_RATE, 500)[1:]])  # ends at N_RATE
+    wide = np.linspace(-0.2, 1.2, 57)
+    for tau in taus.tolist():
+        c = 0.75 * (1.0 - 2.0 ** (-2.0 * tau))
+        grid = np.linspace(1e-6, math.sqrt(4.0 * c / 3.0) - 1e-12, 600)
+        betas = np.concatenate([grid, wide])
+        for sign in (1.0, -1.0):
+            want = [E._noqram_branch(b, c, tau, sign) for b in betas.tolist()]
+            assert E._noqram_grid(betas, c, tau, sign).tolist() == want, (tau, sign)
 
 
 def test_noqram_domain():
@@ -459,6 +484,15 @@ def test_nelder_mead_matches_scipy_on_model_objectives(model, sigma):
         x = _assert_nelder_mead_matches(f, x)[0]
     p = E.optimize(model, sigma)
     assert (p.alpha, p.beta) == x
+
+
+def test_sort3_is_a_stable_argsort():
+    # ties, signed zeros and inf ties keep their positions; NaN goes last
+    values = (-math.inf, -1.0, -0.0, 0.0, 1.0, math.inf, math.nan)
+    for fs in itertools.product(values, repeat=3):
+        verts = [[i, 0.0, f] for i, f in enumerate(fs)]
+        got = [v[0] for v in E._sort3(*verts)]
+        assert got == np.argsort(fs, kind="stable").tolist(), fs
 
 
 def _half_plane_nan(a, b):

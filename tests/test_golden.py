@@ -70,6 +70,8 @@ GOLDEN_CURVES = [
      "tradeoff --model noqram --steps 40"),
     ("4406b388ed9c712eb549087919b1c621a8b64a42e6c511bc7b9e4c132e04e001",
      "tradeoff --model t5 --steps 100"),
+    ("40eef45ff1997f50889c5bf8087fd7deee1f323621dc815aa0c8d65c3bc26ed0",
+     "tradeoff --model t3 --steps 100"),
 ]
 
 
@@ -220,7 +222,7 @@ def test_golden_minfind_through_hit_cache_eviction(tmp_path):
 
 
 @pytest.mark.parametrize("digest, command", GOLDEN_CURVES,
-                         ids=["t2-gamma-min-1.02", "noqram-40", "t5-100"])
+                         ids=["t2-gamma-min-1.02", "noqram-40", "t5-100", "t3-100"])
 def test_golden_curve_bytes(tmp_path, digest, command):
     test_golden_bytes(tmp_path, digest, command)
 

@@ -304,6 +304,18 @@ def test_sieve_step_drops_zero_and_long_differences():
             == "12adadd93fd6aa2aa8ed6dc9c4e2f1c3116df2edddd13219872627b01a3188c1")
 
 
+def test_run_refuses_an_unknown_method_before_it_draws(monkeypatch):
+    # an empty list returned None and a nonempty one drew the list and the
+    # family before pair_keys refused the method
+    def draw(*args, **kwargs):
+        raise AssertionError("random_instance was called")
+
+    monkeypatch.setattr(sieve, "random_instance", draw)
+    for n in (0, 10):
+        with pytest.raises(DomainError, match="method must be query or fas, got 'bogus'"):
+            sieve.run(12, n, 1, "bogus", math.pi / 3, None, None, 5, None)
+
+
 def test_row_norms_are_numpys_norm():
     rng = make_rng(0x5EED)
     for d in (1, 2, 3, 5, 8, 12, 16, 17, 24, 33, 48, 64):
