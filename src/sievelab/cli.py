@@ -1,8 +1,9 @@
 """Command-line front end: every curve and experiment as a seeded batch job.
 
-Each subcommand accepts --seed, --out and --format.  CSV output is
-comma-separated with a header row, 12 significant digits and LF line
-endings; JSON output is one object {"config": ..., "results": ...}.
+Each subcommand accepts --seed, an integer in [0, 2**64), --out and
+--format.  CSV output is comma-separated with a header row, 12
+significant digits and LF line endings; JSON output is one object
+{"config": ..., "results": ...}.
 Identical configurations produce byte-identical files.
 
 Exit codes: 0 success, 2 usage or parameter error, 3 size guard,
@@ -390,6 +391,9 @@ def main(argv=None) -> int:
     if ns.format is None:
         ns.format = "json" if ns.subcommand == "sieve" else "csv"
     try:
+        # derive_seed reads a seed mod 2**64, so a wider one would alias
+        if not 0 <= ns.seed < 1 << 64:
+            raise DomainError(f"--seed must lie in [0, 2**64), got {ns.seed}")
         _emit(ns, ns.func(ns))
     except (DomainError, RangeError, GuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,21 +19,22 @@ which each caller maps to its own index.  The QRAM ledger counts one
 reload per block (or block pair) loaded.  A window of S = 1 is the
 classical scan, worked out in closed form from the first mark.
 
-Every scalar search draw goes through rng.Draws, which reads numpy's
-Generator.integers(0, n) and Generator.random() stream straight from the
-bit generator's C interface: the same values at a fraction of the call
-cost.  A search pays its setup once: blocked_search, blocked_pair_search
-and min_find_with_cost each take one rng.search_draws stream (the
-thread's Philox, re-keyed to make_rng(seed)'s stream) and reuse it for
-every block, block pair and descent step.  Minimum finding charges its
-last search, the one from a least value, without drawing: with no
-marked element that search misses and burns the rest of its budget
-whatever it draws, and nothing reads the stream after it.  The
-blocked searches still draw through their unmarked blocks, since a
-later block reads the same stream.  The BBHT loop reads its
-attempt sizes from a cached schedule per space size, and it and the
-sparse pair probe read their hit probabilities from one cached table per
-(size, marked count).
+Every scalar search draw gives what numpy's Generator.integers(0, n) and
+Generator.random() give, value for value, at a fraction of their call
+cost.  blocked_search, blocked_pair_search and min_find_with_cost each
+take one rng.search_draws stream (the thread's Philox, re-keyed to
+make_rng(seed)'s stream) and reuse it for every block, block pair and
+descent step; its scalar draws are replayed in Python from raw Philox
+words fetched in bulk, so a draw pays no C call.  bbht_search reads the
+caller's own Generator through rng.Draws, one C call a draw, so it
+interleaves exactly with the caller's other calls.  Minimum finding
+charges its last search, the one from a least value, without drawing:
+with no marked element that search misses and burns the rest of its
+budget whatever it draws, and nothing reads the stream after it.  The
+blocked searches still draw through their unmarked blocks, since a later
+block reads the same stream.  The BBHT loop reads its attempt sizes from
+a cached schedule per space size, and it and the sparse pair probe read
+their hit probabilities from one cached table per (size, marked count).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .rng import Draws, derive_seed, make_rng, search_draws
+from .rng import Draws, SearchStream, derive_seed, make_rng, search_draws
 
 # per-block cap inside blocked_search; the proof caps at O(sqrt(S))
 BLOCK_CAP_FACTOR = 3.0
@@ -162,7 +163,7 @@ def _hit_table(S: int, k: int) -> tuple[float, ...] | _HitRow:
     return tuple(math.sin((2 * j + 1) * theta) ** 2 for j in range(n))
 
 
-def _bbht(S: int, k: int, draws: Draws, cap: int) -> tuple[int | None, int]:
+def _bbht(S: int, k: int, draws: Draws | SearchStream, cap: int) -> tuple[int | None, int]:
     """bbht_search over a space summarized by (size, marked count): (rank,
     evaluations spent).  A verified hit names the rank-th mark, drawn as
     draws.below(k) right after the hit; rank is None when the cap runs out."""

@@ -354,6 +354,10 @@ BAD_INPUTS = [
     "sieve --d 3 --n 5 --theta 1e-9",
     # exit 4 (math domain error), and exit 0 for one step, which never reached --gamma-max
     *GAMMA_MAX_BELOW_1,
+    # exit 0: the seed was read mod 2**64, so these ran seeds 2**64 - 1 and
+    # 99999999999999999999999 mod 2**64 while echoing the seed as given
+    "qsearch --experiment minfind --size 5 --trials 2 --seed -1",
+    "qsearch --experiment minfind --size 5 --trials 2 --seed 99999999999999999999999",
 ]
 
 
@@ -373,6 +377,14 @@ def test_invalid_input_exits_2(command):
     proc = _run_cli(command)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(b"error: ")
+
+
+def test_seed_range_ends_at_2_to_the_64(capsys):
+    args = ["qsearch", "--experiment", "minfind", "--size", "5", "--trials", "2", "--seed"]
+    assert main([*args, str(2**64 - 1)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(f",{2**64 - 1}")
+    assert main([*args, str(2**64)]) == 2
+    assert "--seed must lie in [0, 2**64)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", GAMMA_MAX_BELOW_1 + ["tradeoff --model t5 --gamma-max 0.5"])

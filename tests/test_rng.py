@@ -109,3 +109,25 @@ def test_search_draws_restart_the_make_rng_stream(prefix_seed, prefix, seed, ste
     for name, arg in steps:
         assert _search_step(draws, name, arg) == _search_step(plain, name, arg), (name, arg)
     assert repr(draws.generator.bit_generator.state) == repr(plain.generator.bit_generator.state)
+
+
+def test_search_stream_replays_across_fetches_and_array_draws():
+    # each stretch of scalar draws reads about 2,700 raw words, past the
+    # stream's first fetches and more than one largest fetch, and every
+    # stretch but the last ends in an array draw on the generator.  At seed
+    # 17 the stream holds a 32-bit half before the second array draw and
+    # after both, so the settle and the next stretch's first draw, a 32-bit
+    # one that picks the half up, both meet one
+    draws, plain = search_draws(17), Draws(make_rng(17))
+    held_before, held_after = [], []
+    for array_step in (("choice", (1000, 5)), ("normal", 7), None):
+        for n in BOUNDS[::-1] * 250:
+            assert draws.below(n) == plain.below(n), n
+            assert draws.uniform() == plain.uniform()
+        if array_step is None:
+            break
+        held_before.append(plain.generator.bit_generator.state["has_uint32"])
+        assert _search_step(draws, *array_step) == _search_step(plain, *array_step)
+        held_after.append(plain.generator.bit_generator.state["has_uint32"])
+    assert (held_before, held_after) == ([0, 1], [1, 1])
+    assert repr(draws.generator.bit_generator.state) == repr(plain.generator.bit_generator.state)
