@@ -21,20 +21,19 @@ classical scan, worked out in closed form from the first mark.
 
 Every scalar search draw gives what numpy's Generator.integers(0, n) and
 Generator.random() give, value for value, at a fraction of their call
-cost.  blocked_search, blocked_pair_search and min_find_with_cost each
-take one rng.search_draws stream (the thread's Philox, re-keyed to
-make_rng(seed)'s stream) and reuse it for every block, block pair and
-descent step; its scalar draws are replayed in Python from raw Philox
-words fetched in bulk, so a draw pays no C call.  bbht_search reads the
-caller's own Generator through rng.Draws, one C call a draw, so it
-interleaves exactly with the caller's other calls.  Minimum finding
-charges its last search, the one from a least value, without drawing:
-with no marked element that search misses and burns the rest of its
-budget whatever it draws, and nothing reads the stream after it.  The
-blocked searches still draw through their unmarked blocks, since a later
-block reads the same stream.  The BBHT loop reads its attempt sizes from
-a cached schedule per space size, and it and the sparse pair probe read
-their hit probabilities from one cached table per (size, marked count).
+cost.  Each search (bbht_search, blocked_search, blocked_pair_search and
+min_find_with_cost) takes one rng.search_draws stream (the thread's
+Philox, re-keyed to make_rng(seed)'s stream) and reuses it for every
+block, block pair and descent step; its scalar draws are replayed in
+Python from raw Philox words fetched in bulk, so a draw pays no C call.
+Minimum finding charges its last search, the one from a least value,
+without drawing: with no marked element that search misses and burns
+the rest of its budget whatever it draws, and nothing reads the stream
+after it.  The blocked searches still draw through their unmarked
+blocks, since a later block reads the same stream.  The BBHT loop reads
+its attempt sizes from a cached schedule per space size, and it and the
+sparse pair probe read their hit probabilities from one cached table
+per (size, marked count).
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .rng import Draws, SearchStream, derive_seed, make_rng, search_draws
+from .rng import SearchStream, derive_seed, make_rng, search_draws
 
 # per-block cap inside blocked_search; the proof caps at O(sqrt(S))
 BLOCK_CAP_FACTOR = 3.0
@@ -104,9 +103,7 @@ def qaa_run(S: int, marked: Iterable[int], N: int) -> tuple[float, np.ndarray]:
     return mass, psi
 
 
-def bbht_search(
-    flags: np.ndarray, rng: np.random.Generator, cap: int
-) -> tuple[int | None, int]:
+def bbht_search(flags: np.ndarray, seed: int, cap: int) -> tuple[int | None, int]:
     """Search a flags.size-element space whose solutions, of unknown
     number, are the indices where flags is True.
 
@@ -114,12 +111,13 @@ def bbht_search(
     attempt runs j ~ Uniform[0, ceil(m)) Grover iterations and measures.
     Stops at the first verified solution or when the evaluation cap is
     exhausted; returns (index or None, oracle evaluations spent).  A hit
-    names one marked index, drawn uniformly.
+    names one marked index, drawn uniformly.  Like the other searches it
+    draws from search_draws(seed), restarting the calling thread's stream.
     """
     flags = np.asarray(flags, dtype=bool)
     if flags.ndim != 1 or flags.size < 1:
         raise DomainError(f"bbht_search needs a nonempty flag vector, got shape {flags.shape}")
-    rank, evals = _bbht(flags.size, int(np.count_nonzero(flags)), Draws(rng), cap)
+    rank, evals = _bbht(flags.size, int(np.count_nonzero(flags)), search_draws(seed), cap)
     return (None if rank is None else int(np.flatnonzero(flags)[rank])), evals
 
 
@@ -163,7 +161,7 @@ def _hit_table(S: int, k: int) -> tuple[float, ...] | _HitRow:
     return tuple(math.sin((2 * j + 1) * theta) ** 2 for j in range(n))
 
 
-def _bbht(S: int, k: int, draws: Draws | SearchStream, cap: int) -> tuple[int | None, int]:
+def _bbht(S: int, k: int, draws: SearchStream, cap: int) -> tuple[int | None, int]:
     """bbht_search over a space summarized by (size, marked count): (rank,
     evaluations spent).  A verified hit names the rank-th mark, drawn as
     draws.below(k) right after the hit; rank is None when the cap runs out."""

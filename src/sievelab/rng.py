@@ -4,24 +4,21 @@ Every stochastic routine takes a 64-bit master seed and derives one
 independent stream per task from (master seed, task index) through a
 fixed SplitMix64 mix.  Streams are backed by numpy's Philox generator,
 a 64-bit counter-based generator, so results do not depend on how work
-is sliced across shards or trials.  Draws takes scalar draws of a
-Generator's own stream through the bit generator's C interface, for
-loops that pay per call, and interleaves exactly with any other call on
-that Generator.  search_draws(seed) gives the stream make_rng(seed)
-would give, as the calling thread's one SearchStream: its Philox is
-re-keyed in place, so a short search pays neither a new Generator nor a
-new bit generator, and its scalar draws are replayed in Python from raw
-64-bit words fetched in bulk, so a draw pays no C call either.  Reading
-the stream's generator settles the Philox to exactly what the scalar
-draws have read.  The SearchStream it returns stays valid until the
-same thread calls search_draws again.
+is sliced across shards or trials.  search_draws(seed) gives the stream
+make_rng(seed) would give, as the calling thread's one SearchStream: its
+Philox is re-keyed in place, so a short search pays neither a new
+Generator nor a new bit generator, and its scalar draws, the values
+make_rng(seed).integers(0, n) and .random() would give, are replayed in
+Python from raw 64-bit words fetched in bulk, so a draw pays no C call.
+Reading the stream's generator settles the Philox to exactly what the
+scalar draws have read.  The SearchStream it returns stays valid until
+the same thread calls search_draws again.
 
 DEFAULT_SEED is the seed used by the command line when none is given.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
 
 import numpy as np
@@ -56,58 +53,6 @@ def make_rng(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_seed(seed, index)))
 
 
-class _Bounded:
-    """``below`` over a class's 32-bit draw ``_next32()``: numpy's bounded integers."""
-
-    __slots__ = ()
-
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n), as ``Generator.integers(0, n)``."""
-        if not 1 <= n <= 1 << 32:
-            raise DomainError(f"below needs 1 <= n <= 2**32, got {n}")
-        if n == 1:
-            return 0
-        m = self._next32() * n
-        low = m & 0xFFFFFFFF
-        if low < n:  # n bounds the rejection threshold (2**32 - n) % n
-            threshold = ((1 << 32) - n) % n
-            while low < threshold:
-                m = self._next32() * n
-                low = m & 0xFFFFFFFF
-        return m >> 32
-
-
-class Draws(_Bounded):
-    """Scalar draws of ``rng``'s stream through ``rng.bit_generator.ctypes``.
-
-    ``below(n)`` gives what ``rng.integers(0, n)`` gives and ``uniform()``
-    what ``rng.random()`` gives, value for value: both step the same C
-    state, so they interleave exactly with any other call on ``rng``.
-    They skip the Generator's argument dispatch, which is most of a
-    scalar draw's cost.  Like numpy, ``below`` takes 32-bit draws through
-    Lemire's multiply-and-reject step and draws nothing for n = 1.
-    Unlike the Generator's methods they take no lock, so no other thread
-    may draw from ``rng`` meanwhile.  ``generator`` is ``rng`` itself, for
-    the array draws a search makes on the same stream.  Draws is the
-    reader for a Generator its caller owns and may call between draws;
-    search_draws gives a SearchStream, which gives the same values
-    without a C call per draw.
-    """
-
-    __slots__ = ("generator", "_state", "_next32", "_next_double")
-
-    def __init__(self, rng: np.random.Generator):
-        iface = rng.bit_generator.ctypes
-        self.generator = rng  # its bit generator owns the state the pointer names
-        self._state = iface.state
-        self._next32 = functools.partial(iface.next_uint32, iface.state)
-        self._next_double = iface.next_double
-
-    def uniform(self) -> float:
-        """Uniform float in [0, 1), as ``Generator.random()``."""
-        return self._next_double(self._state)
-
-
 # A search stream's first fetch after a restart or pick-up takes FIRST_FETCH
 # raw words, each later one four times as many, up to MAX_FETCH.  A fetch
 # costs about 0.6 us plus 20 ns a word, and a replayed draw about 0.15 us
@@ -118,22 +63,24 @@ FIRST_FETCH = 16
 MAX_FETCH = 1024
 
 
-class SearchStream(_Bounded):
+class SearchStream:
     """make_rng(seed)'s stream for one thread's searches, its scalar draws
     replayed in Python from raw Philox words.
 
-    ``below`` and ``uniform`` give what ``Draws(make_rng(seed))`` gives,
-    value for value, without a C call per draw: they read 64-bit words
-    that ``random_raw`` fetched in bulk and apply numpy's rules to them.
-    A 32-bit draw is the low half of a fresh word, then that word's held
-    high half; a double is the word's top 53 bits times 2**-53; ``below``
-    is Lemire's multiply-and-reject over 32-bit draws.  Meanwhile the bit
-    generator runs ahead of what has been read.  Reading ``generator``
-    settles it to the exact word and held half, for the array draws a
-    search makes on the same stream, and the next scalar draw picks up
-    whatever word and held half those array draws left.  So read
-    ``generator`` afresh for each array draw: one kept across a scalar
-    draw may be out of step with the stream.
+    ``below(n)`` gives what ``make_rng(seed).integers(0, n)`` gives and
+    ``uniform()`` what ``make_rng(seed).random()`` gives, value for value
+    and in any order of calls, without a C call per draw: they read
+    64-bit words that ``random_raw`` fetched in bulk and apply numpy's
+    rules to them.  A 32-bit draw is the low half of a fresh word, then
+    that word's held high half; a double is the word's top 53 bits times
+    2**-53; ``below`` is Lemire's multiply-and-reject over 32-bit draws
+    and draws nothing for n = 1.  Nothing is locked, so one thread alone
+    may draw.  Meanwhile the bit generator runs ahead of what has been
+    read.  Reading ``generator`` settles it to the exact word and held
+    half, for the array draws a search makes on the same stream, and the
+    next scalar draw picks up whatever word and held half those array
+    draws left.  So read ``generator`` afresh for each array draw: one
+    kept across a scalar draw may be out of step with the stream.
     """
 
     __slots__ = ("_key", "_template", "_bit_generator", "_generator",
@@ -196,6 +143,21 @@ class SearchStream(_Bounded):
         self._u32 = word >> 32
         return word & 0xFFFFFFFF
 
+    def below(self, n: int) -> int:
+        """Uniform integer in [0, n), as ``Generator.integers(0, n)``."""
+        if not 1 <= n <= 1 << 32:
+            raise DomainError(f"below needs 1 <= n <= 2**32, got {n}")
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        low = m & 0xFFFFFFFF
+        if low < n:  # n bounds the rejection threshold (2**32 - n) % n
+            threshold = ((1 << 32) - n) % n
+            while low < threshold:
+                m = self._next32() * n
+                low = m & 0xFFFFFFFF
+        return m >> 32
+
     def uniform(self) -> float:
         """Uniform float in [0, 1), as ``Generator.random()``."""
         word = next(self._words, None)
@@ -225,10 +187,11 @@ _threads = threading.local()  # .stream: the thread's SearchStream, built on fir
 def search_draws(seed: int) -> SearchStream:
     """The calling thread's SearchStream, restarted at make_rng(seed)'s stream.
 
-    Reads what ``Draws(make_rng(seed))`` reads, through ``below``,
-    ``uniform`` and ``generator``, from the start of the stream.  Every
-    call restarts the same stream, so the previous one this thread got
-    moves with it: use one search's stream before starting the next.
+    Its ``below(n)``, ``uniform()`` and ``generator`` read, from the
+    start of the stream, what ``make_rng(seed)``'s ``integers(0, n)``,
+    ``random()`` and array draws would read.  Every call restarts the
+    same stream, so the previous one this thread got moves with it: use
+    one search's stream before starting the next.
     """
     stream = getattr(_threads, "stream", None)
     if stream is None:

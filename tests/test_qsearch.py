@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import GeneratorDraws
 from sievelab import qsearch as Q
 from sievelab.cli import QSEARCH_SIZE_GUARD, main
 from sievelab.errors import DomainError
-from sievelab.rng import DEFAULT_SEED, Draws, derive_seed, make_rng
+from sievelab.rng import DEFAULT_SEED, derive_seed, make_rng, search_draws
 
 
 # --- QAA -------------------------------------------------------------------
@@ -64,28 +65,28 @@ def test_qaa_run_edge_cases():
 
 
 def test_bbht_all_marked_is_immediate():
-    found, evals = Q.bbht_search(np.ones(32, bool), make_rng(1), 51)
+    found, evals = Q.bbht_search(np.ones(32, bool), 1, 51)
     assert found is not None
     assert evals <= 2
 
 
 def test_bbht_no_marked_caps_out():
     cap = math.ceil(9 * math.sqrt(64))
-    found, evals = Q.bbht_search(np.zeros(64, bool), make_rng(2), cap)
+    found, evals = Q.bbht_search(np.zeros(64, bool), 2, cap)
     assert found is None
     assert evals == cap  # no mark: the whole cap is spent
 
 
 def test_bbht_rejects_an_empty_space():
     with pytest.raises(DomainError):
-        Q.bbht_search(np.zeros(0, bool), make_rng(2), 1)
+        Q.bbht_search(np.zeros(0, bool), 2, 1)
 
 
 def test_bbht_single_solution_statistics():
     hits = 0
     costs = []
     for t in range(500):
-        found, evals = Q.bbht_search(np.arange(64) == 17, make_rng(DEFAULT_SEED, t), 72)
+        found, evals = Q.bbht_search(np.arange(64) == 17, derive_seed(DEFAULT_SEED, t), 72)
         hits += found == 17
         costs.append(evals)
     assert hits / 500 >= 0.95
@@ -94,7 +95,7 @@ def test_bbht_single_solution_statistics():
 
 def test_bbht_returns_only_marked():
     for t in range(50):
-        found, _ = Q.bbht_search(np.arange(33) % 7 == 3, make_rng(3, t), 52)
+        found, _ = Q.bbht_search(np.arange(33) % 7 == 3, derive_seed(3, t), 52)
         if found is not None:
             assert found % 7 == 3
 
@@ -117,18 +118,37 @@ def _bbht_replay(flags, rng, cap):
     return None, evals
 
 
-def test_bbht_search_advances_the_callers_generator_as_before():
+def test_bbht_search_replays_the_generator_loop():
     for t in range(80):
         case = make_rng(11, t)
         S = int(case.integers(1, 400))
         flags = case.random(S) < (0.0, 1.0 / S, 0.1, 1.0)[t % 4]
         cap = int(case.integers(1, 120))
-        rng, twin = make_rng(12, t), make_rng(12, t)
-        got = Q.bbht_search(flags, rng, cap)
-        # a search on the thread's own stream leaves the caller's alone
-        Q.min_find_with_cost(case.random(50), t)
-        assert got == _bbht_replay(flags, twin, cap), t
-        assert rng.random() == twin.random(), t
+        seed = derive_seed(12, t)
+        assert Q.bbht_search(flags, seed, cap) == _bbht_replay(flags, make_rng(seed), cap), t
+
+
+def test_bbht_search_restarts_the_threads_stream():
+    flags = np.arange(300) % 97 == 5
+    fresh = Q.bbht_search(flags, 7, 60)
+    stream = search_draws(8)
+    stream.below(3)  # leaves a 32-bit half held
+    stream.generator.random(5)
+    assert Q.bbht_search(flags, 7, 60) == fresh
+
+
+def test_bbht_search_pinned():
+    # sha256 recorded while bbht_search still read a caller's Generator,
+    # as bbht_search(flags, make_rng(seed), cap)
+    rows = []
+    for t in range(500):
+        case = make_rng(34, t)
+        S = int(case.integers(1, 3001))
+        flags = case.random(S) < (0.0, 1.0 / S, 0.01, 0.3, 1.0)[t % 5]
+        cap = int(case.integers(1, 401))
+        rows.append(Q.bbht_search(flags, derive_seed(35, t), cap))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "cd24b997442c944433a37cef46d3580bacb17e2092dbd10912702f810f9d2fdd"
 
 
 def _ref_bbht_two_class(S, k, draws, cap):
@@ -171,7 +191,7 @@ def _stream_state(draws):
 )
 def test_bbht_names_the_hit_its_callers_drew(S, marks, cap, seed):
     k = {"none": 0, "one": 1, "all": S}[marks]
-    draws, twin = Draws(make_rng(seed)), Draws(make_rng(seed))
+    draws, twin = search_draws(seed), GeneratorDraws(make_rng(seed))
     hit, evals = _ref_bbht_two_class(S, k, twin, cap)
     assert Q._bbht(S, k, draws, cap) == (None if hit is None else twin.below(k), evals)
     assert _stream_state(draws) == _stream_state(twin)
@@ -623,7 +643,7 @@ def _min_find_replay(values, seed):
     """min_find_with_cost's descent as written before the early stop: the
     search from a least value runs and burns the rest of the budget."""
     vals = np.asarray(values, dtype=float)
-    draws = Draws(make_rng(seed))
+    draws = GeneratorDraws(make_rng(seed))
     budget = math.ceil(8 * math.sqrt(vals.size))
     remaining, best = budget, 0
     while remaining > 0:
