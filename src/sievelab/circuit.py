@@ -21,7 +21,11 @@ first-minimum rule and np.linalg.norm's bits.  Exhaustive mode reads the
 leaves: coin_rank is nondecreasing and onto, so a query's first least
 leaf is what its first least coin string selects.  Only minimum finding
 searches coin strings, up to PIPELINE_COIN_GUARD of them per query;
-beyond the guard it searches the leaves themselves.
+beyond the guard it searches the leaves themselves.  It never lists the
+strings: each leaf is a run of the coin strings that select it, its
+coin_rank preimage, so a query's few leaves with their weights are the
+run form min_find_with_cost searches, and its draws and result are
+those of the search over the strings.
 """
 
 from __future__ import annotations
@@ -34,9 +38,8 @@ import numpy as np
 
 from .errors import DomainError
 from .qsearch import min_find_with_cost
-from .rng import DEFAULT_SEED, derive_seed
-from .rpc import (
-    FilterFamily, SampleTree, coin_count, coin_rank, sample_alpha_close, sample_leaves, spans)
+from .rng import DEFAULT_SEED, derive_seeds
+from .rpc import FilterFamily, SampleTree, coin_count, sample_alpha_close, sample_leaves, spans
 from .sieve import Mask, QueryLedger, SieveInstance, _row_norms, preprocess
 
 # largest coin space the pipeline searches per query; beyond this the
@@ -238,9 +241,12 @@ def pipeline_step(
     defines the search space: its 2^R coin strings, or past the guard its
     leaves.  Exhaustive mode charges the whole space and reports the
     first least leaf; minfind mode reports what min_find_with_cost lands
-    on (simulated on the materialized value list).  A pair qualifies when
-    0 < ||w - u|| <= shrink_factor * radius.  The list's directions are
-    checked once per threshold, and an empty list gives an empty report.
+    on, searching the query's leaves as runs weighted by their coin_rank
+    preimages (the coin strings that select each), with the seeds of
+    every query's minfind_runs taken from one derive_seeds pass.  A pair
+    qualifies when 0 < ||w - u|| <= shrink_factor * radius.  The list's
+    directions are checked once per threshold, and an empty list gives
+    an empty report.
     """
     if instance.mode != "norm":
         raise DomainError("pipeline_step needs a norm-mode instance")
@@ -256,24 +262,33 @@ def pipeline_step(
     qs = np.flatnonzero(roots)
     roots = roots[qs]
     starts = np.cumsum(roots) - roots
-    # a query searches its 2^coins coin strings; past the guard (None) its
-    # leaves are the search space
-    coins = [c if 2**c <= PIPELINE_COIN_GUARD else None for c in map(coin_count, roots.tolist())]
+    # a query searches its 2^coins coin strings; past the guard its leaves
+    # are the search space
+    spaces = [2**c if 2**c <= PIPELINE_COIN_GUARD else root
+              for root, c in zip(roots.tolist(), map(coin_count, roots.tolist()))]
     if mode == "exhaustive":
         # coin_rank is nondecreasing and onto, so the first least coin
         # string selects the query's first least leaf
-        calls = [root if c is None else 2**c for root, c in zip(roots.tolist(), coins)]
+        calls = spaces
         best = _first_least(values, starts)
     else:
+        # leaf r's weight, ceil((r + 1) N / root) - ceil(r N / root), is its
+        # coin_rank preimage: the strings x < N with floor(x root / N) = r,
+        # so min finding on the leaf runs is min finding on the coin strings
+        # (N = root past the guard gives 1)
+        size = np.repeat(np.asarray(spaces, dtype=np.int64), roots)
+        root = np.repeat(roots, roots)
+        r = np.arange(query.size) - np.repeat(starts, roots)
+        weight = (-r * size) // root - (-(r + 1) * size) // root
+        vals, weights, runs = values.tolist(), weight.tolist(), minfind_runs
+        seeds = derive_seeds(seed, (qs * 131)[:, None] + np.arange(runs))
         calls, best = [], []
-        for q, lo, root, c in zip(qs.tolist(), starts.tolist(), roots.tolist(), coins):
-            space = lo + (np.arange(root) if c is None
-                          else coin_rank(np.arange(2**c, dtype=np.int64), root, c))
-            seen = values[space]
-            runs = [min_find_with_cost(seen, derive_seed(seed, q * 131 + r))
-                    for r in range(minfind_runs)]
-            calls.append(sum(spent for _, spent in runs))
-            best.append(space[min((idx for idx, _ in runs), key=lambda i: (seen[i], i))])
+        for i, (lo, hi) in enumerate(zip(starts.tolist(), (starts + roots).tolist())):
+            seen = vals[lo:hi]
+            ends = [min_find_with_cost(seen, s, weights[lo:hi])
+                    for s in seeds[i * runs:(i + 1) * runs]]
+            calls.append(sum(spent for _, spent in ends))
+            best.append(lo + min((idx for idx, _ in ends), key=lambda j: (seen[j], j)))
         best = np.asarray(best, dtype=np.int64)
     found = values[best] <= bound + 1e-9  # a missing partner is +inf
     pairs = frozenset(zip(qs[found].tolist(), partner[best[found]].tolist()))

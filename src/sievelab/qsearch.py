@@ -29,16 +29,19 @@ Python from raw Philox words fetched in bulk, so a draw pays no C call.
 Minimum finding charges its last search, the one from a least value,
 without drawing: with no marked element that search misses and burns
 the rest of its budget whatever it draws, and nothing reads the stream
-after it.  The blocked searches still draw through their unmarked
-blocks, since a later block reads the same stream.  The BBHT loop reads
-its attempt sizes from a cached schedule per space size, and it and the
-sparse pair probe read their hit probabilities from one cached table
-per (size, marked count).
+after it.  It searches a flat list or a run list (values with counts of
+copies), keeping only the candidates below its current value, so each
+descent step filters a shrinking list.  The blocked searches still draw
+through their unmarked blocks, since a later block reads the same
+stream.  The BBHT loop reads its attempt sizes from a cached schedule
+per space size, and it and the sparse pair probe read their hit
+probabilities from one cached table per (size, marked count).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -301,7 +304,45 @@ def blocked_pair_search(
     )
 
 
-def min_find_with_cost(values: Sequence[float], seed: int) -> tuple[int, int]:
+def _check_runs(
+    values: Sequence[float], counts: Sequence[int]
+) -> tuple[Sequence[float], Sequence[int], int]:
+    """min_find_with_cost's run form, arrays read as lists, and its space
+    size; refused before any draw unless every run has a value and an
+    integer count of at least 1.  The values are compared as given."""
+    vals = values.tolist() if isinstance(values, np.ndarray) else values
+    counts = counts.tolist() if isinstance(counts, np.ndarray) else counts
+    if len(counts) != len(vals):
+        raise DomainError(f"min_find_with_cost got {len(counts)} counts for {len(vals)} values")
+    if not vals:
+        raise DomainError("min_find_with_cost needs a nonempty list")
+    # a run's weight takes few distinct values; a float among them, even one
+    # equal to an int count the set kept, makes the sum a float
+    try:
+        n = operator.index(sum(counts))
+        least = min(map(operator.index, set(counts)))
+    except TypeError:
+        raise DomainError("min_find_with_cost needs integer counts") from None
+    if least < 1:
+        raise DomainError(f"min_find_with_cost needs counts >= 1, got {least}")
+    return vals, counts, n
+
+
+def _runs_below(
+    vals: Sequence[float], counts: Sequence[int], among: Iterable[int], v: float
+) -> tuple[list[int], int]:
+    """The runs of among whose value lies below v, in order, and their copies."""
+    below, k = [], 0
+    for i in among:
+        if vals[i] < v:
+            below.append(i)
+            k += counts[i]
+    return below, k
+
+
+def min_find_with_cost(
+    values: Sequence[float], seed: int, counts: Sequence[int] | None = None
+) -> tuple[int, int]:
     """Index of the minimum by quantum threshold descent, and the oracle
     evaluations spent.
 
@@ -312,31 +353,53 @@ def min_find_with_cost(values: Sequence[float], seed: int) -> tuple[int, int]:
     is probabilistic (better than even); ties resolve to the earliest
     index reached.
 
+    With counts, the space is a run list: counts[i] copies of values[i],
+    in order, N = sum(counts), and the index returned points into values.
+    The search and its draws are those over np.repeat(values, counts),
+    its index mapped to its run.  The descent keeps the indices whose
+    value lies strictly below the current one, in index order: a hit
+    draws a rank among their copies and moves to the run holding it, and
+    the list is filtered to the new, smaller value.  Flat, the list is a
+    numpy index array; in run form it is a Python list, which is faster
+    on the few runs a pipeline query has.
+
     The search from a least value is charged without being simulated:
     with no marked element every attempt hits with chance sin^2(0) = 0,
     so it misses and burns the rest of the budget whatever it draws.
     The stream is drawn only by the searches that can hit, and
     search_draws is called only before the first of them.
     """
-    vals = np.asarray(values, dtype=float)
-    n = vals.size
-    if n == 0:
-        raise DomainError("min_find_with_cost needs a nonempty list")
+    if counts is None:
+        vals = np.asarray(values, dtype=float)
+        n = vals.size
+        if n == 0:
+            raise DomainError("min_find_with_cost needs a nonempty list")
+        below = np.flatnonzero(vals < vals[0])  # empty at a least value, or at NaN
+        k = below.size
+    else:
+        vals, counts, n = _check_runs(values, counts)
+        below, k = _runs_below(vals, counts, range(len(vals)), vals[0])
     budget = math.ceil(MINFIND_BUDGET_FACTOR * math.sqrt(n))
     remaining = budget
     best = 0
     draws = None
-    while remaining > 0:
-        below = vals < vals[best]  # all False at a least value, or at NaN
-        k = int(np.count_nonzero(below))
-        if k == 0:
-            break
+    while remaining > 0 and k:
         if draws is None:
             draws = search_draws(seed)
         rank, spent = _bbht(n, k, draws, remaining)
         remaining -= spent  # a miss spends all that remains
-        if rank is not None:
-            best = int(np.flatnonzero(below)[rank])
+        if rank is None:
+            break
+        if counts is None:
+            best = int(below[rank])
+            below = below[vals[below] < vals[best]]
+            k = below.size
+        else:
+            for best in below:  # the run holding the rank-th marked copy
+                rank -= counts[best]
+                if rank < 0:
+                    break
+            below, k = _runs_below(vals, counts, below, vals[best])
     return best, budget
 
 

@@ -4,7 +4,8 @@ Every stochastic routine takes a 64-bit master seed and derives one
 independent stream per task from (master seed, task index) through a
 fixed SplitMix64 mix.  Streams are backed by numpy's Philox generator,
 a 64-bit counter-based generator, so results do not depend on how work
-is sliced across shards or trials.  search_draws(seed) gives the stream
+is sliced across shards or trials; derive_seeds mixes a whole index
+array in one uint64 array pass.  search_draws(seed) gives the stream
 make_rng(seed) would give, as the calling thread's one SearchStream: its
 Philox is re-keyed in place, so a short search pays neither a new
 Generator nor a new bit generator, and its scalar draws, the values
@@ -46,6 +47,25 @@ def derive_seed(master: int, index: int) -> int:
     unrelated; the mapping is fixed so written-down seeds stay valid.
     """
     return splitmix64(splitmix64(master & _MASK64) ^ ((index & _MASK64) * _GOLDEN & _MASK64))
+
+
+def derive_seeds(master: int, indices) -> list[int]:
+    """[derive_seed(master, i) for i in indices], from one uint64 array pass.
+
+    indices is an integer array (or anything np.asarray makes one of);
+    each is read mod 2**64 as derive_seed reads it, and the array's
+    arithmetic wraps mod 2**64 where derive_seed masks.
+    """
+    x = np.asarray(indices).astype(np.uint64).ravel()
+    x *= np.uint64(_GOLDEN)
+    x ^= np.uint64(splitmix64(master & _MASK64))
+    x += np.uint64(_GOLDEN)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x.tolist()
 
 
 def make_rng(seed: int, index: int = 0) -> np.random.Generator:

@@ -2,6 +2,7 @@
 attribute; a rename must fail here, not only in bench/run.py --smoke."""
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +32,12 @@ def test_smoke_bindings_are_the_originals():
     assert sievelab.sieve.relevant_filters is rpc.relevant_filters
     assert sievelab.circuit.min_find_with_cost is qsearch.min_find_with_cost
     assert sievelab.cli.make_rng is rng.make_rng
+
+
+def test_bench_smoke_passes():
+    # every workload, plain and traced, on tiny inputs: the traced hooks read
+    # the arguments each patched function is called with
+    proc = subprocess.run([sys.executable, str(BENCH / "run.py"), "--smoke"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "smoke ok"

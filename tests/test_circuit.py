@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sievelab import circuit as ccirc
-from sievelab import geometry, rpc, sieve
+from sievelab import geometry, qsearch, rpc, sieve
 from sievelab.errors import DomainError
 from sievelab.rng import derive_seed, make_rng
 
@@ -496,6 +496,36 @@ def test_pipeline_golden_around_the_guard(guard_family, alpha, mode, digest):
         assert coin_spaces == {ccirc.PIPELINE_COIN_GUARD, 2 * ccirc.PIPELINE_COIN_GUARD}
     rep = ccirc.pipeline_step(inst, fam, alpha, 0.3, mode=mode, seed=5)
     assert _digest(rep) == digest
+
+
+# the pins compare pairs, which minimum finding mostly gets right whatever
+# the run weights; this holds each call to the coin strings it searches
+@pytest.mark.parametrize("alpha", [0.40, -0.3, 0.1])
+def test_minfind_weighs_each_leaf_by_its_coin_strings(monkeypatch, pipeline_runs, guard_family,
+                                                       alpha):
+    fam, inst = pipeline_runs[:2] if alpha == 0.40 else guard_family
+    beta = 0.55 if alpha == 0.40 else 0.3
+    calls = []
+
+    def spy(values, seed, counts=None):
+        calls.append((seed, list(counts)))
+        return qsearch.min_find_with_cost(values, seed, counts)
+
+    monkeypatch.setattr(ccirc, "min_find_with_cost", spy)
+    ccirc.pipeline_step(inst, fam, alpha, beta, mode="minfind", seed=5, minfind_runs=2)
+    members = sieve.preprocess(inst, fam, beta, sieve.QueryLedger()).members
+    roots = np.bincount(ccirc._leaf_table(inst, fam, alpha, members)[0], minlength=inst.n)
+    want = []
+    for q in np.flatnonzero(roots).tolist():
+        root = int(roots[q])
+        coins = rpc.coin_count(root)
+        if 2**coins <= ccirc.PIPELINE_COIN_GUARD:
+            strings = rpc.coin_rank(np.arange(2**coins, dtype=np.int64), root, coins)
+            counts = np.bincount(strings, minlength=root).tolist()
+        else:
+            counts = [1] * root
+        want += [(derive_seed(5, q * 131 + r), counts) for r in range(2)]
+    assert calls == want
 
 
 def test_pipeline_validation():

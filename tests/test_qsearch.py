@@ -676,3 +676,44 @@ def test_min_find_from_a_least_value_draws_nothing(monkeypatch):
 def test_min_find_empty_rejected():
     with pytest.raises(DomainError):
         Q.min_find_with_cost([], seed=0)
+
+
+@pytest.mark.parametrize("values, counts", [
+    ([1.0, 2.0], [1]),  # a count short
+    ([1.0], [1, 1]),  # a count over
+    ([2.0, 1.0], [1, 0]),
+    ([2.0, 1.0], [-1, 3]),
+    ([2.0, 1.0], [1, 1.5]),
+    ([2.0, 1.0], [2.0, 1]),
+    ([2.0, 1.0], [1, 1.0]),  # a float equal to an int count before it
+    ([2.0, 1.0], [1, None]),
+    ([], []),
+])
+def test_min_find_refuses_bad_runs_before_drawing(monkeypatch, values, counts):
+    def refuse(seed):
+        raise AssertionError("drew before refusing the runs")
+
+    monkeypatch.setattr(Q, "search_draws", refuse)
+    with pytest.raises(DomainError):
+        Q.min_find_with_cost(values, 0, counts)
+
+
+RUN_VALUE = st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.5, math.inf, -math.inf])
+
+
+@given(
+    runs=st.lists(st.tuples(RUN_VALUE, st.integers(1, 40)), min_size=1, max_size=40),
+    nan_at=st.sampled_from([None, 0, -1, 3]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_min_find_on_runs_is_min_find_on_their_copies(runs, nan_at, seed):
+    values = [v for v, _ in runs]
+    counts = [c for _, c in runs]
+    if nan_at is not None and nan_at < len(values):
+        values[nan_at] = math.nan
+    flat_idx, flat_budget = Q.min_find_with_cost(np.repeat(values, counts), seed)
+    run_of = np.repeat(np.arange(len(values)), counts)
+    assert Q.min_find_with_cost(values, seed, counts) == (int(run_of[flat_idx]), flat_budget)
+    # numpy counts and values read as their lists do
+    assert Q.min_find_with_cost(np.array(values), seed, np.array(counts)) == \
+        (int(run_of[flat_idx]), flat_budget)

@@ -2,13 +2,14 @@
 against the Generator calls they replay, value for value, and its
 generator against the Generator's state."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import GeneratorDraws
 from sievelab.errors import DomainError
-from sievelab.rng import make_rng, search_draws
+from sievelab.rng import derive_seed, derive_seeds, make_rng, search_draws
 
 BOUNDS = (1, 2, 3, 17, 1000, 2**31 + 5, 2**32)
 
@@ -28,6 +29,14 @@ def test_draws_refuse_bounds_outside_the_32_bit_range():
             draws.below(bad)
     # a refusal draws nothing
     assert draws.below(2**32) == int(make_rng(3).integers(0, 2**32))
+
+
+def test_derive_seeds_match_derive_seed():
+    indices = np.concatenate([[0, 1, 2**63 - 1],
+                              make_rng(5).integers(0, 2**63 - 1, size=200, dtype=np.int64)])
+    for master in (0, 1, 0x5EED, 2**64 - 1):
+        assert derive_seeds(master, indices) == [derive_seed(master, int(i)) for i in indices]
+        assert derive_seeds(master, np.array([], dtype=np.int64)) == []
 
 
 # steps a search takes on its stream: scalar draws and the Generator calls
