@@ -35,7 +35,8 @@ descent step filters a shrinking list.  The blocked searches still draw
 through their unmarked blocks, since a later block reads the same
 stream.  The BBHT loop reads its attempt sizes from a cached schedule
 per space size, and it and the sparse pair probe read their hit
-probabilities from one cached table per (size, marked count).
+probabilities from one cached row per (size, marked count), which
+computes each entry the first time it is read.
 """
 
 from __future__ import annotations
@@ -63,13 +64,10 @@ PAIR_SWEEP_SURCHARGE = 1.5
 MINFIND_BUDGET_FACTOR = 8.0
 # least chance of a mark planted_instance accepts: its loop takes ~1/chance rounds
 PLANTED_MIN_MARK_CHANCE = 1e-3
-# BBHT caches: space sizes with a schedule, (size, marked count) keys with a
-# hit table, and the longest table kept (sqrt of the CLI's 10**6 search-size
-# guard; larger spaces, which only the pair search reaches, compute each
-# hit probability when it is drawn)
+# BBHT caches: space sizes with a schedule, and (size, marked count) keys
+# with a hit row
 SCHEDULE_CACHE_SIZE = 64
 HIT_CACHE_SIZE = 256
-HIT_TABLE_MAX_LEN = 1000
 
 
 @dataclass
@@ -138,30 +136,24 @@ def _bbht_schedule(S: int) -> tuple[int, ...]:
     return tuple(sched)
 
 
-class _HitRow:
-    """A hit table too long to keep: each entry computed when read."""
-
-    __slots__ = ("theta",)
-
-    def __init__(self, theta: float):
-        self.theta = theta
-
-    def __getitem__(self, j: int) -> float:
-        return math.sin((2 * j + 1) * self.theta) ** 2
-
-
 @lru_cache(maxsize=HIT_CACHE_SIZE)
-def _hit_table(S: int, k: int) -> tuple[float, ...] | _HitRow:
-    """Chance that a j-iteration attempt hits, k marked of S, for every j
-    the schedule can draw (j < ceil(sqrt(S))): sin((2j+1) theta)^2 with
-    theta = asin(sqrt(k/S)), exact for the uniform two-class state."""
+def _hit_table(S: int, k: int) -> dict[int, float]:
+    """The hit chances of k marked of S read so far, by iteration count j.
+    _hit_fill adds each on its first read, so a row holds only the entries
+    searches have read, whatever S.  A plain dict read under try, not a
+    dict subclass with __missing__, keeps the loop's reads on the
+    interpreter's fast dict path."""
+    return {}
+
+
+def _hit_fill(hit: dict[int, float], S: int, k: int, j: int) -> float:
+    """Chance that a j-iteration attempt hits, k marked of S, stored in
+    its row hit: sin((2j+1) theta)^2 with theta = asin(sqrt(k/S)), exact
+    for the uniform two-class state."""
     # k = 0 gives probability 0 at every j, and k = S, theta = pi/2, gives
-    # exactly 1 at every j the table holds
-    theta = math.asin(math.sqrt(k / S))
-    n = math.ceil(math.sqrt(S))
-    if n > HIT_TABLE_MAX_LEN:
-        return _HitRow(theta)
-    return tuple(math.sin((2 * j + 1) * theta) ** 2 for j in range(n))
+    # exactly 1 at every j < ceil(sqrt(S))
+    p = hit[j] = math.sin((2 * j + 1) * math.asin(math.sqrt(k / S))) ** 2
+    return p
 
 
 def _bbht(S: int, k: int, draws: SearchStream, cap: int) -> tuple[int | None, int]:
@@ -176,12 +168,15 @@ def _bbht(S: int, k: int, draws: SearchStream, cap: int) -> tuple[int | None, in
     evals = 0
     while evals < cap:
         j = below(sched[i])
-        cost = j or 1
-        if evals + cost > cap:
+        evals += j or 1
+        if evals > cap:
             evals = cap  # truncated attempt burns the remaining budget
             break
-        evals += cost
-        if uniform() < hit[j]:
+        try:
+            p = hit[j]
+        except KeyError:
+            p = _hit_fill(hit, S, k, j)
+        if uniform() < p:
             return below(k), evals
         # measured an unmarked element; grow the iteration range
         if i < last:
@@ -296,7 +291,12 @@ def blocked_pair_search(
                         found.add(live.pop(rank))
             else:
                 k = len(live)
-                if draws.uniform() < _hit_table(space, k)[probe]:
+                hit = _hit_table(space, k)
+                try:
+                    p = hit[probe]
+                except KeyError:
+                    p = _hit_fill(hit, space, k, probe)
+                if draws.uniform() < p:
                     found.add(live.pop(draws.below(k)))
     return SearchReport(
         None, evals, reloads, len(found) >= max(1, K_planted) // 4,

@@ -8,8 +8,8 @@ insert mask, which preprocess returns as Buckets.members.  fas_method
 materializes both bucket sides first and tests every A_i x B_i
 product.  Both return the same ordered pair set: (x, y) with x
 alpha-covered and y beta-covered by a shared filter and
-<x, y> >= cos theta.  query_keys, pair_keys and brute_force_keys
-give their pairs as ascending int64 keys x * n + y, which is what the
+<x, y> >= cos theta.  pair_keys and brute_force_keys give their
+pairs as ascending int64 keys x * n + y, which is what the
 set-returning functions wrap.  pair_keys runs either method with one
 scoring pass of the list for both thresholds.
 
@@ -391,23 +391,6 @@ def preprocess(
     return Buckets(_transposed(mask))
 
 
-def query_keys(
-    instance: SieveInstance,
-    family: FilterFamily,
-    alpha: float,
-    buckets: Buckets,
-    ledger: QueryLedger,
-) -> np.ndarray:
-    """query_method as ascending int64 keys x * n + y."""
-    _check_family(instance, family)
-    if buckets.members.shape != (instance.n, family.t):
-        raise DomainError("buckets were built for a different list or family")
-    (mask,) = _close_masks(instance, family, {"alpha": alpha})
-    _charge_filters(ledger, mask, insert=False)
-    insert_mask = _transposed(buckets.members)
-    return _covered_close_keys(_upper_close_keys(instance), mask, insert_mask, ledger)
-
-
 def query_method(
     instance: SieveInstance,
     family: FilterFamily,
@@ -419,9 +402,17 @@ def query_method(
 
     Returns ordered pairs (x, y), x != y, that share a covering filter
     and pass <x, y> >= cos theta.  Duplicate coverage is de-duplicated
-    in the output but every individual test is still charged.
+    in the output but every individual test is still charged.  Buckets
+    whose shape is not (n, t) for this list and family are refused.
     """
-    return keys_to_pairs(query_keys(instance, family, alpha, buckets, ledger), instance.n)
+    _check_family(instance, family)
+    if buckets.members.shape != (instance.n, family.t):
+        raise DomainError("buckets were built for a different list or family")
+    (mask,) = _close_masks(instance, family, {"alpha": alpha})
+    _charge_filters(ledger, mask, insert=False)
+    insert_mask = _transposed(buckets.members)
+    keys = _covered_close_keys(_upper_close_keys(instance), mask, insert_mask, ledger)
+    return keys_to_pairs(keys, instance.n)
 
 
 def _check_method(method: str) -> None:
@@ -441,7 +432,7 @@ def pair_keys(
     (brute_force_keys, unguarded), both as ascending int64 keys x * n + y.
 
     The list is scored once for both thresholds.  "query" charges the
-    ledger what preprocess at beta and then query_keys at alpha would;
+    ledger what preprocess at beta and then query_method at alpha would;
     "fas" charges both sides as insertions, as fas_method does.  Beta
     is checked before alpha.
     """

@@ -58,6 +58,10 @@ GOLDEN = [
     # S = 1 next to windows that leave a ragged tail (10 = 3·3 + 1 = 2·4 + 2 = 7 + 3)
     ("b98553bc341092642fe8316590e8fb1eb7aee15e864cf1c76d9d20292279f14e",
      "qsearch --experiment blocked --M 10 --S 1,3,4,7 --trials 50 --seed 3"),
+    # block pairs of spaces past 10^6: S = 1100 probes entry 863 of a
+    # 1.21e6 space's hit row (sparse), S = 2500 runs BBHT on 6.25e6 (dense)
+    ("46f65d1b3ecc89093d767a73ef5a0f43ade1432c89a1ad349cc4005693768f5e",
+     "qsearch --experiment pair --M1 3000 --M2 3000 --K 2 --S 1100,2500 --trials 20 --seed 7"),
 ]
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import GeneratorDraws
 from sievelab import qsearch as Q
-from sievelab.cli import QSEARCH_SIZE_GUARD, main
+from sievelab.cli import main
 from sievelab.errors import DomainError
 from sievelab.rng import DEFAULT_SEED, derive_seed, make_rng, search_draws
 
@@ -156,7 +156,7 @@ def _ref_bbht_two_class(S, k, draws, cap):
     verified hit, None on cap exhaustion; the caller then drew the rank."""
     below, uniform = draws.below, draws.uniform
     sched = Q._bbht_schedule(S)
-    hit = Q._hit_table(S, k)
+    theta = math.asin(math.sqrt(k / S))
     last = len(sched) - 1
     i = 0
     evals = 0
@@ -167,7 +167,7 @@ def _ref_bbht_two_class(S, k, draws, cap):
             evals = cap  # truncated attempt burns the remaining budget
             break
         evals += cost
-        if uniform() < hit[j]:
+        if uniform() < math.sin((2 * j + 1) * theta) ** 2:
             return True, evals
         # measured an unmarked element; grow the iteration range
         if i < last:
@@ -183,7 +183,7 @@ def _stream_state(draws):
 
 
 @given(
-    # past 10**6 the hit table is computed entry by entry (_HitRow)
+    # spaces past 10**6 too, which only the pair search reaches
     S=st.one_of(st.integers(1, 5000), st.integers(10**6 + 1, 10**9)),
     marks=st.sampled_from(["none", "one", "all"]),
     cap=st.integers(1, 500),
@@ -220,22 +220,36 @@ def test_hit_table_matches_the_loop_expression(S):
     n = math.ceil(math.sqrt(S))
     for k in sorted({k for k in (0, 1, 2, S // 3, S - 1, S) if k <= S}):
         theta = math.asin(math.sqrt(k / S))
-        table = Q._hit_table(S, k)
-        if n <= Q.HIT_TABLE_MAX_LEN:
-            assert isinstance(table, tuple) and len(table) == n
+        row = Q._hit_table(S, k)
         for j in range(n) if n <= 2000 else (0, 1, n // 2, n - 1):
-            assert table[j] == math.sin((2 * j + 1) * theta) ** 2, (k, j)
+            assert Q._hit_fill(row, S, k, j) == row[j] == math.sin((2 * j + 1) * theta) ** 2, (k, j)
     # the sparse pair probe reads these rows at any j < n, full and empty
     # block pairs included
     full, empty = Q._hit_table(S, S), Q._hit_table(S, 0)
-    assert all(full[j] == 1.0 and empty[j] == 0.0 for j in range(n))
+    assert all(Q._hit_fill(full, S, S, j) == 1.0 and Q._hit_fill(empty, S, 0, j) == 0.0
+               for j in range(n))
 
 
 def test_bbht_caches_are_bounded():
     for cache in (Q._bbht_schedule, Q._hit_table):
         assert cache.cache_parameters()["maxsize"] is not None
-    # the longest table kept covers the CLI's largest blocked and minfind space
-    assert Q.HIT_TABLE_MAX_LEN == math.ceil(math.sqrt(QSEARCH_SIZE_GUARD))
+
+
+def test_hit_row_holds_no_more_entries_than_attempts():
+    # a row stores only what a search reads, so its size follows the
+    # work done, even where ceil(sqrt(S)) is 10**6 entries
+    class Counted:  # the stream, counting measurements: one per attempt
+        def __init__(self, draws):
+            self.below, self.draw, self.attempts = draws.below, draws.uniform, 0
+
+        def uniform(self):
+            self.attempts += 1
+            return self.draw()
+
+    Q._hit_table.cache_clear()
+    draws = Counted(search_draws(5))
+    assert Q._bbht(10**12, 1, draws, 300) == (None, 300)  # one mark in 10**12 is missed
+    assert 0 < len(Q._hit_table(10**12, 1)) <= draws.attempts
 
 
 def test_searches_in_threads_match_their_serial_runs():
@@ -409,9 +423,10 @@ def test_blocked_search_scaling_structure():
 def _bbht_block_law(S, k, cap):
     """Exact law of one capped BBHT search, k marked of S, by a forward
     pass over (evaluations spent, schedule index) on _bbht_schedule and
-    _hit_table: (chance of a miss, mean evaluations, mean squared
-    evaluations).  A miss spends the whole cap."""
-    sched, hit = Q._bbht_schedule(S), Q._hit_table(S, k)
+    the hit chances sin((2j+1) theta)^2: (chance of a miss, mean
+    evaluations, mean squared evaluations).  A miss spends the whole cap."""
+    sched, theta = Q._bbht_schedule(S), math.asin(math.sqrt(k / S))
+    hit = [math.sin((2 * j + 1) * theta) ** 2 for j in range(sched[-1])]
     last = len(sched) - 1
     mass = [[0.0] * len(sched) for _ in range(cap)]
     mass[0][0] = 1.0

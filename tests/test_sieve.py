@@ -270,7 +270,7 @@ def test_sieve_step_yield_and_norm_contract():
 
 
 def test_sieve_step_bytes_are_pinned():
-    # recorded when sieve_step still ran preprocess and then query_keys,
+    # recorded when sieve_step still ran preprocess and then query_method,
     # each scoring the list against the family
     inst = sieve.random_instance(16, 600, seed=31, mode="norm", radius=2.0, theta=1.2,
                                  shrink_factor=0.9)
