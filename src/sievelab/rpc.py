@@ -10,7 +10,13 @@ Two queries matter downstream.  decode(scores, alpha) finds, for a batch
 of rows, every codeword reaching alpha by one branch-and-bound over the
 block scores.  score_tiles walks a batch's score tiles in one flat
 sequence, scan decodes each tile at several thresholds, and
-relevant_filters(v, alpha) is its one-row case.
+relevant_filters(v, alpha) is its one-row case.  A one-block family's
+tiles are only ever compared with a threshold, so scan screens them in
+float32 (_at_least): a proved margin sends the few scores near a
+threshold to a float64 re-score, and a re-score within float64's own
+error of the threshold to the float64 tile itself, so every decision is
+the float64 product's.  The screen needs unit codewords, which
+build_family makes and load_family checks.
 sample_alpha_close draws a near-uniform qualifying center from a
 bounded string of random coins, using a dynamic-programming tree over
 discretized block scores.  The discretization only ever widens the
@@ -26,6 +32,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -42,7 +49,8 @@ GRID_SIZE = 64
 COIN_MARGIN = 4
 
 # spans' default budget: a chunk of scores, partial sums or mask entries holds
-# at most this many (2 MB of doubles), keeping peak memory flat in rows and prefixes
+# at most this many (2 MB of doubles, or a float32 screen tile of 1 MB beside
+# its candidates), keeping peak memory flat in rows and prefixes
 _BLOCK_FLOATS = 1 << 18
 
 _MAGIC = b"SLF1"
@@ -82,6 +90,12 @@ class FilterFamily:
         """Full (t, d) center matrix; the brute-force view of the family."""
         digits = np.indices((self.m,) * self.B).reshape(self.B, -1)
         return np.concatenate([blk[j] for blk, j in zip(self.blocks, digits)], axis=1)
+
+    @cached_property
+    def screen(self) -> tuple[np.ndarray, float]:
+        """The first block in float32 and its largest vector norm: scan's
+        float32 screen of a one-block family, made once per family."""
+        return self.blocks[0].astype(np.float32), _max_norm(self.blocks[0])
 
 
 def _check_counts(kind: str, d: int, m: int | None, B: int | None) -> None:
@@ -127,6 +141,12 @@ def build_family(
 # --- relevant-filter enumeration --------------------------------------------
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Per row of x, np.linalg.norm's sum of squares under a square root,
+    cheap for one row; a NaN or inf coordinate makes its row's norm so."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def check_queries(
     family: FilterFamily, V: np.ndarray, alpha: float, name: str = "alpha"
 ) -> None:
@@ -134,8 +154,7 @@ def check_queries(
     a threshold out of range is reported under ``name``."""
     if V.ndim != 2 or V.shape[1] != family.d:
         raise DomainError(f"query rows must have {family.d} coordinates")
-    # np.linalg.norm's sum as Python floats, cheap for one row; NaN and inf fail <=
-    norms = np.sqrt(np.add.reduce(V * V, axis=1)).tolist()
+    norms = _row_norms(V).tolist()  # NaN and inf fail <=
     if not all(abs(x - 1.0) <= 1e-6 for x in norms):
         raise DomainError("v must be a unit vector")
     if not -1.0 <= alpha < 1.0:
@@ -157,6 +176,19 @@ def spans(weights: np.ndarray, budget: int | None = None) -> list[slice]:
     return cuts
 
 
+def _tiles(rows: np.ndarray, blocks: Sequence[np.ndarray]) -> Iterator[tuple[slice, slice]]:
+    """score_tiles' tiles as (row run, vector cut) slices, in its order."""
+    m = len(blocks[0])
+    tiled = len(blocks) == 1 and m > _BLOCK_FLOATS
+    if tiled:
+        runs = spans(np.broadcast_to(1, len(rows)), math.isqrt(_BLOCK_FLOATS))
+    else:
+        runs = spans(np.broadcast_to(m, len(rows)))
+    for run in runs:
+        for cut in spans(np.broadcast_to(run.stop - run.start, m)) if tiled else [slice(0, m)]:
+            yield run, cut
+
+
 def score_tiles(
     rows: np.ndarray, blocks: Sequence[np.ndarray]
 ) -> Iterator[tuple[int, int, list[np.ndarray]]]:
@@ -170,47 +202,143 @@ def score_tiles(
     vectors by spans, each weighing one score per row of the chunk: a score
     matrix then stays within the budget, and the centers are read once per
     R rows."""
-    m, w = len(blocks[0]), rows.shape[1] // len(blocks)
-    tiled = len(blocks) == 1 and m > _BLOCK_FLOATS
-    if tiled:
-        runs = spans(np.broadcast_to(1, len(rows)), math.isqrt(_BLOCK_FLOATS))
-    else:
-        runs = spans(np.broadcast_to(m, len(rows)))
-    for run in runs:
+    w = rows.shape[1] // len(blocks)
+    for run, cut in _tiles(rows, blocks):
         chunk = rows[run]
-        for cut in spans(np.broadcast_to(len(chunk), m)) if tiled else [slice(0, m)]:
-            yield run.start, cut.start, [chunk[:, b * w : (b + 1) * w] @ blk[cut].T
-                                         for b, blk in enumerate(blocks)]
+        yield run.start, cut.start, [chunk[:, b * w : (b + 1) * w] @ blk[cut].T
+                                     for b, blk in enumerate(blocks)]
 
 
 def scan(
-    rows: np.ndarray, blocks: Sequence[np.ndarray], thresholds: Sequence[float]
+    rows: np.ndarray, family: FilterFamily, thresholds: Sequence[float]
 ) -> tuple[list[np.ndarray], list[int]]:
     """Per threshold, decode's ascending keys x * t + i over the rows and the
-    blocks (t = m^B), and its node count.  Each score_tiles tile serves every
-    threshold; the keys are sorted once, in place, only when a block was cut
-    into tiles narrower than m, whose keys interleave."""
-    m = len(blocks[0])
-    t = m ** len(blocks)
+    family's codewords, and its node count.  A product code decodes each
+    score_tiles tile at every threshold.  A one-block family thresholds each
+    of those tiles by _at_least instead, a float32 screen whose every
+    decision is the tile's own float64 product's, at t nodes a row.  The
+    keys are sorted once, in place, only when the block was cut into tiles
+    narrower than m, whose keys interleave."""
+    m, t = family.m, family.t
     keys: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in thresholds]
     nodes = [0] * len(thresholds)
     narrow = False
-    for r0, c0, scores in score_tiles(rows, blocks):
-        width = scores[0].shape[1]
-        narrow |= width < m
-        for k, thr in enumerate(thresholds):
-            got, expanded = decode(scores, thr)
-            nodes[k] += expanded
-            if width == m:
+    if family.B > 1:
+        for r0, _, scores in score_tiles(rows, family.blocks):
+            for k, thr in enumerate(thresholds):
+                got, expanded = decode(scores, thr)
+                nodes[k] += expanded
                 keys[k].append(got + r0 * t)
-            else:  # a tile of one block's centers c0 .. c0 + width
+        return [np.concatenate(part) for part in keys], nodes
+    centers, (centers32, norm) = family.blocks[0], family.screen
+    rows32, norm = rows.astype(np.float32), float(np.maximum(norm, _max_norm(rows)))
+    for run, cut in _tiles(rows, family.blocks):
+        width = cut.stop - cut.start
+        narrow |= width < m
+        found = _at_least(rows[run], centers[cut], rows32[run], centers32[cut], norm, thresholds)
+        for k, got in enumerate(found):
+            nodes[k] += (run.stop - run.start) * width
+            if width == m:
+                keys[k].append(got + run.start * t)
+            else:  # a tile of the centers cut.start .. cut.stop
                 r, c = np.divmod(got, width)
-                keys[k].append((r + r0) * t + c + c0)
+                keys[k].append((r + run.start) * t + c + cut.start)
     out = [np.concatenate(part) for part in keys]
     if narrow:
         for got in out:
             got.sort()
     return out, nodes
+
+
+def _max_norm(x: np.ndarray) -> float:
+    """The largest row norm of x, 0 for no rows; NaN when a row holds a NaN."""
+    return float(_row_norms(x).max(initial=0.0))
+
+
+def _screen_bounds(d: int, norm: float) -> tuple[float, float] | None:
+    """The float32 margin and the float64 tie bound of _at_least, for rows
+    of d coordinates whose norms are at most norm; None when no bound holds.
+
+    Proof.  Let u = 2^-24, g(x) = d x / (1 - d x), N = norm^2 and p the
+    exact inner product of a row pair.  Rounding the pair to float32 moves
+    each term a_k b_k by at most (2u + u^2)|a_k b_k|, and a float32 dot
+    product in any order, with FMA or without, errs by at most g(u) times
+    its terms' absolute sum; by Cauchy-Schwarz the screen score s lies
+    within (2u + u^2 + g(u)(1 + u)^2) N of p.  The float64 product S lies
+    within g(2^-53) N of p, so |s - S| <= (d + 2) u N to first order.  The
+    margin is twice that, (d + 2) 2^-23 N.  For d < 2^22 (d u < 1/4) its
+    second half covers the rest: the higher-order terms, below
+    (d + 2) u N (d u / (1 - d u) + 2^-24); the float64 rounding of norm;
+    and rounding thr -+ margin to float32.  Every s and S lies within
+    1.5 N of zero, so a bound beyond 2.5 N in size and its rounding put
+    every entry on the same side; within it the rounding errs by under
+    2.6 u N.  Hence S >= thr gives s >= thr - margin, and s >= thr +
+    margin gives S >= thr.  A float64 re-score r also lies within
+    g(2^-53) N of p, so within 2 g(2^-53) N of S, and the tie bound
+    (d + 2) 2^-52 N covers that and the rounding of thr -+ tie the same
+    way: r >= thr + tie gives S >= thr, and r < thr - tie gives S < thr.
+    Underflow: below float32's normal range a rounding errs by up to
+    2^-150 absolute, in all under d 2^-108 while norm <= 2^40, which the
+    margin's absolute (d + 2) 2^-100 covers; the tie bound's
+    (d + 2) 2^-1000 covers float64's.  norm <= 2^40 also keeps every
+    float32 value below 2^81, far from overflow.  A larger norm, inf or
+    NaN (a NaN coordinate makes its row's norm NaN) fails that cap, as
+    does d >= 2^22: no bound."""
+    if not (d < 1 << 22 and norm <= 2.0**40):
+        return None
+    scale = (d + 2) * norm * norm
+    return scale * 2.0**-23 + (d + 2) * 2.0**-100, scale * 2.0**-52 + (d + 2) * 2.0**-1000
+
+
+def _exact_tile(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The float64 tile a @ b.T, whose decisions _at_least reproduces."""
+    return a @ b.T
+
+
+def _at_least(
+    a: np.ndarray,
+    b: np.ndarray,
+    a32: np.ndarray,
+    b32: np.ndarray,
+    norm: float,
+    thresholds: Sequence[float],
+) -> list[np.ndarray]:
+    """Per threshold thr, np.flatnonzero(a @ b.T >= thr), with exactly the
+    float64 product's decisions, screened in float32.
+
+    a32 and b32 are a and b rounded to float32, and norm is at least every
+    row norm of a and b.  With _screen_bounds' margin and tie bound: a
+    float32 score s below thr - margin is out; s at thr + margin or above
+    is in.  The candidates between are re-scored in float64 by an einsum
+    over their rows, r: r at thr + tie or above is in, r below thr - tie
+    is out.  Only an entry whose r lies within the tie bound of thr reads
+    its bit from _exact_tile(a, b), computed at most once a call, so even
+    a true tie gets the float64 product's bit.  Without bounds (a norm
+    past 2^40, inf or NaN) every bit comes from _exact_tile."""
+    bounds = _screen_bounds(a.shape[1], norm)
+    if bounds is None:
+        tile = _exact_tile(a, b)
+        return [np.flatnonzero(tile >= thr) for thr in thresholds]
+    margin, tie = bounds
+    s = (a32 @ b32.T).ravel()
+    cand = np.flatnonzero(s >= np.float32(np.fmin.reduce(thresholds, initial=math.inf) - margin))
+    s = s[cand]
+    exact = None
+    out = []
+    for thr in thresholds:
+        keep = s >= np.float32(thr + margin)
+        band = np.flatnonzero(~keep & (s >= np.float32(thr - margin)))
+        if band.size:
+            i, j = np.divmod(cand[band], len(b))
+            r = np.einsum("ij,ij->i", a[i], b[j])
+            keep[band] = r >= thr + tie
+            tied = band[(r < thr + tie) & (r >= thr - tie)]
+            if tied.size:
+                if exact is None:
+                    exact = _exact_tile(a, b).ravel()
+                keep[tied] = exact[cand[tied]] >= thr
+        out.append(cand[keep])
+    return out
 
 
 def relevant_filters(family: FilterFamily, v: np.ndarray, alpha: float) -> list[int]:
@@ -225,7 +353,7 @@ def relevant_filters_with_cost(
     A one-block family is a plain scan of t nodes; the count never exceeds t*B."""
     V = np.asarray(v, dtype=float)[None]
     check_queries(family, V, alpha)
-    (keys,), (nodes,) = scan(V, family.blocks, [alpha])
+    (keys,), (nodes,) = scan(V, family, [alpha])
     return keys.tolist(), nodes
 
 
@@ -434,7 +562,10 @@ def save_family(family: FilterFamily, path: str) -> None:
 
 
 def load_family(path: str) -> FilterFamily:
-    """Read a save_family file, with build_family's checks on its counts."""
+    """Read a save_family file, with build_family's checks on its counts.
+    Every block vector must be finite with norm 1/sqrt(B) within 1e-6
+    (check_queries' tolerance), so every codeword is a unit vector, as
+    build_family makes them and scan's float32 screen assumes."""
     reader = BinaryReader(path, _MAGIC, "filter-family")
     code, d, seed = reader.unpack("<BIQ")
     kind = {v: k for k, v in _KIND_CODES.items()}.get(code)
@@ -444,4 +575,8 @@ def load_family(path: str) -> FilterFamily:
     _check_counts(kind, d, m, B)
     blocks = tuple(reader.floats(m, d // B) for _ in range(B))
     reader.finish()
+    for block in blocks:
+        if not np.all(np.abs(_row_norms(block) - 1.0 / math.sqrt(B)) <= 1e-6):  # NaN and inf fail
+            raise DomainError(f"{path} holds a block vector that is not finite "
+                              f"with norm 1/sqrt({B})")
     return FilterFamily(kind, d, seed, blocks)

@@ -194,6 +194,10 @@ def _check_family(instance: SieveInstance, family: FilterFamily) -> None:
 # over the upper triangle only: a row chunk [lo, hi) is scored against
 # rows lo onwards, and the keys with y > x are kept.  The close set is
 # those keys and their mirrors, so it is symmetric by construction.
+# Both products are only compared with a threshold, so both are screened
+# in float32 by rpc._at_least, whose every decision is still the float64
+# product's: a score near the threshold is re-scored in float64, and one
+# within float64's own error of it is read from the float64 tile itself.
 # Every chunk is cut by rpc.spans at rpc's budget: a score block holds at
 # most 2^18 doubles (2 MB), keeping peak memory flat in n and t.  A
 # triangle chunk also scores the corner below its diagonal, which its row
@@ -242,7 +246,7 @@ def _close_masks(
             check_queries(family, dirs, thr, name)
     distinct = list(named)
     shape = (instance.n, family.t)
-    masks = [Mask(*_compress(k, *shape), shape) for k in scan(dirs, family.blocks, distinct)[0]]
+    masks = [Mask(*_compress(k, *shape), shape) for k in scan(dirs, family, distinct)[0]]
     return [masks[distinct.index(thr)] for thr in thresholds.values()]
 
 
@@ -257,15 +261,19 @@ def _upper_close_keys(instance: SieveInstance) -> np.ndarray:
     """Ascending keys of the pairs (x, y), x < y, at angle <= theta.
 
     Each spans chunk [lo, hi) of the list is scored against the rows from
-    lo onwards only, a row x weighing its n - x scores.
+    lo onwards only, a row x weighing its n - x scores, and thresholded by
+    rpc._at_least: a float32 screen of dirs[lo:hi] @ dirs[lo:].T whose
+    every decision is that float64 product's.
     """
     dirs = instance.directions()
     n = instance.n
     cos_theta = math.cos(instance.theta)
+    dirs32, norm = dirs.astype(np.float32), rpc._max_norm(dirs)
     keys = [np.empty(0, dtype=np.int64)]
     for run in spans(n - np.arange(n)):
         lo = run.start
-        r, c = np.divmod(np.flatnonzero(dirs[run] @ dirs[lo:].T >= cos_theta), n - lo)
+        (got,) = rpc._at_least(dirs[run], dirs[lo:], dirs32[run], dirs32[lo:], norm, [cos_theta])
+        r, c = np.divmod(got, n - lo)
         above = c > r  # the diagonal and below are other chunks' keys, or self pairs
         keys.append((r[above] + lo) * n + c[above] + lo)
     return np.concatenate(keys)

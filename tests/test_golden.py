@@ -9,6 +9,7 @@ the bucket engine, the ledgers and the pair counts.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import sievelab
-from sievelab import qsearch, sieve
+from sievelab import qsearch, rpc, sieve
 from sievelab.cli import main
 
 GOLDEN = [
@@ -207,6 +208,23 @@ def test_sieve_run_is_the_golden_row(capsys, command):
     run = sieve.run(c["d"], c["n"], c["seed"], c["method"], c["theta"], c["alpha"], c["beta"],
                     c["t"], c["wedge_samples"])
     assert dataclasses.asdict(run) == doc["results"][0]
+
+
+@pytest.mark.parametrize("route", ["re-score", "exact-tile"])
+def test_golden_sieve_row_through_each_screen_route(tmp_path, monkeypatch, route):
+    # the float32 screen's slow routes alone give the row's bytes: an infinite
+    # margin sends every score to the float64 re-score, and an infinite tie
+    # bound then sends every one on to the float64 tile
+    bounds = rpc._screen_bounds
+    tie = math.inf if route == "exact-tile" else None
+    monkeypatch.setattr(rpc, "_screen_bounds",
+                        lambda d, norm: (math.inf, tie or bounds(d, norm)[1]))
+    tiles = []
+    exact_tile = rpc._exact_tile
+    monkeypatch.setattr(rpc, "_exact_tile", lambda a, b: tiles.append(1) or exact_tile(a, b))
+    test_golden_bytes(tmp_path, "356c9c62cd7e56f1f8ae65a37878ff8006bedfcef5310951c0b24b5e3b727a49",
+                      "sieve --d 12 --n 300 --t 400 --seed 3 --wedge-samples 1000000")
+    assert (len(tiles) > 0) == (route == "exact-tile")
 
 
 def test_golden_sieve_csv_keeps_its_column_order(tmp_path):

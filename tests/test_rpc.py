@@ -178,7 +178,7 @@ def test_scan_is_the_per_row_queries(monkeypatch, kind, counts, budget):
     want = [[rpc.relevant_filters_with_cost(fam, v, thr) for v in V] for thr in thresholds]
     if budget is not None:
         monkeypatch.setattr(rpc, "_BLOCK_FLOATS", budget)
-    keys, nodes = rpc.scan(V, fam.blocks, thresholds)
+    keys, nodes = rpc.scan(V, fam, thresholds)
     for got, count, per_row in zip(keys, nodes, want):
         shifted = [np.asarray(k, dtype=np.int64) + x * fam.t for x, (k, _) in enumerate(per_row)]
         assert got.dtype == np.int64 and np.array_equal(got, np.concatenate(shifted))
@@ -221,6 +221,111 @@ def test_one_block_past_the_budget_is_scored_in_tiles(monkeypatch, kind):
         levels, level_min, epsilon = rpc.sample_levels(fam, V, 0.3)
         assert (level_min, epsilon) == want_levels[1:]
         assert np.array_equal(levels[0], want_levels[0][0])
+
+
+def _unscreened_scan(rows, fam, thresholds):
+    # scan's one-block keys before the float32 screen: per score_tiles tile,
+    # flatnonzero(chunk @ blk[cut].T >= thr), mapped back to x * t + i
+    keys = [[np.empty(0, dtype=np.int64)] for _ in thresholds]
+    for r0, c0, (s,) in rpc.score_tiles(rows, fam.blocks):
+        for k, thr in enumerate(thresholds):
+            r, c = np.divmod(np.flatnonzero(s >= thr), s.shape[1])
+            keys[k].append((r + r0) * fam.t + c + c0)
+    return [np.sort(np.concatenate(part)) for part in keys]
+
+
+@given(st.integers(1, 9), st.integers(0, 12), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(["-1", "0.999", "0", "score", "below", "above"]),
+                min_size=1, max_size=3),
+       st.booleans())
+def test_screened_scan_keeps_every_float64_decision(d, n, t, seed, picks, unit):
+    # random rows and centers, unit or not, at thresholds that include -1,
+    # 0.999 and computed float64 scores (a tie) or their neighbours; once
+    # with full-width tiles and once at a 7-float budget, which tiles the
+    # centers whenever t > 7
+    rng = make_rng(seed)
+    rows, centers = rng.normal(size=(n, d)), rng.normal(size=(t, d))
+    if unit:
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        centers /= np.linalg.norm(centers, axis=1)[:, None]
+    fam = rpc.FilterFamily("explicit", d, 0, (centers,))
+    scores = np.concatenate([np.empty(0)] + [s.ravel() for _, _, (s,) in rpc.score_tiles(rows, fam.blocks)])
+    score = float(scores[rng.integers(scores.size)]) if scores.size else 0.5
+    near = {"score": score, "below": np.nextafter(score, -2.0), "above": np.nextafter(score, 2.0)}
+    thresholds = [float(near.get(p, p)) for p in picks]
+    for budget in (None, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(rpc, "_BLOCK_FLOATS", budget)
+            keys, nodes = rpc.scan(rows, fam, thresholds)
+            want = _unscreened_scan(rows, fam, thresholds)
+        assert all(got.tobytes() == w.tobytes() for got, w in zip(keys, want))
+        assert nodes == [n * t] * len(thresholds)
+
+
+def _spy_exact_tile(monkeypatch):
+    calls = []
+    real = rpc._exact_tile
+
+    def spy(a, b):
+        calls.append((len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(rpc, "_exact_tile", spy)
+    return calls
+
+
+def test_a_score_float32_rounds_below_alpha_is_re_scored(monkeypatch):
+    # <e1, c> is alpha + 1e-9 for center 0 and alpha - 1e-9 for center 1:
+    # float32 rounds both to one value below alpha, so only the float64
+    # re-score tells them apart, and no tie reaches the exact tile
+    alpha = float(np.float32(0.3)) + 0.4 * 2.0**-25  # 0.4 float32 spacings above one
+    firsts = [alpha + 1e-9, alpha - 1e-9]
+    centers = np.array([[c, math.sqrt(1.0 - c * c), 0.0] for c in firsts])
+    assert all(float(np.float32(c)) < alpha for c in firsts)
+    fam = rpc.FilterFamily("explicit", 3, 0, (centers,))
+    calls = _spy_exact_tile(monkeypatch)
+    assert rpc.relevant_filters(fam, np.array([1.0, 0.0, 0.0]), alpha) == [0]
+    assert calls == []
+
+
+def test_an_exact_tie_reads_the_float64_tile(monkeypatch):
+    # <e1, c_0> equals alpha exactly: the re-score lies within the tie bound,
+    # so the bit comes from the tile product, once per call
+    alpha = 0.3
+    centers = np.array([[alpha, math.sqrt(1.0 - alpha * alpha), 0.0], [0.0, 0.0, 1.0]])
+    fam = rpc.FilterFamily("explicit", 3, 0, (centers,))
+    calls = _spy_exact_tile(monkeypatch)
+    x = np.array([1.0, 0.0, 0.0])
+    assert rpc.relevant_filters(fam, x, alpha) == [0]
+    assert rpc.relevant_filters(fam, x, math.nextafter(alpha, 1.0)) == []
+    assert calls == [(1, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "huge"])
+def test_unboundable_norms_read_every_bit_from_the_tile(monkeypatch, bad):
+    # no margin holds past a norm of 2^40, at inf or at NaN: the float64 tile decides
+    rows = np.array([[1.0, 0.0], [0.6, 0.8]])
+    rows[1, 0] = {"nan": math.nan, "inf": math.inf, "huge": 2.0**41}[bad]
+    centers = np.array([[1.0, 0.0], [0.0, 1.0]])
+    calls = _spy_exact_tile(monkeypatch)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in both products
+        got = rpc._at_least(rows, centers, rows.astype(np.float32), centers.astype(np.float32),
+                            rpc._max_norm(rows), [0.5, -1.0])
+        exact = rows @ centers.T
+    assert [g.tolist() for g in got] == [np.flatnonzero(exact >= thr).tolist() for thr in (0.5, -1.0)]
+    assert calls == [(2, 2)]
+
+
+def test_one_row_queries_keep_the_family_screen():
+    # the per-query API reads the float32 centers made once with the family
+    fam = rpc.build_family("explicit", 6, 4, t=50)
+    v = geometry.sample_sphere(6, make_rng(5))
+    rpc.relevant_filters(fam, v, 0.2)
+    centers32, norm = fam.screen
+    rpc.relevant_filters(fam, v, 0.2)
+    assert fam.screen[0] is centers32 and centers32.dtype == np.float32
+    assert abs(norm - 1.0) < 1e-12
 
 
 def test_relevant_filters_expected_count():
@@ -425,3 +530,29 @@ def test_load_family_rejects_unknown_kind(tmp_path):
     p.write_bytes(b"SLF1" + struct.pack("<BIQ", 9, 4, 5))
     with pytest.raises(DomainError):
         rpc.load_family(os.fspath(p))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "norm-5"])
+def test_load_family_rejects_centers_off_the_sphere(tmp_path, bad):
+    # scan's float32 screen takes every codeword to be a unit vector
+    centers = rpc.build_family("explicit", 4, 3, t=6).blocks[0].copy()
+    if bad == "norm-5":
+        centers[2] *= 5.0
+    else:
+        centers[2, 1] = float(bad)
+    path = os.fspath(tmp_path / "fam.bin")
+    rpc.save_family(rpc.FilterFamily("explicit", 4, 3, (centers,)), path)
+    with pytest.raises(DomainError, match="norm 1/sqrt"):
+        rpc.load_family(path)
+
+
+def test_load_family_holds_block_vectors_to_norm_one_over_root_b(tmp_path):
+    # B = 2: block vectors of norm 1/sqrt(2) round-trip; unit ones do not
+    fam = rpc.build_family("rpc", 8, 4, m=5, B=2)
+    path = os.fspath(tmp_path / "fam.bin")
+    rpc.save_family(fam, path)
+    assert all(np.array_equal(a, b) for a, b in zip(rpc.load_family(path).blocks, fam.blocks))
+    unit = tuple(blk * math.sqrt(2.0) for blk in fam.blocks)
+    rpc.save_family(rpc.FilterFamily("rpc", 8, 4, unit), path)
+    with pytest.raises(DomainError, match="norm 1/sqrt"):
+        rpc.load_family(path)

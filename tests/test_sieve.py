@@ -217,6 +217,22 @@ def test_brute_force_trivial_geometry():
     assert sieve.brute_force_pairs(close) == {(0, 1), (1, 0)}
 
 
+def test_brute_force_reads_an_exact_tie_from_the_float64_gram(monkeypatch):
+    # <x_0, x_1> is cos(theta) exactly: the Gram's float32 screen and its
+    # float64 re-score both leave the pair to the float64 tile, which keeps it
+    theta = 1.1
+    c = math.cos(theta)
+    inst = sieve.make_instance(
+        np.array([[1.0, 0.0, 0.0], [c, math.sqrt(1.0 - c * c), 0.0], [0.0, 0.0, 1.0]]), theta=theta)
+    calls = []
+    exact_tile = rpc._exact_tile
+    monkeypatch.setattr(rpc, "_exact_tile", lambda a, b: calls.append(1) or exact_tile(a, b))
+    assert sieve.brute_force_keys(inst).tolist() == [0 * 3 + 1, 1 * 3 + 0]
+    assert calls == [1]
+    inst.vectors[1, 0] = math.nextafter(c, 0.0)  # one ulp short of cos(theta)
+    assert sieve.brute_force_keys(inst).size == 0 and calls == [1, 1]
+
+
 def test_brute_force_count_matches_cap_probability():
     # each ordered pair is close w.p. C_24(cos pi/3); measured spread
     # across seeds is about 1.3% so a 10% window is a hard assertion
