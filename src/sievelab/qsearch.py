@@ -26,17 +26,18 @@ min_find_with_cost) takes one rng.search_draws stream (the thread's
 Philox, re-keyed to make_rng(seed)'s stream) and reuses it for every
 block, block pair and descent step; its scalar draws are replayed in
 Python from raw Philox words fetched in bulk, so a draw pays no C call.
-Minimum finding charges its last search, the one from a least value,
-without drawing: with no marked element that search misses and burns
-the rest of its budget whatever it draws, and nothing reads the stream
-after it.  It searches a flat list or a run list (values with counts of
-copies), keeping only the candidates below its current value, so each
-descent step filters a shrinking list.  The blocked searches still draw
-through their unmarked blocks, since a later block reads the same
-stream.  The BBHT loop reads its attempt sizes from a cached schedule
-per space size, and it and the sparse pair probe read their hit
-probabilities from one cached row per (size, marked count), which
-computes each entry the first time it is read.
+A search with no marked element draws nothing: every attempt hits with
+chance sin^2(0) = 0, so _bbht charges its whole cap at once, and the
+sparse pair probe skips an empty block pair.  What such a search would
+have drawn cannot change its charge, so a later block, block pair or
+descent step reads those stream words instead, and the law of every
+reported statistic is the one of drawing through.  Minimum finding
+searches a flat list or a run list (values with counts of copies),
+keeping only the candidates below its current value, so each descent
+step filters a shrinking list.  The BBHT loop reads its attempt sizes
+from a cached schedule per space size, and it and the sparse pair probe
+read their hit probabilities from one cached row per (size, marked
+count), which computes each entry the first time it is read.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .rng import SearchStream, derive_seed, make_rng, search_draws
+from .rng import SearchStream, derive_seed, search_draws
 
 # per-block cap inside blocked_search; the proof caps at O(sqrt(S))
 BLOCK_CAP_FACTOR = 3.0
@@ -114,10 +115,17 @@ def bbht_search(flags: np.ndarray, seed: int, cap: int) -> tuple[int | None, int
     exhausted; returns (index or None, oracle evaluations spent).  A hit
     names one marked index, drawn uniformly.  Like the other searches it
     draws from search_draws(seed), restarting the calling thread's stream.
+    A cap that is not an integer of at least 0 is refused before any draw.
     """
     flags = np.asarray(flags, dtype=bool)
     if flags.ndim != 1 or flags.size < 1:
         raise DomainError(f"bbht_search needs a nonempty flag vector, got shape {flags.shape}")
+    try:
+        cap = operator.index(cap)
+    except TypeError:
+        raise DomainError(f"bbht_search needs an integer cap, got {cap!r}") from None
+    if cap < 0:
+        raise DomainError(f"bbht_search needs cap >= 0, got {cap}")
     rank, evals = _bbht(flags.size, int(np.count_nonzero(flags)), search_draws(seed), cap)
     return (None if rank is None else int(np.flatnonzero(flags)[rank])), evals
 
@@ -159,7 +167,11 @@ def _hit_fill(hit: dict[int, float], S: int, k: int, j: int) -> float:
 def _bbht(S: int, k: int, draws: SearchStream, cap: int) -> tuple[int | None, int]:
     """bbht_search over a space summarized by (size, marked count): (rank,
     evaluations spent).  A verified hit names the rank-th mark, drawn as
-    draws.below(k) right after the hit; rank is None when the cap runs out."""
+    draws.below(k) right after the hit; rank is None when the cap runs out.
+    With k = 0 no attempt can hit, so it returns (None, cap), what the loop
+    returns for any cap >= 0, without drawing."""
+    if not k:
+        return None, cap
     below, uniform = draws.below, draws.uniform
     sched = _bbht_schedule(S)
     hit = _hit_table(S, k)
@@ -197,7 +209,8 @@ def blocked_search(
 
     Scans blocks in index order; each block is loaded once (one QRAM
     reload), searched with an evaluation cap of ceil(3 sqrt(S)), and the
-    whole search halts at the first verified solution.  S=1 degenerates
+    whole search halts at the first verified solution.  A block with no
+    mark is charged its cap without a draw.  S=1 degenerates
     to the classical scan: one reload and one evaluation per element up
     to the first mark, so it spends no random draws.  The window holds
     at most the whole list: S > M is refused.
@@ -264,7 +277,8 @@ def blocked_pair_search(
     schedule.  Dense regime: repeated searches with already-found pairs
     excluded until the block pair's budget is spent.  Sparse regime: a
     single amplitude-amplification probe.  Every found pair is verified
-    and recorded once.
+    and recorded once.  A block pair with no live pair left draws
+    nothing: it is charged its budget or probe as planned.
     """
     dense, budget, probe, reloads, evals = pair_search_plan(M1, M2, K_planted, S)
     draws = search_draws(seed)
@@ -280,8 +294,9 @@ def blocked_pair_search(
     found: set[tuple[int, int]] = set()
     for bi in range(-(-M1 // S)):
         for bj in range(-(-M2 // S)):
-            # with k = 0 the success probability is 0 and no pick can happen
-            live = live_in.get((bi, bj), [])
+            live = live_in.get((bi, bj))
+            if not live:  # no pair to find: charged as planned, nothing drawn
+                continue
             if dense:
                 remaining = budget
                 while remaining > 0:
@@ -363,11 +378,10 @@ def min_find_with_cost(
     numpy index array; in run form it is a Python list, which is faster
     on the few runs a pipeline query has.
 
-    The search from a least value is charged without being simulated:
-    with no marked element every attempt hits with chance sin^2(0) = 0,
-    so it misses and burns the rest of the budget whatever it draws.
-    The stream is drawn only by the searches that can hit, and
-    search_draws is called only before the first of them.
+    The search from a least value has no marked element, so it misses
+    and burns the rest of the budget whatever it draws.  _bbht would
+    charge it without drawing; the descent stops before it, so that
+    search_draws is called only before the first search that can hit.
     """
     if counts is None:
         vals = np.asarray(values, dtype=float)
@@ -442,7 +456,7 @@ def blocked_search_scaling(
         raise DomainError(f"trials must be >= 1, got {trials}")
     for S in S_values:
         _check_window(M, S)
-    instances = [planted_instance(M, p, make_rng(seed, t)) for t in range(trials)]
+    instances = [planted_instance(M, p, search_draws(seed, t).generator) for t in range(trials)]
     rows = []
     for S in S_values:
         evals = []

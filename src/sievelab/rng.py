@@ -5,15 +5,15 @@ independent stream per task from (master seed, task index) through a
 fixed SplitMix64 mix.  Streams are backed by numpy's Philox generator,
 a 64-bit counter-based generator, so results do not depend on how work
 is sliced across shards or trials; derive_seeds mixes a whole index
-array in one uint64 array pass.  search_draws(seed) gives the stream
-make_rng(seed) would give, as the calling thread's one SearchStream: its
-Philox is re-keyed in place, so a short search pays neither a new
-Generator nor a new bit generator, and its scalar draws, the values
-make_rng(seed).integers(0, n) and .random() would give, are replayed in
-Python from raw 64-bit words fetched in bulk, so a draw pays no C call.
-Reading the stream's generator settles the Philox to exactly what the
-scalar draws have read.  The SearchStream it returns stays valid until
-the same thread calls search_draws again.
+array in one uint64 array pass.  search_draws(seed, index) gives the
+stream make_rng(seed, index) would give, as the calling thread's one
+SearchStream: its Philox is re-keyed in place, so a short search pays
+neither a new Generator nor a new bit generator, and its scalar draws,
+the values that stream's integers(0, n) and random() would give, are
+replayed in Python from raw 64-bit words fetched in bulk, so a draw pays
+no C call.  Reading the stream's generator settles the Philox to exactly
+what the scalar draws have read.  The SearchStream it returns stays
+valid until the same thread calls search_draws again.
 
 DEFAULT_SEED is the seed used by the command line when none is given.
 """
@@ -123,9 +123,9 @@ class SearchStream:
         self._generator = np.random.Generator(self._bit_generator)
         self._replay_from(self._template)
 
-    def _restart(self, seed: int) -> None:
-        """Re-key the Philox in place to the start of make_rng(seed)'s stream."""
-        self._key[0] = derive_seed(seed, 0)
+    def _restart(self, seed: int, index: int) -> None:
+        """Re-key the Philox in place to the start of make_rng(seed, index)'s stream."""
+        self._key[0] = derive_seed(seed, index)
         self._bit_generator.state = self._template
         self._replay_from(self._template)
 
@@ -204,11 +204,12 @@ class SearchStream:
 _threads = threading.local()  # .stream: the thread's SearchStream, built on first use
 
 
-def search_draws(seed: int) -> SearchStream:
-    """The calling thread's SearchStream, restarted at make_rng(seed)'s stream.
+def search_draws(seed: int, index: int = 0) -> SearchStream:
+    """The calling thread's SearchStream, restarted at the stream of
+    make_rng(seed, index).
 
     Its ``below(n)``, ``uniform()`` and ``generator`` read, from the
-    start of the stream, what ``make_rng(seed)``'s ``integers(0, n)``,
+    start of the stream, what that Generator's ``integers(0, n)``,
     ``random()`` and array draws would read.  Every call restarts the
     same stream, so the previous one this thread got moves with it: use
     one search's stream before starting the next.
@@ -216,5 +217,5 @@ def search_draws(seed: int) -> SearchStream:
     stream = getattr(_threads, "stream", None)
     if stream is None:
         stream = _threads.stream = SearchStream()
-    stream._restart(seed)
+    stream._restart(seed, index)
     return stream

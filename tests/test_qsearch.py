@@ -82,6 +82,21 @@ def test_bbht_rejects_an_empty_space():
         Q.bbht_search(np.zeros(0, bool), 2, 1)
 
 
+def test_bbht_refuses_a_bad_cap_before_drawing(monkeypatch):
+    def refuse(seed):
+        raise AssertionError("drew before refusing the cap")
+
+    monkeypatch.setattr(Q, "search_draws", refuse)
+    for bad in (-5, 2.5):
+        with pytest.raises(DomainError, match="cap"):
+            Q.bbht_search(np.ones(8, bool), 2, bad)
+    monkeypatch.undo()
+    # a zero cap spends nothing, marked or not
+    for flags in (np.ones(8, bool), np.zeros(8, bool)):
+        assert Q.bbht_search(flags, 2, 0) == (None, 0)
+    assert Q.bbht_search(np.ones(8, bool), 2, np.int64(3))[1] <= 3
+
+
 def test_bbht_single_solution_statistics():
     hits = 0
     costs = []
@@ -191,7 +206,13 @@ def _stream_state(draws):
 )
 def test_bbht_names_the_hit_its_callers_drew(S, marks, cap, seed):
     k = {"none": 0, "one": 1, "all": S}[marks]
-    draws, twin = search_draws(seed), GeneratorDraws(make_rng(seed))
+    draws = search_draws(seed)
+    if k == 0:  # charged its cap without a draw
+        assert Q._bbht(S, k, draws, cap) == (None, cap)
+        state = _stream_state(draws)  # read before the restart moves draws
+        assert state == _stream_state(search_draws(seed))
+        return
+    twin = GeneratorDraws(make_rng(seed))
     hit, evals = _ref_bbht_two_class(S, k, twin, cap)
     assert Q._bbht(S, k, draws, cap) == (None if hit is None else twin.below(k), evals)
     assert _stream_state(draws) == _stream_state(twin)
@@ -223,8 +244,9 @@ def test_hit_table_matches_the_loop_expression(S):
         row = Q._hit_table(S, k)
         for j in range(n) if n <= 2000 else (0, 1, n // 2, n - 1):
             assert Q._hit_fill(row, S, k, j) == row[j] == math.sin((2 * j + 1) * theta) ** 2, (k, j)
-    # the sparse pair probe reads these rows at any j < n, full and empty
-    # block pairs included
+    # the sparse pair probe reads these rows at any j < n, full block pairs
+    # included; it skips an empty block pair, as _bbht skips k = 0, but the
+    # empty row still holds the loop expression's zeros
     full, empty = Q._hit_table(S, S), Q._hit_table(S, 0)
     assert all(Q._hit_fill(full, S, S, j) == 1.0 and Q._hit_fill(empty, S, 0, j) == 0.0
                for j in range(n))
@@ -374,6 +396,25 @@ def test_blocked_search_ledger_invariants(MS, p, seed):
         assert flags[rep.found]
 
 
+@given(
+    MS=st.integers(2, 64).flatmap(lambda M: st.tuples(st.just(M), st.integers(2, M))),
+    B=st.integers(1, 4),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_markless_blocks_in_front_only_add_their_caps(MS, B, p, seed):
+    # a markless block draws nothing, so B of them ahead of the flags leave
+    # the search's draws, and so its hit, as they were
+    M, S = MS
+    flags = make_rng(seed).random(M) < p
+    rep = Q.blocked_search(M, flags, S, seed)
+    padded = Q.blocked_search(M + B * S, np.concatenate([np.zeros(B * S, bool), flags]), S, seed)
+    cap = math.ceil(3 * math.sqrt(S))
+    assert padded == Q.SearchReport(
+        None if rep.found is None else rep.found + B * S,
+        rep.oracle_evals + B * cap, rep.qram_reloads + B, rep.success)
+
+
 def test_blocked_search_deterministic():
     flags = np.zeros(128, bool)
     flags[[7, 77]] = True
@@ -390,8 +431,8 @@ BLOCKED_GRID = [
 
 
 def test_blocked_search_pinned_reports():
-    # sha256 recorded while the BBHT loop drew through Generator.integers
-    # and Generator.random; no-mark, sparse and dense flag vectors
+    # sha256 re-recorded when a block with no mark stopped drawing;
+    # no-mark, sparse and dense flag vectors
     rows = []
     for M, S in BLOCKED_GRID:
         for seed in range(6):
@@ -400,7 +441,7 @@ def test_blocked_search_pinned_reports():
                 rep = Q.blocked_search(M, draws < p, S, derive_seed(seed, S))
                 rows.append((rep.found, rep.oracle_evals, rep.qram_reloads, rep.success))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "17ad9b3d7bb6afd7e575e0b182c40d7845c0763924bf8a55378c15b55e3bf1de"
+    assert digest == "0208314e3b14fe7ae91d8fc87bda1d84bc9cc86610b77b4e34820f03af6300cc"
 
 
 def test_blocked_search_scaling_structure():
@@ -557,6 +598,22 @@ def test_pair_search_solutions_are_planted_pairs():
     assert len(rep.solutions) <= 20
 
 
+@pytest.mark.parametrize("M1, M2, S", [(16, 16, 8), (16, 16, 16), (33, 17, 4), (1, 1, 1)])
+def test_pair_search_without_plants_draws_nothing_after_its_plant(monkeypatch, M1, M2, S):
+    streams = []
+
+    def spy(seed):
+        streams.append(search_draws(seed))
+        return streams[-1]
+
+    monkeypatch.setattr(Q, "search_draws", spy)
+    rep = Q.blocked_pair_search(M1, M2, 0, S, 9)
+    assert rep.solutions == frozenset() and rep.oracle_evals == _pair_evals(M1, M2, 0, S)
+    plant = make_rng(9)
+    plant.choice(M1 * M2, size=0, replace=False)
+    assert _stream_state(streams[0]) == _stream_state(GeneratorDraws(plant))
+
+
 def test_pair_search_deterministic():
     a = Q.blocked_pair_search(64, 64, 16, 32, seed=123)
     b = Q.blocked_pair_search(64, 64, 16, 32, seed=123)
@@ -573,15 +630,15 @@ PAIR_GRID = [
 
 
 def test_pair_search_pinned_reports():
-    # sha256 recorded before oracle_evals became a closed form: every
-    # ledger, verdict and solution set is what the per-draw sum gave
+    # sha256 re-recorded when a block pair with no live pair stopped
+    # drawing; oracle_evals is the closed form the per-draw sum gave
     rows = []
     for M1, M2, K, S in PAIR_GRID:
         for seed in range(6):
             rep = Q.blocked_pair_search(M1, M2, K, S, seed)
             rows.append((rep.oracle_evals, rep.qram_reloads, rep.success, sorted(rep.solutions)))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "76800be2db4dedac22154736d97c7cabc8c9b577ba18e5b76e3c71a4d79e3b3a"
+    assert digest == "1ad6406205d8c9460e3647e8323879a28c33be5ede47491ae27d6c006e59a7a1"
 
 
 def _pair_evals(M1, M2, K, S):

@@ -31,6 +31,14 @@ def test_draws_refuse_bounds_outside_the_32_bit_range():
     assert draws.below(2**32) == int(make_rng(3).integers(0, 2**32))
 
 
+@pytest.mark.parametrize("index", [0, 1, 7, 2**63])
+def test_search_draws_take_make_rngs_index(index):
+    for seed in (0, 0x5EED, 2**64 - 1):
+        assert search_draws(seed, index).generator.random(300).tolist() == \
+            make_rng(seed, index).random(300).tolist()
+    assert search_draws(5).below(1000) == search_draws(5, 0).below(1000)
+
+
 def test_derive_seeds_match_derive_seed():
     indices = np.concatenate([[0, 1, 2**63 - 1],
                               make_rng(5).integers(0, 2**63 - 1, size=200, dtype=np.int64)])
