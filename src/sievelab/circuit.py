@@ -16,7 +16,8 @@ finding emulator driving it.
 The pipeline takes one batched pass per step.  rpc.sample_leaves lists
 the qualifying leaves of every query at once, in each query's leaf rank
 order, and every (query, leaf) chain is evaluated together, in chunks of
-bounded size, into one leaf table.  The batch keeps circuit_eval_index's
+bounded size, into one leaf table; each chunk's gathers fill two
+workspaces made once per step.  The batch keeps circuit_eval_index's
 first-minimum rule and np.linalg.norm's bits.  Exhaustive mode reads the
 leaves: coin_rank is nondecreasing and onto, so a query's first least
 leaf is what its first least coin string selects.  Only minimum finding
@@ -45,9 +46,10 @@ from .sieve import Mask, QueryLedger, SieveInstance, _row_norms, preprocess
 # largest coin space the pipeline searches per query; beyond this the
 # qualifying leaves are the search space (there are at most 2^R / 16)
 PIPELINE_COIN_GUARD = 2**14
-# chain coordinates one chunk of the pipeline's batched evaluation gathers;
-# each chunk holds a few blocks this size at once, and rpc's 2^18 raised the
-# pipeline benchmark's peak RSS by about 3 MB without making it faster
+# chain coordinates one chunk of the pipeline's batched evaluation gathers
+# into each of its two per-call workspaces; on the pipeline benchmark 2^15
+# and 2^17 read the same first pass as 2^16, at 0.1 MB less and 1.3 MB more
+# peak RSS
 _GATHER_FLOATS = 1 << 16
 
 
@@ -198,25 +200,41 @@ def _leaf_table(
     mask, in insertion order.  Its output is circuit_eval_index's: the
     first position at the least np.sum((chain - w) ** 2, axis=1).  The
     entries are evaluated in spans chunks against _GATHER_FLOATS, an entry
-    weighing the d coordinates of each row of its chain; partner distances
-    come from _row_norms.
+    weighing the d coordinates of each row of its chain.  The chain rows
+    and the repeated query rows of a chunk are gathered into two
+    workspaces made once per call, sized by the largest chunk, so no chunk
+    asks the allocator for fresh pages; the gathers clip rather than
+    raise (a raising np.take buffers out= through a fresh array), so a
+    row index outside [0, n) is refused with IndexError first.  Partner
+    distances come from _row_norms.
     Self-hits and empty chains are lifted to +inf with partner -1: the
     oracle returned nothing usable for reduction there.
     """
     query, leaf = np.divmod(sample_leaves(family, instance.directions(), alpha), family.t)
     vectors, ptr, rows = instance.vectors, members.indptr, members.indices
+    n, d = vectors.shape
+    # every gathered row is an entry of rows or of query
+    for idx in (rows, query):
+        if not (0 <= idx.min(initial=0) and idx.max(initial=-1) < n):
+            raise IndexError(f"row index outside [0, {n}) in the leaf table's gathers")
     sizes = np.diff(ptr)[leaf]
     values = np.full(query.size, math.inf)
     partner = np.full(query.size, -1, dtype=np.int64)
     live = np.flatnonzero(sizes)  # entries whose chain is not empty
-    for run in spans(sizes[live] * vectors.shape[1], _GATHER_FLOATS):
+    runs = spans(sizes[live] * d, _GATHER_FLOATS)
+    counts = [int(sizes[live[run]].sum()) for run in runs]  # chain rows per chunk
+    most = max(counts, default=0)
+    chain_space, query_space = np.empty((most, d)), np.empty((most, d))
+    for run, k in zip(runs, counts):
         entry = live[run]
         size = sizes[entry]
         starts = np.cumsum(size) - size
-        at = np.arange(int(size.sum())) + np.repeat(ptr[leaf[entry]] - starts, size)
+        at = np.arange(k) + np.repeat(ptr[leaf[entry]] - starts, size)
         chain_rows = rows[at]
-        diff = vectors[chain_rows]
-        diff -= vectors[np.repeat(query[entry], size)]
+        diff = np.take(vectors, chain_rows, axis=0, out=chain_space[:k], mode="clip")
+        w = np.take(vectors, np.repeat(query[entry], size), axis=0,
+                    out=query_space[:k], mode="clip")
+        diff -= w
         diff *= diff
         u = chain_rows[_first_least(np.sum(diff, axis=1), starts)].astype(np.int64)
         dist = _row_norms(vectors[u] - vectors[query[entry]])

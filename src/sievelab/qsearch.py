@@ -28,7 +28,7 @@ block, block pair and descent step; its scalar draws are replayed in
 Python from raw Philox words fetched in bulk, so a draw pays no C call.
 A search with no marked element draws nothing: every attempt hits with
 chance sin^2(0) = 0, so _bbht charges its whole cap at once, and the
-sparse pair probe skips an empty block pair.  What such a search would
+pair search skips every empty block pair.  What such a search would
 have drawn cannot change its charge, so a later block, block pair or
 descent step reads those stream words instead, and the law of every
 reported statistic is the one of drawing through.  Minimum finding
@@ -272,13 +272,15 @@ def blocked_pair_search(
     """Collect planted solution pairs from [M1] x [M2] through S-sized
     QRAM windows.
 
-    Plants K_planted distinct pairs uniformly, then visits every block
-    pair (X_i, Y_j), one QRAM reload each, on pair_search_plan's
-    schedule.  Dense regime: repeated searches with already-found pairs
-    excluded until the block pair's budget is spent.  Sparse regime: a
-    single amplitude-amplification probe.  Every found pair is verified
-    and recorded once.  A block pair with no live pair left draws
-    nothing: it is charged its budget or probe as planned.
+    Plants K_planted distinct pairs uniformly, then searches every block
+    pair (X_i, Y_j) in row-major order, one QRAM reload each, on
+    pair_search_plan's schedule.  Dense regime: repeated searches with
+    already-found pairs excluded until the block pair's budget is spent.
+    Sparse regime: a single amplitude-amplification probe.  Every found
+    pair is verified and recorded once.  A block pair with no live pair
+    left draws nothing: it is charged its budget or probe as planned, so
+    only the block pairs holding a planted pair are visited, at most
+    K_planted of them.
     """
     dense, budget, probe, reloads, evals = pair_search_plan(M1, M2, K_planted, S)
     draws = search_draws(seed)
@@ -292,27 +294,24 @@ def blocked_pair_search(
 
     space = S * S  # padded block pair
     found: set[tuple[int, int]] = set()
-    for bi in range(-(-M1 // S)):
-        for bj in range(-(-M2 // S)):
-            live = live_in.get((bi, bj))
-            if not live:  # no pair to find: charged as planned, nothing drawn
-                continue
-            if dense:
-                remaining = budget
-                while remaining > 0:
-                    rank, spent = _bbht(space, len(live), draws, remaining)
-                    remaining -= spent
-                    if rank is not None:
-                        found.add(live.pop(rank))
-            else:
-                k = len(live)
-                hit = _hit_table(space, k)
-                try:
-                    p = hit[probe]
-                except KeyError:
-                    p = _hit_fill(hit, space, k, probe)
-                if draws.uniform() < p:
-                    found.add(live.pop(draws.below(k)))
+    # row-major order; a block pair with no pair to find draws nothing
+    for _, live in sorted(live_in.items()):
+        if dense:
+            remaining = budget
+            while remaining > 0:
+                rank, spent = _bbht(space, len(live), draws, remaining)
+                remaining -= spent
+                if rank is not None:
+                    found.add(live.pop(rank))
+        else:
+            k = len(live)
+            hit = _hit_table(space, k)
+            try:
+                p = hit[probe]
+            except KeyError:
+                p = _hit_fill(hit, space, k, probe)
+            if draws.uniform() < p:
+                found.add(live.pop(draws.below(k)))
     return SearchReport(
         None, evals, reloads, len(found) >= max(1, K_planted) // 4,
         solutions=frozenset(found),

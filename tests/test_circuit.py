@@ -347,6 +347,61 @@ def test_search_spaces_match_the_per_query_walk(monkeypatch, case):
         assert leaves.tolist() == [rpc.leaf_index(tree, r) for r in range(tree.root_count)]
 
 
+@pytest.fixture(scope="module")
+def workspace_case():
+    fam = rpc.build_family("rpc", 12, 31, m=5, B=2)
+    inst = sieve.random_instance(12, 60, seed=404, mode="norm", radius=1.0)
+    members = sieve.preprocess(inst, fam, 0.55, sieve.QueryLedger()).members
+    return fam, inst, members
+
+
+def test_leaf_table_workspace_reuse_across_ragged_chunks(monkeypatch, workspace_case):
+    # the two gather workspaces are sized by the largest chunk; a smaller
+    # chunk after it fills only their front and leaves a stale tail behind
+    fam, inst, members = workspace_case
+    alpha = 0.40
+    query, leaf = np.divmod(rpc.sample_leaves(fam, inst.directions(), alpha), fam.t)
+    # per entry: circuit_eval_index on the bucket's chain, np.linalg.norm's bits
+    chains = [members.indices[members.indptr[j]:members.indptr[j + 1]] for j in range(fam.t)]
+    circ = ccirc.build_circuit([inst.vectors[rows] for rows in chains], d=inst.d)
+    want_values = np.full(query.size, math.inf)
+    want_partner = np.full(query.size, -1, dtype=np.int64)
+    empty = self_hits = 0
+    for e, (q, j) in enumerate(zip(query.tolist(), leaf.tolist())):
+        pos = ccirc.circuit_eval_index(circ, j, inst.vectors[q])
+        if pos is None:
+            empty += 1
+            continue
+        u = int(chains[j][pos])
+        dist = float(np.linalg.norm(inst.vectors[u] - inst.vectors[q]))
+        if u == q:
+            self_hits += 1
+        elif dist > 1e-12:
+            want_values[e], want_partner[e] = dist, u
+    assert empty > 0 and self_hits > 0
+    default = ccirc._leaf_table(inst, fam, alpha, members)
+    sizes = np.diff(members.indptr)[leaf]
+    weights = sizes[sizes > 0] * inst.d
+    for gather_floats in (1, 40, 97, 500):
+        rows = [int(weights[run].sum()) for run in rpc.spans(weights, gather_floats)]
+        assert any(a > b for a, b in zip(rows, rows[1:]))  # a chunk smaller than one before it
+        monkeypatch.setattr(ccirc, "_GATHER_FLOATS", gather_floats)
+        got = ccirc._leaf_table(inst, fam, alpha, members)
+        for a, b, c in zip(got, default, (query, want_values, want_partner)):
+            assert a.dtype == b.dtype == c.dtype
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, "n"])
+def test_leaf_table_refuses_a_row_outside_the_list(workspace_case, bad):
+    # the gathers clip, so a bad row must be refused before it is read
+    fam, inst, members = workspace_case
+    rows = members.indices.copy()
+    rows[rows.size // 2] = inst.n if bad == "n" else bad
+    with pytest.raises(IndexError):
+        ccirc._leaf_table(inst, fam, 0.40, sieve.Mask(members.indptr, rows, members.shape))
+
+
 def test_pipeline_on_an_empty_list():
     fam = rpc.build_family("rpc", 8, 1, m=3, B=2)
     empty = sieve.make_instance(np.empty((0, 8)), mode="norm", radius=1.0)

@@ -614,6 +614,16 @@ def test_pair_search_without_plants_draws_nothing_after_its_plant(monkeypatch, M
     assert _stream_state(streams[0]) == _stream_state(GeneratorDraws(plant))
 
 
+def test_pair_search_on_a_large_sparse_grid():
+    # 562,500 block pairs, two of them live: only those two are visited,
+    # and the ledgers are pair_search_plan's closed forms for all of them
+    rep = Q.blocked_pair_search(3000, 3000, 2, 4, 7)
+    assert rep.oracle_evals == 1_125_000 == _pair_evals(3000, 3000, 2, 4)
+    assert rep.qram_reloads == 562_500
+    assert rep.solutions == frozenset({(1127, 1041), (2501, 355)})
+    assert rep.success
+
+
 def test_pair_search_deterministic():
     a = Q.blocked_pair_search(64, 64, 16, 32, seed=123)
     b = Q.blocked_pair_search(64, 64, 16, 32, seed=123)
