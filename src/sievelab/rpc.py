@@ -8,15 +8,15 @@ explicit family of t random centers is the one-block case, m = t, B = 1.
 
 Two queries matter downstream.  decode(scores, alpha) finds, for a batch
 of rows, every codeword reaching alpha by one branch-and-bound over the
-block scores.  score_tiles walks a batch's score tiles in one flat
-sequence, scan decodes each tile at several thresholds, and
-relevant_filters(v, alpha) is its one-row case.  A one-block family's
-tiles are only ever compared with a threshold, so scan screens them in
-float32 (_at_least): a proved margin sends the few scores near a
-threshold to a float64 re-score, and a re-score within float64's own
-error of the threshold to the float64 tile itself, so every decision is
-the float64 product's.  The screen needs unit codewords, which
-build_family makes and load_family checks.
+block scores, in one loop for any B.  score_tiles walks a batch's score
+tiles in one flat sequence, scan decodes a product code's tiles at
+several thresholds, and relevant_filters(v, alpha) is its one-row case.
+A one-block family's tiles are only ever compared with a threshold, so
+scan screens them in float32 (_at_least) instead: a proved margin sends
+the few scores near a threshold to a float64 re-score, and a re-score
+within float64's own error of the threshold to the float64 tile itself,
+so every decision is the float64 product's.  The screen needs unit
+codewords, which build_family makes and load_family checks.
 sample_alpha_close draws a near-uniform qualifying center from a
 bounded string of random coins, using a dynamic-programming tree over
 discretized block scores.  The discretization only ever widens the
@@ -197,11 +197,11 @@ def score_tiles(
     block's vectors c0 onwards, one product each.  Tiles come in row order.
 
     A row weighs its m scores, and each spans chunk of rows is one full-width
-    tile.  One block whose row of scores exceeds the budget (an explicit family
-    with t > _BLOCK_FLOATS) is cut into R = isqrt(budget) rows instead, and its
-    vectors by spans, each weighing one score per row of the chunk: a score
-    matrix then stays within the budget, and the centers are read once per
-    R rows."""
+    tile.  One block whose row of scores exceeds the budget (m > _BLOCK_FLOATS)
+    is cut into R = isqrt(budget) rows instead, and its vectors by spans, each
+    weighing one score per row of the chunk: a score matrix then stays within
+    the budget, and the centers are read once per R rows.  scan screens an
+    explicit family over the same tiles (_tiles) without scoring them here."""
     w = rows.shape[1] // len(blocks)
     for run, cut in _tiles(rows, blocks):
         chunk = rows[run]
@@ -215,15 +215,14 @@ def scan(
     """Per threshold, decode's ascending keys x * t + i over the rows and the
     family's codewords, and its node count.  A product code decodes each
     score_tiles tile at every threshold.  A one-block family thresholds each
-    of those tiles by _at_least instead, a float32 screen whose every
-    decision is the tile's own float64 product's, at t nodes a row.  The
-    keys are sorted once, in place, only when the block was cut into tiles
-    narrower than m, whose keys interleave."""
+    of _tiles' tiles by _at_least instead, a float32 screen whose every
+    decision is the tile's own float64 product's, at decode's t nodes a row.
+    The keys are sorted once, in place, only when the block was cut into
+    tiles narrower than m, whose keys interleave."""
     m, t = family.m, family.t
     keys: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in thresholds]
-    nodes = [0] * len(thresholds)
-    narrow = False
     if family.B > 1:
+        nodes = [0] * len(thresholds)
         for r0, _, scores in score_tiles(rows, family.blocks):
             for k, thr in enumerate(thresholds):
                 got, expanded = decode(scores, thr)
@@ -232,12 +231,12 @@ def scan(
         return [np.concatenate(part) for part in keys], nodes
     centers, (centers32, norm) = family.blocks[0], family.screen
     rows32, norm = rows.astype(np.float32), float(np.maximum(norm, _max_norm(rows)))
+    narrow = False
     for run, cut in _tiles(rows, family.blocks):
         width = cut.stop - cut.start
         narrow |= width < m
         found = _at_least(rows[run], centers[cut], rows32[run], centers32[cut], norm, thresholds)
         for k, got in enumerate(found):
-            nodes[k] += (run.stop - run.start) * width
             if width == m:
                 keys[k].append(got + run.start * t)
             else:  # a tile of the centers cut.start .. cut.stop
@@ -247,7 +246,7 @@ def scan(
     if narrow:
         for got in out:
             got.sort()
-    return out, nodes
+    return out, [len(rows) * t] * len(thresholds)
 
 
 def _max_norm(x: np.ndarray) -> float:
@@ -362,12 +361,12 @@ def decode(scores: Sequence[np.ndarray], alpha: float) -> tuple[np.ndarray, int]
     sum ((0.0 + s_0) + s_1) + ... of the (rows, m) scores[b] reaches alpha
     for row x, and the nodes expanded: m per kept prefix, the root
     included.  A prefix is dropped when its partial sum plus its row's best
-    remaining block scores (none after the last block) falls short.  Every
-    block tests the kept prefixes in spans runs, each prefix weighing its m
-    sums, so no test holds more than _BLOCK_FLOATS sums however many survive."""
+    remaining block scores (none after the last block) falls short, so one
+    block, where 0.0 + s compares like s, is a plain threshold at m nodes a
+    row.  Every block tests the kept prefixes in spans runs, each prefix
+    weighing its m sums, so no test holds more than _BLOCK_FLOATS sums
+    however many survive."""
     rows, m = scores[0].shape
-    if len(scores) == 1:  # one block: a plain threshold, no partial sums
-        return np.flatnonzero(scores[0] >= alpha), rows * m
     tails = [np.zeros(rows)]  # tails[b]: per row, best scores of blocks b + 1.. summed
     for s in scores[:0:-1]:
         tails.append(tails[-1] + s.max(axis=1))

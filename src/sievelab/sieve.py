@@ -232,10 +232,11 @@ def _close_masks(
 ) -> list[Mask]:
     """Per named threshold, the mask of <x, c_j> >= threshold over the list.
 
-    Every family goes through rpc.scan block by block, so explicit families
-    and product codes are decoded alike.  Equal thresholds are compared once
-    and share one mask; thresholds are checked in the order given, and
-    one out of range is reported under its name.
+    Every family goes through one rpc.scan of the list: a product code's
+    tiles are decoded, and an explicit family's are thresholded by rpc's
+    float32 screen, whose every decision is the float64 product's.  Equal
+    thresholds are compared once and share one mask; thresholds are checked
+    in the order given, and one out of range is reported under its name.
     """
     dirs = instance.directions()
     named: dict[float, str] = {}  # each distinct threshold under its first name
@@ -353,30 +354,28 @@ def _shares_filter(
 ) -> np.ndarray:
     """Per pair (x, y), whether query row x and insert row y share a filter.
 
-    The filters are cut into tiles of 64-bit words, each tile as wide as
-    rpc's budget allows for one word column per list row.  Per tile, both
-    masks' rows become bitsets, each read from its entry bounds in that
-    tile, and each pair still open ANDs its two rows' words; a pair that
-    shares a filter leaves the later tiles.  The pairs are tested in
-    chunks of at most the budget's words.
+    The filters' 64-bit word columns, each weighing one word per list row,
+    are cut into tiles by rpc.spans.  Per tile, both masks' rows become
+    bitsets, each read from its entry bounds in that tile, and each pair
+    still open ANDs its two rows' words; a pair that shares a filter leaves
+    the later tiles.  The open pairs are tested in spans chunks, a pair
+    weighing its tile's words.
     """
     n, t = query_mask.shape
-    width = max(1, rpc._BLOCK_FLOATS // max(1, n))  # words per row in one tile
-    span = 64 * width
-    tiles = -(-t // span)
+    tiles = spans(np.broadcast_to(max(1, n), -(-t // 64)))  # word columns of n words
+    span = 64 * tiles[0].stop  # filters per tile
     masks = [query_mask] if insert_mask is query_mask else [query_mask, insert_mask]
-    bounds = [_tile_bounds(mask, span, tiles) for mask in masks]
+    bounds = [_tile_bounds(mask, span, len(tiles)) for mask in masks]
     out = np.zeros(x.size, dtype=bool)
     open_ = np.arange(x.size)
-    for k in range(tiles):
+    for k, tile in enumerate(tiles):
         if not open_.size:
             break
-        words = min(width, -(-(t - span * k) // 64))
-        bits = [_tile_bits(mask, b[:, k], b[:, k + 1], span * k, words)
+        words = tile.stop - tile.start
+        bits = [_tile_bits(mask, b[:, k], b[:, k + 1], 64 * tile.start, words)
                 for mask, b in zip(masks, bounds)]
         qbits, ibits = bits[0], bits[-1]
-        step = max(1, rpc._BLOCK_FLOATS // words)
-        chunks = (open_[lo:lo + step] for lo in range(0, open_.size, step))
+        chunks = (open_[run] for run in spans(np.broadcast_to(words, open_.size)))
         hit = np.concatenate([(qbits[x[pairs]] & ibits[y[pairs]]).any(axis=1) for pairs in chunks])
         out[open_[hit]] = True
         open_ = open_[~hit]

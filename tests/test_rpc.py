@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sievelab import geometry, rpc
+from sievelab import geometry, rpc, sieve
 from sievelab.errors import DomainError
 from sievelab.rng import make_rng
 
@@ -407,6 +407,21 @@ def test_tree_requires_rpc_kind():
     v = geometry.sample_sphere(8, make_rng(1))
     with pytest.raises(DomainError):
         rpc.build_sample_tree(fam, v, 0.3)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, -1.0, 0.95])
+def test_sample_leaves_of_a_one_block_code(alpha):
+    # a B = 1 product code reaches decode with one block: its leaves are the
+    # levels at level_min or above, row by row, in each tree's rank order
+    fam = rpc.build_family("rpc", 8, 21, m=40, B=1)
+    dirs = sieve.random_instance(8, 30, seed=21, mode="norm", radius=2.0).directions()
+    levels, level_min, _ = rpc.sample_levels(fam, dirs, alpha)
+    keys = rpc.sample_leaves(fam, dirs, alpha)
+    assert keys.tolist() == np.flatnonzero(levels[0] >= level_min).tolist()
+    for q, v in enumerate(dirs):
+        tree = rpc.build_sample_tree(fam, v, alpha)
+        leaves = keys[keys // fam.t == q] % fam.t
+        assert leaves.tolist() == [rpc.leaf_index(tree, r) for r in range(tree.root_count)]
 
 
 def _six_leaf_tree(fam):

@@ -57,3 +57,37 @@ a.take(i, 0, b, "clip")
 a.take(i, 0)
 """
     assert _takes_into_out_in_raise_mode(ast.parse(src)) == [2, 3, 4, 5, 9]
+
+
+def _names_the_budget(tree: ast.AST) -> list[int]:
+    """Lines that name _BLOCK_FLOATS: as a name, an attribute, an import
+    or a getattr string."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if getattr(node, "id", None) == "_BLOCK_FLOATS"
+                   or (isinstance(node, ast.Attribute) and node.attr == "_BLOCK_FLOATS")
+                   or (isinstance(node, ast.alias) and node.name == "_BLOCK_FLOATS")
+                   or (isinstance(node, ast.Constant) and node.value == "_BLOCK_FLOATS")})
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name != "rpc.py"], ids=lambda p: p.name)
+def test_only_rpc_names_the_chunk_budget(path):
+    """No module but rpc.py names rpc._BLOCK_FLOATS.
+
+    The filter engine has one budget rule, rpc.spans, and every other
+    module cuts its chunks through it: a module that divides the budget
+    itself keeps a second copy of the rule, which can drift from the first.
+    Tests may still monkeypatch the constant, which spans reads at call time.
+    """
+    assert _names_the_budget(ast.parse(path.read_text())) == []
+
+
+def test_the_budget_check_sees_every_form():
+    src = """
+x = rpc._BLOCK_FLOATS // n
+from .rpc import _BLOCK_FLOATS
+y = _BLOCK_FLOATS
+z = getattr(rpc, "_BLOCK_FLOATS")
+w = rpc.spans(weights)
+v = _GATHER_FLOATS
+"""
+    assert _names_the_budget(ast.parse(src)) == [2, 3, 4, 5]
