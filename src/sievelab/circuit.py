@@ -40,8 +40,9 @@ import numpy as np
 from .errors import DomainError
 from .qsearch import min_find_with_cost
 from .rng import DEFAULT_SEED, derive_seeds
-from .rpc import FilterFamily, SampleTree, coin_count, sample_alpha_close, sample_leaves, spans
-from .sieve import Mask, QueryLedger, SieveInstance, _row_norms, preprocess
+from .rpc import (
+    FilterFamily, SampleTree, _row_norms, coin_count, sample_alpha_close, sample_leaves, spans)
+from .sieve import Mask, QueryLedger, SieveInstance, preprocess
 
 # largest coin space the pipeline searches per query; beyond this the
 # qualifying leaves are the search space (there are at most 2^R / 16)

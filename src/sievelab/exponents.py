@@ -256,19 +256,14 @@ def _grid_seed(model: str, sigma: float, seeding: tuple | None = None) -> tuple[
 
 # ---------------------------------------------------------------------------
 # Scalar port of scipy 1.17's minimize(method="Nelder-Mead") for N = 2
-# (non-adaptive, unbounded).  It runs the same float operations in the
-# same order, so it returns the same bits, without scipy's per-iteration
-# numpy bookkeeping on 3x2 arrays.
+# (non-adaptive, unbounded) with options xatol, fatol and maxiter and no
+# maxfev, which scipy then reads as inf.  It runs the same float operations
+# in the same order, so it returns the same bits, without scipy's
+# per-iteration numpy bookkeeping on 3x2 arrays.
 
 _NM_XATOL = 1e-10
 _NM_FATOL = 1e-12
 _NM_MAXITER = 4000
-_NM_MAXFEV = 8000
-
-
-class _MaxFevReached(Exception):
-    """The next objective call would exceed maxfev (scipy aborts the
-    iteration in progress and keeps what it had already assigned)."""
 
 
 def _sort3(p: list, q: list, r: list) -> tuple[list, list, list]:
@@ -283,39 +278,24 @@ def _sort3(p: list, q: list, r: list) -> tuple[list, list, list]:
 
 
 def _nelder_mead_2d(
-    f: Callable[[float, float], float],
-    x0: tuple[float, float],
-    maxiter: int = _NM_MAXITER,
-    maxfev: int = _NM_MAXFEV,
-) -> tuple[tuple[float, float], float, int, int]:
-    """Minimise f(x, y) from x0 by scipy's Nelder-Mead; returns
-    ((x, y), fun, nfev, nit) equal to scipy's res.x, fun, nfev and nit.
+    f: Callable[[float, float], float], x0: tuple[float, float]
+) -> tuple[tuple[float, float], float, int]:
+    """Minimise f(x, y) from x0 by scipy's Nelder-Mead with xatol =
+    _NM_XATOL, fatol = _NM_FATOL, maxiter = _NM_MAXITER and no maxfev;
+    returns ((x, y), fun, nit) equal to scipy's res.x, fun and nit.
 
     Coefficients rho, chi, psi, sigma = 1, 2, 1/2, 1/2, written out in
     scipy's operand order; the initial simplex moves each nonzero
-    coordinate by 5 % and each zero one to 0.00025.
+    coordinate by 5 % and each zero one to 0.00025.  _NM_MAXITER alone
+    ends a simplex that never meets the tolerances (all inf or NaN);
+    optimize's refinements stop far below it.
     """
-    nfev = 0
-
-    def call(x: float, y: float) -> float:
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _MaxFevReached
-        nfev += 1
-        return f(x, y)
-
     a, b = x0
-    v0 = [a, b, math.inf]
-    v1 = [(1 + 0.05) * a if a != 0 else 0.00025, b, math.inf]
-    v2 = [a, (1 + 0.05) * b if b != 0 else 0.00025, math.inf]
-    try:
-        for v in (v0, v1, v2):
-            v[2] = call(v[0], v[1])
-    except _MaxFevReached:
-        pass
-    v0, v1, v2 = _sort3(v0, v1, v2)
+    a1 = (1 + 0.05) * a if a != 0 else 0.00025
+    b2 = (1 + 0.05) * b if b != 0 else 0.00025
+    v0, v1, v2 = _sort3([a, b, f(a, b)], [a1, b, f(a1, b)], [a, b2, f(a, b2)])
     nit = 1
-    while nfev < maxfev and nit < maxiter:
+    while nit < _NM_MAXITER:
         bx, by, bf = v0
         # a NaN anywhere (inf - inf included) fails the test, as in
         # scipy's np.max(...) <= tol
@@ -323,47 +303,45 @@ def _nelder_mead_2d(
                 and abs(v2[0] - bx) <= _NM_XATOL and abs(v2[1] - by) <= _NM_XATOL
                 and abs(bf - v1[2]) <= _NM_FATOL and abs(bf - v2[2]) <= _NM_FATOL):
             break
-        try:
-            mx, my = (bx + v1[0]) / 2, (by + v1[1]) / 2
-            wx, wy, wf = v2
-            xr, yr = 2 * mx - wx, 2 * my - wy  # reflect
-            fxr = call(xr, yr)
-            if fxr < bf:
-                xe, ye = 3 * mx - 2 * wx, 3 * my - 2 * wy  # expand
-                fxe = call(xe, ye)
-                v2 = [xe, ye, fxe] if fxe < fxr else [xr, yr, fxr]
-            elif fxr < v1[2]:
-                v2 = [xr, yr, fxr]
+        mx, my = (bx + v1[0]) / 2, (by + v1[1]) / 2
+        wx, wy, wf = v2
+        xr, yr = 2 * mx - wx, 2 * my - wy  # reflect
+        fxr = f(xr, yr)
+        if fxr < bf:
+            xe, ye = 3 * mx - 2 * wx, 3 * my - 2 * wy  # expand
+            fxe = f(xe, ye)
+            v2 = [xe, ye, fxe] if fxe < fxr else [xr, yr, fxr]
+        elif fxr < v1[2]:
+            v2 = [xr, yr, fxr]
+        else:
+            if fxr < wf:
+                xc, yc = 1.5 * mx - 0.5 * wx, 1.5 * my - 0.5 * wy  # contract
+                fxc = f(xc, yc)
+                shrink = not fxc <= fxr
             else:
-                if fxr < wf:
-                    xc, yc = 1.5 * mx - 0.5 * wx, 1.5 * my - 0.5 * wy  # contract
-                    fxc = call(xc, yc)
-                    shrink = not fxc <= fxr
-                else:
-                    xc, yc = 0.5 * mx + 0.5 * wx, 0.5 * my + 0.5 * wy  # contract inside
-                    fxc = call(xc, yc)
-                    shrink = not fxc < wf
-                if not shrink:
-                    v2 = [xc, yc, fxc]
-                else:
-                    for v in (v1, v2):  # shrink towards the best vertex
-                        v[0] = bx + 0.5 * (v[0] - bx)
-                        v[1] = by + 0.5 * (v[1] - by)
-                        v[2] = call(v[0], v[1])
-            nit += 1
-        except _MaxFevReached:
-            pass
+                xc, yc = 0.5 * mx + 0.5 * wx, 0.5 * my + 0.5 * wy  # contract inside
+                fxc = f(xc, yc)
+                shrink = not fxc < wf
+            if not shrink:
+                v2 = [xc, yc, fxc]
+            else:
+                for v in (v1, v2):  # shrink towards the best vertex
+                    v[0] = bx + 0.5 * (v[0] - bx)
+                    v[1] = by + 0.5 * (v[1] - by)
+                    v[2] = f(v[0], v[1])
+        nit += 1
         v0, v1, v2 = _sort3(v0, v1, v2)
     # scipy reports np.min(fsim), which is NaN when any vertex is, and a
     # NaN vertex sorts last
     fun = v2[2] if v2[2] != v2[2] else v0[2]
-    return (v0[0], v0[1]), fun, nfev, nit
+    return (v0[0], v0[1]), fun, nit
 
 
 # ---------------------------------------------------------------------------
 # Scalar port of scipy 1.17's minimize_scalar(method="bounded")
-# (_minimize_scalar_bounded): Brent's golden-section search with
-# parabolic steps on a closed interval, in the same float operations.
+# (_minimize_scalar_bounded) with options xatol and maxiter: Brent's
+# golden-section search with parabolic steps on a closed interval, in the
+# same float operations.
 
 _BR_XATOL = 1e-12
 _BR_MAXITER = 500
@@ -375,13 +353,12 @@ def _sign_up(v: float) -> float:
 
 
 def _brent_bounded(
-    func: Callable[[float], float], lo: float, hi: float,
-    maxiter: int = _BR_MAXITER,
+    func: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float, int]:
     """Minimise func on [lo, hi] by scipy's bounded Brent method with
-    xatol = _BR_XATOL; returns (x, fun, nfev) equal to scipy's res.x,
-    fun and nfev.  maxiter caps the calls, as scipy's option of that
-    name does; scipy's status flag is not reproduced."""
+    xatol = _BR_XATOL and maxiter = _BR_MAXITER, which caps the calls as
+    in scipy; returns (x, fun, nfev) equal to scipy's res.x, fun and
+    nfev.  scipy's status flag is not reproduced."""
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = lo, hi
@@ -446,7 +423,7 @@ def _brent_bounded(
         xm = 0.5 * (a + b)
         tol1 = sqrt_eps * abs(xf) + _BR_XATOL / 3.0
         tol2 = 2.0 * tol1
-        if num >= maxiter:
+        if num >= _BR_MAXITER:
             break
     return xf, fx, num
 

@@ -142,9 +142,10 @@ def build_family(
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Per row of x, np.linalg.norm's sum of squares under a square root,
-    cheap for one row; a NaN or inf coordinate makes its row's norm so."""
-    return np.sqrt(np.add.reduce(x * x, axis=1))
+    """np.linalg.norm of each row of x, bit for bit: norm takes the sqrt of
+    a dot, and a stacked (1, d) @ (d, 1) matmul is that same dot.  A NaN or
+    inf coordinate makes its row's norm so."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0, 0]
 
 
 def check_queries(
@@ -165,8 +166,14 @@ def spans(weights: np.ndarray, budget: int | None = None) -> list[slice]:
     """The filter engine's one chunk rule: consecutive slices of range(len(weights)),
     each the longest whose weights sum to at most budget (_BLOCK_FLOATS, read at
     call time, by default) or one heavier item; for a uniform weight m, max(1,
-    budget // m) items.  A list, so the running sums are freed before any chunk."""
+    budget // m) items.  Stride-0 weights (np.broadcast_to of one weight) are
+    cut so in closed form; others by running sums, returned as a list so that
+    the sums are freed before any chunk."""
     budget = _BLOCK_FLOATS if budget is None else budget
+    if weights.size and weights.strides == (0,):
+        w = int(weights[0])
+        step = max(1, budget // w) if w else weights.size
+        return [slice(lo, min(lo + step, weights.size)) for lo in range(0, weights.size, step)]
     before = np.concatenate(([0], np.cumsum(weights)))  # before[i]: weight of items < i
     cuts, lo = [], 0
     while lo < before.size - 1:

@@ -39,7 +39,7 @@ from .geometry import cap_volume_exact, sample_sphere
 from .rng import derive_seed, make_rng
 # relevant_filters is bound, not called: the bench tracer patches it under this name
 from .rpc import (  # noqa: F401
-    FilterFamily, check_queries, relevant_filters, scan, spans)
+    FilterFamily, _row_norms, check_queries, relevant_filters, scan, spans)
 
 # the list whose close pairs are computed: brute_force_keys and run
 BRUTE_FORCE_GUARD = 10**5
@@ -479,12 +479,6 @@ def brute_force_keys(instance: SieveInstance) -> np.ndarray:
 def brute_force_pairs(instance: SieveInstance) -> set[tuple[int, int]]:
     """Exact ordered close-pair set by full scan over normalized vectors."""
     return keys_to_pairs(brute_force_keys(instance), instance.n)
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row, bit for bit: norm takes the sqrt of a
-    dot, and a stacked (1, d) @ (d, 1) matmul is that same dot."""
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
 
 
 def sieve_step(

@@ -449,24 +449,36 @@ def test_mtps_guards():
 # the oracle here, and every result must agree bit for bit (==, NaN
 # matching NaN).
 
-_NM_CAPS = dict(xatol=E._NM_XATOL, fatol=E._NM_FATOL, maxiter=E._NM_MAXITER, maxfev=E._NM_MAXFEV)
-
-
 def _same(u, v):
     return u == v or (u != u and v != v)
 
 
-def _scipy_nelder_mead(f, x0, **caps):
+def _logged(f, calls):
+    """f, appending each point it is called at to calls."""
+    def g(a, b):
+        calls.append((float(a), float(b)))
+        return f(a, b)
+
+    return g
+
+
+def _scipy_nelder_mead(f, x0):
+    # the port's options, maxiter read at call time; maxfev is left unset,
+    # which scipy reads as inf once maxiter is given
+    caps = dict(xatol=E._NM_XATOL, fatol=E._NM_FATOL, maxiter=E._NM_MAXITER)
     with np.errstate(invalid="ignore"):  # inf - inf in scipy's stopping test
         res = minimize(lambda x: f(x[0], x[1]), np.asarray(x0, dtype=float),
-                       method="Nelder-Mead", options={**_NM_CAPS, **caps})
-    return (float(res.x[0]), float(res.x[1])), float(res.fun), res.nfev, res.nit
+                       method="Nelder-Mead", options=caps)
+    return (float(res.x[0]), float(res.x[1])), float(res.fun), res.nit
 
 
-def _assert_nelder_mead_matches(f, x0, **caps):
-    got = E._nelder_mead_2d(f, x0, **caps)
-    want = _scipy_nelder_mead(f, x0, **caps)
-    assert got[0] == want[0] and _same(got[1], want[1]) and got[2:] == want[2:], (got, want)
+def _assert_nelder_mead_matches(f, x0):
+    # the same result bits, and f called at the same points in the same order
+    got_calls, want_calls = [], []
+    got = E._nelder_mead_2d(_logged(f, got_calls), x0)
+    want = _scipy_nelder_mead(_logged(f, want_calls), x0)
+    assert got[0] == want[0] and _same(got[1], want[1]) and got[2] == want[2], (got, want)
+    assert got_calls == want_calls
     return got
 
 
@@ -511,17 +523,36 @@ def test_nelder_mead_matches_scipy_on_awkward_objectives(f, x0):
     _assert_nelder_mead_matches(f, x0)
 
 
-@pytest.mark.parametrize("caps", [dict(maxfev=k) for k in range(1, 12)] + [
-    dict(maxiter=k) for k in (1, 2, 3, 5)
-], ids=lambda caps: "-".join(f"{k}{v}" for k, v in caps.items()))
+@pytest.mark.parametrize("maxiter", [1, 2, 3, 5], ids=lambda k: f"maxiter{k}")
 @pytest.mark.parametrize("f, x0", [
     (E._objective("t5", 0.03), (0.45, 0.5)),
     (lambda a, b: 1.0, (0.3, 0.4)),
     (_half_plane_nan, (0.49, 0.1)),  # stops with a NaN vertex: fun is NaN
 ], ids=["t5", "constant", "nan-edge"])
-def test_nelder_mead_matches_scipy_under_small_caps(f, x0, caps):
-    # maxfev aborts the initial simplex, a contraction or a shrink midway
-    _assert_nelder_mead_matches(f, x0, **caps)
+def test_nelder_mead_matches_scipy_under_small_caps(f, x0, maxiter, monkeypatch):
+    monkeypatch.setattr(E, "_NM_MAXITER", maxiter)
+    assert _assert_nelder_mead_matches(f, x0)[2] == maxiter
+
+
+def test_optimize_never_nears_the_iteration_cap(monkeypatch):
+    # _nelder_mead_2d keeps no evaluation cap, and _NM_MAXITER only ends a
+    # simplex that never meets the tolerances: every refinement optimize
+    # runs, on every budget's clamped objective, stops far below it
+    nits = []
+    refine = E._nelder_mead_2d
+
+    def recording(f, x0):
+        out = refine(f, x0)
+        nits.append(out[2])
+        return out
+
+    monkeypatch.setattr(E, "_nelder_mead_2d", recording)
+    for model in ("t2", "t3", "t5"):
+        E.tradeoff_curve(model, np.linspace(0.0, 0.25, 201).tolist())
+    for model in ("classical", "t1", "t4", "noqram"):
+        E.optimize(model)
+    assert len(nits) == 2 * (3 * 201 + 4)
+    assert max(nits) <= E._NM_MAXITER // 4
 
 
 def _max_of_affine_plus_quadratic(planes, q):
@@ -546,16 +577,17 @@ def test_nelder_mead_matches_scipy_on_random_objectives(planes, q, x0):
 # --- _brent_bounded against scipy's minimize_scalar(method="bounded") ------
 
 
-def _scipy_bounded(f, lo, hi, **opts):
+def _scipy_bounded(f, lo, hi):
+    # the port's options, maxiter read at call time
     with np.errstate(invalid="ignore"):  # inf - inf in the parabola fit
         res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                              options={"xatol": E._BR_XATOL, **opts})
+                              options={"xatol": E._BR_XATOL, "maxiter": E._BR_MAXITER})
     return float(res.x), float(res.fun), res.nfev
 
 
-def _assert_brent_matches(f, lo, hi, **opts):
-    got = E._brent_bounded(f, lo, hi, **opts)
-    want = _scipy_bounded(f, lo, hi, **opts)
+def _assert_brent_matches(f, lo, hi):
+    got = E._brent_bounded(f, lo, hi)
+    want = _scipy_bounded(f, lo, hi)
     assert got[0] == want[0] and _same(got[1], want[1]) and got[2] == want[2], (got, want)
     return got
 
@@ -600,9 +632,9 @@ def test_brent_matches_scipy_on_awkward_functions(g, lo, hi):
 
 
 @pytest.mark.parametrize("maxiter", [1, 2, 3, 6, 10])
-def test_brent_matches_scipy_under_a_maxiter_cap(maxiter):
-    got = _assert_brent_matches(lambda x: math.sin(40.0 * x) + 0.1 * x, 0.0, 1.0,
-                                maxiter=maxiter)
+def test_brent_matches_scipy_under_a_maxiter_cap(maxiter, monkeypatch):
+    monkeypatch.setattr(E, "_BR_MAXITER", maxiter)
+    got = _assert_brent_matches(lambda x: math.sin(40.0 * x) + 0.1 * x, 0.0, 1.0)
     assert got[2] == max(2, maxiter)  # the first call always runs, then one per pass
 
 

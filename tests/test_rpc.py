@@ -1,5 +1,6 @@
 """Filter families: enumeration exactness, sampler uniformity, serialization."""
 
+import itertools
 import math
 import os
 import struct
@@ -141,7 +142,15 @@ def test_spans_of_a_uniform_weight(monkeypatch):
         assert _runs([m] * n, budget) == want
         monkeypatch.setattr(rpc, "_BLOCK_FLOATS", budget)
         assert _runs([m] * n) == want
+        assert rpc.spans(np.broadcast_to(m, n)) == [slice(*r) for r in want]
         monkeypatch.undo()
+    # a stride-0 np.broadcast_to weight is cut in closed form, with int
+    # bounds, exactly as its materialised copy is by running sums
+    for n, m, budget in itertools.product(range(40), (0, 1, 2, 3, 7, 50, 300),
+                                          (1, 2, 5, 49, 50, 51, 100, 1 << 18)):
+        got = rpc.spans(np.broadcast_to(m, n), budget)
+        assert got == rpc.spans(np.array(np.broadcast_to(m, n)), budget), (n, m, budget)
+        assert all(type(r.start) is int and type(r.stop) is int for r in got)
 
 
 @pytest.mark.parametrize("B", [2, 3])

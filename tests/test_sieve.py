@@ -339,7 +339,7 @@ def test_row_norms_are_numpys_norm():
         b = geometry.sample_sphere(d, rng, size=2000)
         rows = a - b
         want = np.array([np.linalg.norm(r) for r in rows])
-        assert sieve._row_norms(rows).tobytes() == want.tobytes()
+        assert rpc._row_norms(rows).tobytes() == want.tobytes()
 
 
 def test_sieve_step_requires_norm_mode():

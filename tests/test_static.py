@@ -91,3 +91,34 @@ w = rpc.spans(weights)
 v = _GATHER_FLOATS
 """
     assert _names_the_budget(ast.parse(src)) == [2, 3, 4, 5]
+
+
+def _defined_twice(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Module-level function names defined (def, not imported) in more
+    than one of the named sources, with the modules that define each."""
+    where: dict[str, list[str]] = {}
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where.setdefault(node.name, []).append(module)
+    return {name: mods for name, mods in where.items() if len(mods) > 1}
+
+
+def test_no_function_is_defined_in_two_modules():
+    """One rule lives in one place: no module-level function name is
+    defined in two modules of the package.
+
+    Two functions of one name are two copies of a rule, and copies drift
+    (two _row_norms once rounded the same norm differently).  A module
+    that needs another's helper imports it.
+    """
+    assert _defined_twice({p.name: p.read_text() for p in SRC}) == {}
+
+
+def test_the_twice_check_sees_only_module_level_defs():
+    sources = {
+        "a.py": "def f(): pass\nasync def g(): pass\nclass C:\n    def h(self): pass\n",
+        "b.py": "from .a import f\ndef g(): pass\ndef h(): pass\n",
+        "c.py": "def g(): pass\ndef k():\n    def f(): pass\n",
+    }
+    assert _defined_twice(sources) == {"g": ["a.py", "b.py", "c.py"]}
